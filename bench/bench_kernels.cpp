@@ -3,17 +3,14 @@
  * Google-benchmark microbenchmarks of the substrate kernels: golden
  * SpMM, format conversions, tile census, graph generation, the
  * multilevel partitioner and the workload-construction split, plus
- * paired old-vs-new container benches of the RowEngine hot-loop data
- * structures (ring/flat-map vs deque/unordered_map) and the WorkPool
- * submit path. These quantify the host-side cost of the simulation
- * substrate itself (not simulated cycles).
+ * the RowEngine hot-loop containers (ring buffer, flat map) and the
+ * WorkPool submit path. These quantify the host-side cost of the
+ * simulation substrate itself (not simulated cycles).
  */
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <deque>
 #include <filesystem>
-#include <unordered_map>
 
 #include "gcn/runner.hpp"
 #include "gcn/workload.hpp"
@@ -282,9 +279,8 @@ BENCHMARK(BM_BuildPhasePlan)
     ->Arg(static_cast<int>(gcn::ModelKind::Gat));
 
 // ---------------------------------------------------------------------
-// RowEngine hot-loop containers: each pair runs the identical access
-// pattern through the old standard container and the new arena-backed
-// replacement, so one bench_kernels run shows the speedup directly.
+// RowEngine hot-loop containers, driven with the access patterns of
+// the row engine's inner loop.
 // ---------------------------------------------------------------------
 
 /** Stand-in for RowEngine's per-row window slot (same field layout). */
@@ -321,27 +317,6 @@ ldnChurn(benchmark::State &state, Body &&body)
 }
 
 void
-BM_LdnTableUnorderedMap(benchmark::State &state)
-{
-    std::unordered_map<NodeId, Cycle> map;
-    map.reserve(kLdnEntries);
-    std::vector<NodeId> fifo(kLdnEntries);
-    uint32_t at = 0;
-    ldnChurn(state, [&](NodeId id, Cycle c) -> uint64_t {
-        auto it = map.find(id);
-        if (it != map.end())
-            return 1;
-        if (map.size() == kLdnEntries)
-            map.erase(fifo[at]);
-        map.emplace(id, c);
-        fifo[at] = id;
-        at = (at + 1) % kLdnEntries;
-        return 0;
-    });
-}
-BENCHMARK(BM_LdnTableUnorderedMap);
-
-void
 BM_LdnTableFlatMap(benchmark::State &state)
 {
     util::FlatMap<NodeId, Cycle> map(kLdnEntries, kInvalidNode);
@@ -366,26 +341,6 @@ BENCHMARK(BM_LdnTableFlatMap);
 constexpr size_t kWindowDepth = 16;
 
 void
-BM_RunaheadWindowDeque(benchmark::State &state)
-{
-    std::deque<BenchSlot> win;
-    uint64_t token = 0, sum = 0;
-    for (auto _ : state) {
-        if (win.size() == kWindowDepth) {
-            sum += win.front().lastFinish;
-            win.pop_front();
-        }
-        win.push_back(BenchSlot{static_cast<NodeId>(token), token, 1,
-                                token * 3, false});
-        win.back().pending += 1;
-        ++token;
-    }
-    benchmark::DoNotOptimize(sum);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RunaheadWindowDeque);
-
-void
 BM_RunaheadWindowRing(benchmark::State &state)
 {
     util::Arena arena(util::ceilPow2(kWindowDepth) * sizeof(BenchSlot) +
@@ -408,10 +363,10 @@ BM_RunaheadWindowRing(benchmark::State &state)
 BENCHMARK(BM_RunaheadWindowRing);
 
 /**
- * WorkPool submit throughput: one epoch-mode co-simulation round is
- * one runAll() of tiny tasks, so batch setup cost (allocation, ticket
- * posting, wakeup, completion wait) sits on the simulator's critical
- * path. Arg = worker count (0 = caller-only).
+ * WorkPool submit throughput: one halo epoch of the scale-out link
+ * co-simulation is one runAll() of one small task per chip, so batch
+ * setup cost (allocation, ticket posting, wakeup, completion wait) is
+ * paid per epoch. Arg = worker count (0 = caller-only).
  */
 void
 BM_WorkPoolSubmit(benchmark::State &state)

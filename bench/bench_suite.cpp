@@ -19,10 +19,10 @@
  *                    [list=1]
  *                    [scale=...] [datasets=...] [model=...]
  *                    [cachedir=...] [format=table|json|csv] [out=path]
- *                    [threads=N] [epoch=cycles] [profile=0|1]
+ *                    [threads=N] [profile=0|1]
  *
  * `benches=` overrides `suite=`; scale/datasets/model/cachedir/
- * threads/epoch/profile are forwarded verbatim to every bench
+ * threads/profile are forwarded verbatim to every bench
  * (per-bench defaults apply when omitted). With profile=1 every
  * bench's report carries the nondeterministic `sim-speed` family
  * (host wall-clock + rows/s), which lands in the merged
@@ -93,7 +93,7 @@ suiteMain(int argc, char **argv)
     CliArgs args(argc, argv);
     args.requireKnown({"suite", "benches", "list", "scale", "datasets",
                        "model", "cachedir", "format", "out", "threads",
-                       "epoch", "profile"});
+                       "profile"});
     if (args.has("threads")) // reject bad values before any bench runs
         util::checkedThreadCount(args.getInt("threads", 1));
     if (args.getBool("list", false)) {

@@ -66,11 +66,9 @@ BenchContext::BenchContext(int argc, char **argv,
                            const std::vector<std::string> &extra_keys)
     : args_(argc, argv), cache_(args_.get("cachedir", ""))
 {
-    std::vector<std::string> known = {"scale",  "datasets", "model",
-                                      "cachedir", "format", "out",
-                                      "threads",  "epoch",  "profile",
-                                      "memcap",   "chips",  "link_gbps",
-                                      "link_ns"};
+    std::vector<std::string> known = {
+        "scale",   "datasets", "model",  "cachedir", "format",    "out",
+        "threads", "profile",  "memcap", "chips",    "link_gbps", "link_ns"};
     known.insert(known.end(), extra_keys.begin(), extra_keys.end());
     args_.requireKnown(known);
 
@@ -78,7 +76,7 @@ BenchContext::BenchContext(int argc, char **argv,
     model_ = gcn::modelKindFromString(args_.get("model", "gcn"));
     // Default: one worker per core, like the sweeps always ran. An
     // explicit threads= bounds *every* level (sweep prefetch, phase
-    // fan-out, epoch rounds); results are bit-identical either way.
+    // fan-out, halo step); results are bit-identical either way.
     threads_ = args_.has("threads")
                    ? util::checkedThreadCount(args_.getInt("threads", 1))
                    : std::max(1u, std::thread::hardware_concurrency());
@@ -108,17 +106,6 @@ BenchContext::BenchContext(int argc, char **argv,
     // Cache misses build with the bench's worker pool; artefacts are
     // bit-identical for every thread count (see DESIGN.md).
     cache_.setBuildThreads(threads_);
-    if (args_.get("epoch", "") == "auto") {
-        // epoch=auto: window seeds at the controller default and
-        // adapts per round from observed channel utilisation.
-        epochAuto_ = true;
-    } else {
-        const int64_t epoch = args_.getInt("epoch", 0);
-        if (epoch < 0)
-            fatal("epoch must be >= 0 cycles (0 = exact serial "
-                  "schedule) or 'auto', got " + std::to_string(epoch));
-        epochCycles_ = static_cast<Cycle>(epoch);
-    }
     specs_ = graph::datasetsByNames(
         args_.getList("datasets", split(default_datasets, ',')));
 
@@ -276,8 +263,6 @@ BenchContext::runOptions() const
 {
     gcn::RunOptions base;
     base.sim.threads = threads_;
-    base.sim.epochCycles = epochCycles_;
-    base.sim.epochAuto = epochAuto_;
     return base;
 }
 

@@ -22,17 +22,11 @@
  *                               stdout
  *   threads=<n>                 worker parallelism (default: one per
  *                               core): bounds sweep prefetch, phase
- *                               fan-out inside each inference and
- *                               epoch-mode cluster rounds, all on one
+ *                               fan-out inside each inference and the
+ *                               scale-out halo step, all on one
  *                               shared pool; results are bit-identical
  *                               for every value. Rejects 0 and > 4x
  *                               hardware concurrency.
- *   epoch=<cycles>|auto         GROW cluster-parallel co-simulation
- *                               window (default 0 = exact serial
- *                               schedule; `auto` adapts the window
- *                               per round from observed channel
- *                               utilisation, still deterministically;
- *                               see DESIGN.md)
  *   profile=0|1                 also report the `sim-speed` metric
  *                               family: host wall-clock per inference
  *                               (split by phase op) plus simulated
@@ -158,19 +152,16 @@ class BenchContext
 
     /** Validated `threads=` worker parallelism (default: one per
      *  core). Bounds every level: sweep prefetch, phase fan-out and
-     *  epoch-mode rounds. */
+     *  the halo step. */
     uint32_t threads() const { return threads_; }
 
     /** Whether `profile=1` requested the sim-speed metric family. */
     bool profile() const { return profile_; }
 
     /** Base run options every inference of this bench runs under
-     *  (threads= and epoch= applied; engine-specific layout still
-     *  comes from makeEngineJob). */
+     *  (threads= applied; engine-specific layout still comes from
+     *  makeEngineJob). */
     gcn::RunOptions runOptions() const;
-
-    /** Deprecated pre-scale-out spelling of runOptions(). */
-    gcn::RunOptions runnerOptions() const { return runOptions(); }
 
     /** Every `chips=` value, supplied order (default {1}). */
     const std::vector<uint32_t> &chipCounts() const { return chipCounts_; }
@@ -260,8 +251,6 @@ class BenchContext
     std::vector<uint32_t> chipCounts_{1};
     scaleout::LinkSpec link_;
     util::WallClock benchClock_;
-    Cycle epochCycles_ = 0;
-    bool epochAuto_ = false;
     std::vector<graph::DatasetSpec> specs_;
     driver::WorkloadCache cache_;
     std::map<std::string, gcn::GcnWorkload> workloads_;

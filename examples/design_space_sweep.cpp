@@ -34,11 +34,10 @@
  * link_gbps=/link_ns= spec.
  *
  * Usage: design_space_sweep [datasets=pokec] [scale=tiny] [threads=0]
- *                           [epoch=0] [dse=0] [pareto=8] [est=0]
+ *                           [dse=0] [pareto=8] [est=0]
  *                           [chips=1] [link_gbps=64] [link_ns=500]
  *                           [cachedir=] [model=gcn|sage-mean|sage-pool|
  *                           gin|gat] [format=table|json|csv] [out=path]
- *                           (dataset= is a deprecated alias)
  */
 #include <algorithm>
 #include <cmath>
@@ -96,12 +95,9 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    // `dataset=` predates the bench-wide `datasets=` grammar; keep it
-    // working as a deprecated alias.
-    args.applyAliases({{"dataset", "datasets"}});
     args.requireKnown({"datasets", "scale", "threads", "cachedir", "model",
-                       "format", "out", "epoch", "dse", "pareto", "est",
-                       "chips", "link_gbps", "link_ns"});
+                       "format", "out", "dse", "pareto", "est", "chips",
+                       "link_gbps", "link_ns"});
     const auto names = args.getList("datasets", {"pokec"});
     if (names.size() != 1)
         fatal("design_space_sweep explores one dataset per run; got " +
@@ -112,10 +108,6 @@ main(int argc, char **argv)
     if (threadsArg < 0 || threadsArg > 1024)
         fatal("threads must be between 0 (= all cores) and 1024, got " +
               std::to_string(threadsArg));
-    const int64_t epochArg = args.getInt("epoch", 0);
-    if (epochArg < 0)
-        fatal("epoch must be >= 0 cycles, got " +
-              std::to_string(epochArg));
     const int64_t dseArg = args.getInt("dse", 0);
     if (dseArg != 0 && dseArg != 1)
         fatal("dse must be 0 or 1, got " + std::to_string(dseArg));
@@ -214,13 +206,10 @@ main(int argc, char **argv)
                *workloadByDepth[i]);
     }
 
-    // Within-inference parallelism rides the same shared pool as the
-    // sweep (phase fan-out always; epoch-mode cluster rounds when
-    // epoch= is set), so one `threads=` knob governs both levels.
-    for (auto &job : jobs) {
+    // Within-inference phase fan-out rides the same shared pool as the
+    // sweep, so one `threads=` knob governs both levels.
+    for (auto &job : jobs)
         job.options.sim.threads = pool.numThreads();
-        job.options.sim.epochCycles = static_cast<Cycle>(epochArg);
-    }
 
     auto outcomes = pool.runAll(jobs);
     // Consume outcomes positionally, but verify the label so a reorder
@@ -403,7 +392,6 @@ main(int argc, char **argv)
     if (dseArg) {
         gcn::RunOptions dseBase;
         dseBase.sim.threads = pool.numThreads();
-        dseBase.sim.epochCycles = static_cast<Cycle>(epochArg);
         driver::DseDriver dse(w, dseBase);
         const auto grid = driver::DseGrid::defaultGrid();
         auto analysis = dse.analyze(grid);

@@ -42,34 +42,13 @@ struct SimOptions
     std::string dramKind = "simple";
     /**
      * Worker-pool parallelism available to one inference: phase-level
-     * fan-out in gcn::executePlan and lane-level co-simulation rounds
-     * in GROW's epoch mode both draw at most this many workers from
-     * the shared util::WorkPool. Results are bit-identical for every
-     * value (see DESIGN.md "Parallel co-simulation").
+     * fan-out in gcn::executePlan and the per-chip lanes of the
+     * scale-out halo step draw at most this many workers from the
+     * shared util::WorkPool. Engines' run() never reads it. Results
+     * are bit-identical for every value (see DESIGN.md "Parallel
+     * co-simulation").
      */
     uint32_t threads = 1;
-    /**
-     * Epoch window (in cycles) of the deterministic cluster-parallel
-     * co-simulation inside GrowSim. 0 (default) keeps the exact
-     * serial engine interleaving -- byte-identical to the historical
-     * tables; > 0 resolves cross-lane DRAM contention at epoch
-     * boundaries (accel::EpochDramArbiter), which changes cycle
-     * results slightly but deterministically: for a fixed window the
-     * outcome is bit-identical regardless of `threads`.
-     */
-    Cycle epochCycles = 0;
-    /**
-     * Auto-tune the epoch window from observed channel utilisation
-     * (CLI `epoch=auto`): after each committed round the canonical
-     * channel's busy-cycle delta is compared against the window span;
-     * a mostly-idle channel doubles the next window (fewer barriers),
-     * a saturated one halves it (cross-lane contention resolved at
-     * finer grain). The adaptation reads only simulated state, so for
-     * a fixed seed window the outcome stays bit-identical for every
-     * thread count (but differs from any fixed-window run).
-     * epochCycles > 0 seeds the first window; 0 seeds at 4096 cycles.
-     */
-    bool epochAuto = false;
 };
 
 /**

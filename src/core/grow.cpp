@@ -1,101 +1,10 @@
 #include "core/grow.hpp"
 
 #include <algorithm>
-#include <functional>
 
-#include "accel/dram_arbiter.hpp"
 #include "util/logging.hpp"
-#include "util/work_pool.hpp"
 
 namespace grow::core {
-
-namespace {
-
-/**
- * Cluster-parallel co-simulation (SimOptions::epochCycles > 0): bulk-
- * synchronous rounds over the engine lanes. Each round opens a DRAM
- * epoch, lets every lane whose clock lies inside the round's window
- * [tmin, tmin + epochCycles) process rows until it leaves the window
- * (against its private channel replica -- see accel/dram_arbiter.hpp),
- * then commits the recorded requests in canonical order. Membership,
- * the per-lane row work and the commit order are all pure functions of
- * simulation state, so the outcome is bit-identical for every thread
- * count; the worker pool only decides who computes which lane.
- */
-void
-runEpochRounds(std::vector<std::unique_ptr<RowEngine>> &engines,
-               accel::EpochDramArbiter &arbiter,
-               const mem::DramModel &channel,
-               const accel::SimOptions &options)
-{
-    // epoch=auto window adaptation (SimOptions::epochAuto): bounds and
-    // thresholds of the utilisation controller. All inputs are
-    // simulated state, so the trajectory is deterministic.
-    constexpr Cycle kAutoSeedWindow = 4096;
-    constexpr Cycle kAutoMinWindow = 256;
-    constexpr Cycle kAutoMaxWindow = 1u << 20;
-    constexpr double kAutoLowUtil = 0.25;
-    constexpr double kAutoHighUtil = 0.75;
-
-    Cycle window = options.epochCycles > 0 ? options.epochCycles
-                   : options.epochAuto    ? kAutoSeedWindow
-                                          : 0;
-    Cycle prevBusy = channel.busyCycles();
-    const uint32_t threads = std::max(1u, options.threads);
-    while (true) {
-        bool any = false;
-        Cycle tmin = 0;
-        for (auto &e : engines) {
-            if (!e->rowsRemaining())
-                continue;
-            if (!any || e->clock() < tmin)
-                tmin = e->clock();
-            any = true;
-        }
-        if (!any)
-            break;
-        const Cycle windowEnd = tmin + window;
-        std::vector<RowEngine *> members;
-        for (auto &e : engines) {
-            if (e->rowsRemaining() && e->clock() < windowEnd)
-                members.push_back(e.get());
-        }
-        arbiter.beginEpoch();
-        auto step = [windowEnd](RowEngine *e) {
-            while (e->rowsRemaining() && e->clock() < windowEnd)
-                e->processNextRow();
-        };
-        if (threads <= 1 || members.size() <= 1) {
-            for (auto *m : members)
-                step(m);
-        } else {
-            std::vector<std::function<void()>> tasks;
-            tasks.reserve(members.size());
-            for (auto *m : members)
-                tasks.emplace_back([m, step] { step(m); });
-            util::rethrowFirstError(util::WorkPool::shared().runAll(
-                std::move(tasks), threads));
-        }
-        arbiter.commitEpoch();
-        if (options.epochAuto) {
-            // A saturated channel means cross-lane contention is being
-            // resolved too coarsely (lanes see it one epoch late):
-            // halve the window. A mostly idle channel means the lanes
-            // barely interact and the rounds are pure overhead: double
-            // it.
-            const Cycle busy = channel.busyCycles();
-            const double util = static_cast<double>(busy - prevBusy) /
-                                static_cast<double>(window);
-            prevBusy = busy;
-            if (util > kAutoHighUtil)
-                window = std::max(kAutoMinWindow, window / 2);
-            else if (util < kAutoLowUtil)
-                window = std::min(kAutoMaxWindow, window * 2);
-        }
-    }
-}
-
-} // namespace
 
 GrowSim::GrowSim(GrowConfig config) : config_(std::move(config))
 {
@@ -220,17 +129,6 @@ GrowSim::run(const accel::SpDeGemmProblem &problem,
     dramCfg.bandwidthGBps *= config_.numPes;
     auto dram = mem::makeDram(options.dramKind, dramCfg);
 
-    // Epoch mode: engines talk to per-lane arbiter ports instead of
-    // the device itself, so lanes can co-simulate on worker threads
-    // deterministically. epochCycles == 0 (default) keeps the exact
-    // serial interleaving below.
-    const bool epochMode = options.epochCycles > 0 || options.epochAuto;
-    std::unique_ptr<accel::EpochDramArbiter> arbiter;
-    if (epochMode) {
-        arbiter = std::make_unique<accel::EpochDramArbiter>(
-            *dram, config_.numPes);
-    }
-
     // Interleave clusters across PEs.
     std::vector<std::vector<uint32_t>> ownership(config_.numPes);
     for (uint32_t c = 0; c < clustering->numClusters(); ++c)
@@ -252,76 +150,36 @@ GrowSim::run(const accel::SpDeGemmProblem &problem,
     ep.hdnLists = problem.hdnLists;
     ep.globalHdnList = globalHdnList.empty() ? nullptr : &globalHdnList;
 
-    // Engine construction issues the cluster/weight preloads, so in
-    // epoch mode it already runs inside an open epoch. Construction
-    // stays serial in PE order either way (deterministic).
+    // Engine construction issues the cluster/weight preloads; it runs
+    // serially in PE order (deterministic).
     std::vector<std::unique_ptr<RowEngine>> engines;
     engines.reserve(config_.numPes);
-    if (epochMode)
-        arbiter->beginEpoch();
     for (uint32_t pe = 0; pe < config_.numPes; ++pe) {
-        mem::DramModel *channel = dram.get();
-        RowEngineProblem pep = ep;
-        if (epochMode) {
-            accel::LaneDramPort *port = &arbiter->lane(pe);
-            pep.onClusterStart = [port](uint32_t c) {
-                port->setCluster(c);
-            };
-            channel = port;
-        }
         engines.push_back(std::make_unique<RowEngine>(
-            config_, pep, *channel, pe, std::move(ownership[pe]),
+            config_, ep, *dram, pe, std::move(ownership[pe]),
             options.functional ? &out : nullptr));
     }
-    if (epochMode)
-        arbiter->commitEpoch();
 
-    if (epochMode) {
-        runEpochRounds(engines, *arbiter, *dram, options);
-    } else {
-        // Co-simulate: always step the engine with the smallest local
-        // clock so shared-DRAM requests issue in (approximately)
-        // global order.
-        while (true) {
-            RowEngine *next = nullptr;
-            for (auto &e : engines) {
-                if (!e->rowsRemaining())
-                    continue;
-                if (next == nullptr || e->clock() < next->clock())
-                    next = e.get();
-            }
-            if (next == nullptr)
-                break;
-            next->processNextRow();
+    // Co-simulate: always step the engine with the smallest local
+    // clock so shared-DRAM requests issue in (approximately) global
+    // order.
+    while (true) {
+        RowEngine *next = nullptr;
+        for (auto &e : engines) {
+            if (!e->rowsRemaining())
+                continue;
+            if (next == nullptr || e->clock() < next->clock())
+                next = e.get();
         }
+        if (next == nullptr)
+            break;
+        next->processNextRow();
     }
 
-    // Drain the windows (output writes). In epoch mode this is the
-    // final epoch; lanes finalize independently against their
-    // replicas, so the drain parallelises like any round.
-    if (epochMode)
-        arbiter->beginEpoch();
+    // Drain the windows (output writes).
     Cycle end = 0;
-    std::vector<Cycle> completions(engines.size(), 0);
-    if (epochMode && std::max(1u, options.threads) > 1 &&
-        engines.size() > 1) {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(engines.size());
-        for (size_t i = 0; i < engines.size(); ++i) {
-            RowEngine *e = engines[i].get();
-            Cycle *slot = &completions[i];
-            tasks.emplace_back([e, slot] { *slot = e->finalize(); });
-        }
-        util::rethrowFirstError(util::WorkPool::shared().runAll(
-            std::move(tasks), options.threads));
-    } else {
-        for (size_t i = 0; i < engines.size(); ++i)
-            completions[i] = engines[i]->finalize();
-    }
-    for (Cycle c : completions)
-        end = std::max(end, c);
-    if (epochMode)
-        arbiter->commitEpoch();
+    for (auto &e : engines)
+        end = std::max(end, e->finalize());
 
     // --- Assemble the result -----------------------------------------
     accel::PhaseResult res;

@@ -5,19 +5,14 @@
  * GrowSim glues together the per-PE RowEngines, the shared DRAM channel
  * (bandwidth scaled with PE count, Sec. VII-F) and the preprocessing
  * artefacts (cluster layout + per-cluster HDN lists). Clusters are
- * interleaved across PEs and the engines are co-simulated in lockstep
- * on a shared memory system, so transient per-PE bandwidth imbalance is
- * captured.
+ * interleaved across PEs and the engines are co-simulated on a shared
+ * memory system, so transient per-PE bandwidth imbalance is captured.
  *
- * Two co-simulation schedules exist (SimOptions::epochCycles):
- * 0 (default) steps the engine with the smallest local clock against
- * the live shared DRAM -- the exact historical serial schedule; > 0
- * runs bulk-synchronous epochs in which the engine lanes execute
- * concurrently against private DRAM replicas and their requests are
- * replayed through the shared device in canonical (epoch, clusterId,
- * requestSeq) order (accel::EpochDramArbiter). Either way the result
- * is bit-identical for every SimOptions::threads value; see DESIGN.md
- * "Parallel co-simulation & DRAM arbitration".
+ * The co-simulation schedule always steps the engine with the smallest
+ * local clock against the live shared DRAM. run() is single-threaded
+ * and a pure function of (config, problem, options); parallelism lives
+ * one level up, in gcn::executePlan's phase fan-out (see DESIGN.md
+ * "Parallel co-simulation").
  */
 #pragma once
 

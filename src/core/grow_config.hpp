@@ -61,16 +61,6 @@ struct GrowConfig
     /** DMA streaming chunk for CSR/preload transfers. */
     Bytes dmaChunkBytes = 256;
 
-    /**
-     * Overlap the next cluster's HDN preload with the previous
-     * cluster's tail: the control unit keeps draining the window and
-     * issuing the first rows' stream fetches while the preload DMA is
-     * in flight, joining it only before the first CAM lookup of the
-     * new cluster. Off by default: the shipped schedules are
-     * golden-locked to the blocking transition.
-     */
-    bool hdnPreloadOverlap = false;
-
     /** Total per-PE on-chip SRAM (for leakage/area accounting). */
     Bytes
     onChipSramBytes() const

@@ -135,8 +135,6 @@ RowEngine::startNextCluster()
     rowCursor_ = problem_.clustering->clusterStart[c];
     clusterEndRow_ = problem_.clustering->clusterStart[c + 1];
     stats_.clustersProcessed += 1;
-    if (problem_.onClusterStart)
-        problem_.onClusterStart(c);
 
     // A demand-filled LRU cache does not preload anything.
     if (config_.hdnPolicy == HdnPolicy::Lru)
@@ -159,15 +157,7 @@ RowEngine::startNextCluster()
         if (preload > 0) {
             Cycle done = dram_.read(clock_, preloadBase_, preload,
                                     mem::TrafficClass::HdnPreload);
-            if (config_.hdnPreloadOverlap) {
-                // The DMA is outstanding; the control unit keeps
-                // running and joins it before the first CAM lookup of
-                // this cluster (processNextRow).
-                preloadReady_ = std::max(preloadReady_, done);
-                preloadPending_ = true;
-            } else {
-                clock_ = std::max(clock_, done);
-            }
+            clock_ = std::max(clock_, done);
         }
     }
 }
@@ -337,13 +327,6 @@ RowEngine::processNextRow()
     Cycle rowReady = ensureStreamed(streamNeeded_);
     clock_ = std::max(clock_, rowReady);
 
-    // Join an outstanding HDN preload before this cluster's first CAM
-    // lookup (hdnPreloadOverlap; no-op otherwise).
-    if (preloadPending_) {
-        clock_ = std::max(clock_, preloadReady_);
-        preloadPending_ = false;
-    }
-
     window_.push_back(Slot{row, nextToken_++, 0, clock_, false});
     const uint64_t token = window_.back().token;
 
@@ -408,12 +391,6 @@ RowEngine::finalize()
     while (!window_.empty())
         retireFront();
     finishedIssue_ = true;
-    // A preload issued by a trailing row-less cluster still has to
-    // complete before the engine is done.
-    if (preloadPending_) {
-        clock_ = std::max(clock_, preloadReady_);
-        preloadPending_ = false;
-    }
     return std::max({clock_, maxCompletion_, mac_.macFree()});
 }
 

@@ -26,18 +26,9 @@
  * chunk FIFO, LDN table) lives in fixed-capacity ring buffers and an
  * open-addressing flat map carved from one per-engine arena
  * (util/arena.hpp, util/flat_map.hpp). Their capacities are derived
- * from the hardware configuration, so they never grow; the swap from
- * std::deque/std::unordered_map is bit-identical in simulated results
- * and substantially faster in host wall-clock (bench_kernels
- * BM_LdnTable*, BM_RowEngineAggregation).
- *
- * With GrowConfig::hdnPreloadOverlap the engine issues the next
- * cluster's HDN preload without stalling its control clock: the
- * preload DMA overlaps the previous cluster's tail (window drain +
- * first-row stream fetch) and the control unit joins it only before
- * the first CAM lookup of the new cluster. Off (the default) the
- * engine blocks at the transition, reproducing the golden-locked
- * historical schedules exactly.
+ * from the hardware configuration, so they never grow. bench_kernels
+ * times them on this engine's access patterns (BM_LdnTableFlatMap,
+ * BM_RunaheadWindowRing).
  */
 #pragma once
 
@@ -94,14 +85,6 @@ struct RowEngineProblem
      * list, computed once per problem instead of copied per cluster).
      */
     const std::vector<NodeId> *globalHdnList = nullptr;
-    /**
-     * Invoked with the cluster id whenever the engine transitions to
-     * a new cluster, before any memory request of that cluster is
-     * issued. The epoch arbiter wires this to LaneDramPort::setCluster
-     * so requests carry their canonical (epoch, clusterId, seq) key;
-     * unset (the serial path) it costs nothing.
-     */
-    std::function<void(uint32_t)> onClusterStart;
 };
 
 class RowEngine
@@ -206,12 +189,6 @@ class RowEngine
     Cycle clock_ = 0;
     Cycle maxCompletion_ = 0;
     Cycle durPerProduct_;
-
-    // In-flight HDN preload (hdnPreloadOverlap only): the DMA is
-    // outstanding and the control unit joins it before the first CAM
-    // lookup of the new cluster.
-    Cycle preloadReady_ = 0;
-    bool preloadPending_ = false;
 
     // Sparse stream prefetch totals (extent_ scanned at construction).
     StreamExtent extent_;

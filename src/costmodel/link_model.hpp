@@ -13,7 +13,7 @@
  *   latencyCycles + serialization(busiest egress or ingress agent)
  *                 + one issue cycle per DMA chunk of that agent
  *
- * which the epoch co-simulation tracks within the envelope gated by
+ * which the halo co-simulation tracks within the envelope gated by
  * tests/scaleout/ (the sim adds epoch-window quantization and
  * cross-phase link backlog on top; both only increase cycles).
  */

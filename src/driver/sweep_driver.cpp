@@ -85,8 +85,8 @@ SweepDriver::runAll(const std::vector<SweepJob> &jobs) const
     std::vector<char> ran(jobs.size(), 0);
 
     // Jobs run on the shared process-wide pool (util::WorkPool), so a
-    // job that itself fans out -- phase-parallel executePlan, epoch-
-    // mode cluster rounds -- reuses the same workers instead of
+    // job that itself fans out -- phase-parallel executePlan, the
+    // scale-out halo step -- reuses the same workers instead of
     // oversubscribing the machine with a second thread layer.
     std::vector<std::function<void()>> tasks;
     tasks.reserve(jobs.size());

@@ -11,9 +11,9 @@
  * job, constructed on the worker that claims it; at most numThreads
  * jobs in flight) and returns results in job order regardless of
  * completion order, so parallel sweeps are bit-identical to serial
- * ones. Jobs that fan out internally (phase-parallel executePlan,
- * epoch-mode co-simulation) reuse the same pool workers -- nesting
- * never oversubscribes. See DESIGN.md for the threading model.
+ * ones. Jobs that fan out internally (phase-parallel executePlan, the
+ * scale-out halo step) reuse the same pool workers -- nesting never
+ * oversubscribes. See DESIGN.md for the threading model.
  */
 #pragma once
 

@@ -78,9 +78,6 @@ struct RunOptions
     }
 };
 
-/** Deprecated spelling of RunOptions (pre-scale-out API). */
-using RunnerOptions = RunOptions;
-
 /**
  * One step of a lowered inference: a fully described SpDeGEMM plus its
  * provenance in the model (layer index, model kind, model-level op).

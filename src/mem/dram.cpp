@@ -58,16 +58,6 @@ SimpleDram::serialize(Cycle now, Bytes line_bytes)
     return std::max(channelFree_, start + 1);
 }
 
-std::unique_ptr<DramModel>
-SimpleDram::cloneTimingState() const
-{
-    auto copy = std::make_unique<SimpleDram>(config_);
-    copy->channelFree_ = channelFree_;
-    copy->residual_ = residual_;
-    copy->busyCycles_ = busyCycles_;
-    return copy;
-}
-
 Cycle
 SimpleDram::read(Cycle now, uint64_t addr, Bytes bytes, TrafficClass cls)
 {
@@ -152,19 +142,6 @@ BankedDram::write(Cycle now, uint64_t addr, Bytes bytes, TrafficClass cls)
     Bytes tx = lineAligned(bytes);
     recordWrite(cls, tx);
     return access(now, addr, tx);
-}
-
-std::unique_ptr<DramModel>
-BankedDram::cloneTimingState() const
-{
-    auto copy = std::make_unique<BankedDram>(config_, timing_);
-    copy->bankFree_ = bankFree_;
-    copy->openRow_ = openRow_;
-    copy->busFree_ = busFree_;
-    copy->busyCycles_ = busyCycles_;
-    copy->rowHits_ = rowHits_;
-    copy->rowAccesses_ = rowAccesses_;
-    return copy;
 }
 
 double

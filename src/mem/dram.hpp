@@ -85,16 +85,6 @@ class DramModel
 
     const DramTraffic &traffic() const { return traffic_; }
 
-    /**
-     * Independent copy of this device carrying the full timing state
-     * (channel/bank occupancy, fractional-cycle residuals) but fresh
-     * traffic accounting. The epoch arbiter (src/accel/dram_arbiter)
-     * snapshots the canonical device into per-lane replicas with this:
-     * a replica answers one lane's requests exactly as the canonical
-     * device would have at the snapshot point, and is then discarded.
-     */
-    virtual std::unique_ptr<DramModel> cloneTimingState() const = 0;
-
     /** Cycles the channel spent transferring data. */
     Cycle busyCycles() const { return busyCycles_; }
 
@@ -123,7 +113,10 @@ class DramModel
 };
 
 /**
- * Bandwidth-serialized single-channel model with fixed latency.
+ * Bandwidth-serialized single-channel model with fixed latency. A copy
+ * carries the full timing state (channel occupancy and fractional-cycle
+ * residual) and answers later requests exactly as the original would;
+ * the scale-out link arbiter snapshots links this way.
  */
 class SimpleDram : public DramModel
 {
@@ -134,7 +127,6 @@ class SimpleDram : public DramModel
                TrafficClass cls) override;
     Cycle write(Cycle now, uint64_t addr, Bytes bytes,
                 TrafficClass cls) override;
-    std::unique_ptr<DramModel> cloneTimingState() const override;
 
   private:
     /**
@@ -173,7 +165,6 @@ class BankedDram : public DramModel
                TrafficClass cls) override;
     Cycle write(Cycle now, uint64_t addr, Bytes bytes,
                 TrafficClass cls) override;
-    std::unique_ptr<DramModel> cloneTimingState() const override;
 
     /** Fraction of line accesses that hit an open row. */
     double rowHitRate() const;

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 
-#include "accel/dram_arbiter.hpp"
 #include "driver/engine_factory.hpp"
 #include "scaleout/link.hpp"
 #include "util/logging.hpp"
@@ -111,14 +110,17 @@ struct LinkTransfer
     Bytes bytes = 0;
 };
 
+/** Epoch window of the halo co-simulation, in cycles. */
+constexpr Cycle kHaloEpochCycles = 4096;
+
 /**
  * Co-simulate the halo steps of @p plan over one egress link per chip.
- * Receiving chips are the arbiter lanes, egress links the resources;
- * each lane's DMA engine pipelines its pulls (serialization chains on
- * the link channel, the per-transfer latency overlaps), and cross-lane
- * link contention resolves at epoch boundaries -- deterministic for
- * every worker count. Returns per-step cycle counts in plan order of
- * the halo steps.
+ * Receiving chips are the arbiter lanes; each lane's DMA engine
+ * pipelines its pulls (serialization chains on the link channel, the
+ * per-transfer latency overlaps), and cross-lane link contention
+ * resolves at epoch boundaries -- deterministic for every worker
+ * count. Returns per-step cycle counts in plan order of the halo
+ * steps.
  */
 std::vector<Cycle>
 simulateHalo(const gcn::PhasePlan &plan, const HaloPlan &halo,
@@ -127,14 +129,12 @@ simulateHalo(const gcn::PhasePlan &plan, const HaloPlan &halo,
              const gcn::RunOptions &options)
 {
     const uint32_t chips = topo.chips;
-    std::vector<mem::DramModel *> resources;
-    resources.reserve(chips);
+    std::vector<InterchipLink *> linkPtrs;
+    linkPtrs.reserve(chips);
     for (auto &link : links)
-        resources.push_back(link.get());
-    accel::EpochArbiter arbiter(resources, chips);
+        linkPtrs.push_back(link.get());
+    LinkArbiter arbiter(std::move(linkPtrs), chips);
 
-    const Cycle window =
-        options.sim.epochCycles > 0 ? options.sim.epochCycles : 4096;
     const Cycle latency = topo.link.latencyCycles();
     const uint32_t threads = std::max(1u, options.sim.threads);
 
@@ -171,7 +171,7 @@ simulateHalo(const gcn::PhasePlan &plan, const HaloPlan &halo,
         std::vector<size_t> pos(chips, 0);
         std::vector<Cycle> laneFree(chips, stepStart);
         std::vector<Cycle> laneLast(chips, stepStart);
-        Cycle windowEnd = stepStart + window;
+        Cycle windowEnd = stepStart + kHaloEpochCycles;
         for (;;) {
             bool pending = false;
             for (uint32_t d = 0; d < chips; ++d)
@@ -186,10 +186,8 @@ simulateHalo(const gcn::PhasePlan &plan, const HaloPlan &halo,
                     while (pos[d] < lane[d].size() &&
                            laneFree[d] < windowEnd) {
                         const LinkTransfer &tr = lane[d][pos[d]];
-                        const Cycle done =
-                            arbiter.port(tr.src, d)
-                                .read(laneFree[d], tr.addr, tr.bytes,
-                                      mem::TrafficClass::DenseRow);
+                        const Cycle done = arbiter.read(
+                            tr.src, d, laneFree[d], tr.addr, tr.bytes);
                         // Pipelined DMA: the next pull starts once the
                         // link channel frees up; the fixed latency
                         // overlaps across in-flight transfers.
@@ -206,7 +204,7 @@ simulateHalo(const gcn::PhasePlan &plan, const HaloPlan &halo,
                 util::WorkPool::shared().runAll(std::move(tasks),
                                                 threads));
             arbiter.commitEpoch();
-            windowEnd += window;
+            windowEnd += kHaloEpochCycles;
         }
         Cycle stepEnd = stepStart;
         for (uint32_t d = 0; d < chips; ++d)

@@ -20,10 +20,9 @@
  *     (chips run concurrently in real hardware) and summed traffic /
  *     MACs / energy.
  *  4. The HaloExchange steps are co-simulated against one
- *     InterchipLink per chip through the generalized
- *     accel::EpochArbiter (links are the resources, receiving chips
- *     the lanes), so link contention resolves at deterministic epoch
- *     boundaries: results are bit-identical for every `threads=`
+ *     InterchipLink per chip through the LinkArbiter (receiving chips
+ *     are its lanes), so link contention resolves at deterministic
+ *     epoch boundaries: results are bit-identical for every `threads=`
  *     value, and a chips=1 topology reproduces the single-chip path
  *     byte-for-byte (the identity slice is the whole workload and no
  *     halo steps exist).

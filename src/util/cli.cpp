@@ -119,27 +119,6 @@ CliArgs::requireKnown(const std::vector<std::string> &known,
           accepted + ")");
 }
 
-void
-CliArgs::applyAliases(
-    const std::vector<std::pair<std::string, std::string>> &aliases)
-{
-    for (const auto &[oldKey, canonical] : aliases) {
-        auto it = kv_.find(oldKey);
-        if (it == kv_.end())
-            continue;
-        if (kv_.count(canonical)) {
-            fatal("both '" + oldKey + "=' and '" + canonical +
-                  "=' supplied; '" + oldKey +
-                  "=' is a deprecated alias of '" + canonical +
-                  "=' -- pass only the canonical key");
-        }
-        logWarn("'" + oldKey + "=' is deprecated; use '" + canonical +
-                "='");
-        kv_.emplace(canonical, it->second);
-        kv_.erase(it);
-    }
-}
-
 uint64_t
 parseByteSize(const std::string &key, const std::string &value)
 {

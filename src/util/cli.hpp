@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace grow {
@@ -64,17 +63,6 @@ class CliArgs
     void requireKnown(const std::vector<std::string> &known,
                       const std::vector<std::string> &known_prefixes = {})
         const;
-
-    /**
-     * Rename deprecated keys to their canonical spelling before any
-     * lookup: each (old, canonical) pair moves a supplied `old=` value
-     * under `canonical=` and logs a one-line deprecation note. Both
-     * spellings supplied at once is a conflict and fatal()s -- the
-     * caller cannot know which value was meant. Call before
-     * requireKnown() so only the canonical grammar needs listing.
-     */
-    void applyAliases(
-        const std::vector<std::pair<std::string, std::string>> &aliases);
 
   private:
     std::map<std::string, std::string> kv_;

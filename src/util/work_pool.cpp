@@ -55,7 +55,7 @@ constexpr size_t kMaxSpareBatches = 4;
  * control block alive (and see no unclaimed task), not dangling
  * caller-stack memory. Retired batches are pooled (WorkPool::Impl::
  * spares) and reset() for the next submission, so steady-state
- * epoch-round fan-out allocates nothing.
+ * fan-out allocates nothing.
  */
 struct WorkPool::Batch
 {

@@ -3,8 +3,8 @@
  * Shared work pool for every level of parallelism in the simulator.
  *
  * Sweep-level jobs (driver::SweepDriver), phase-level fan-out inside
- * one inference (gcn::executePlan) and cluster-level co-simulation
- * rounds (core::GrowSim's epoch mode) all draw workers from one
+ * one inference (gcn::executePlan) and the per-chip lanes of the
+ * scale-out halo step (src/scaleout/) all draw workers from one
  * process-wide pool, so nesting them composes without oversubscribing
  * the machine: an inner fan-out never spawns threads, it only enqueues
  * claim tickets that idle pool workers may pick up.
@@ -16,8 +16,8 @@
  * drains the inner batch the same way, so no thread ever blocks on
  * work that only itself could perform.
  *
- * Hot-path mechanics (epoch-mode co-simulation submits a batch per
- * round, so submission cost is on the simulator's critical path):
+ * Hot-path mechanics (the halo co-simulation submits a batch per
+ * epoch, so submission cost is on the simulator's critical path):
  *  - Batch objects are pooled and reused across runAll() calls; a
  *    steady-state round allocates nothing.
  *  - A batch is announced as ONE ticket carrying an invite count;

@@ -83,7 +83,7 @@ Comparison
 compare(accel::AcceleratorSim &engine, const GcnWorkload &w,
         bool use_partitioning)
 {
-    gcn::RunnerOptions opt;
+    gcn::RunOptions opt;
     opt.usePartitioning = use_partitioning;
     auto plan = gcn::buildPhasePlan(w, opt);
     AnalyticalCostModel model(plan);

@@ -52,7 +52,7 @@ class EngineSweep : public ::testing::TestWithParam<const char *>
 TEST_P(EngineSweep, EndToEndFunctionalInference)
 {
     auto engine = make();
-    RunnerOptions opt;
+    RunOptions opt;
     opt.sim.functional = true; // runner panics on any mismatch
     EXPECT_NO_THROW(runInference(*engine, unitWorkload(), opt));
 }
@@ -60,7 +60,7 @@ TEST_P(EngineSweep, EndToEndFunctionalInference)
 TEST_P(EngineSweep, MacWorkIdenticalAcrossEngines)
 {
     auto engine = make();
-    RunnerOptions opt;
+    RunOptions opt;
     auto r = runInference(*engine, unitWorkload(), opt);
     const auto &w = unitWorkload();
     uint64_t expect =
@@ -74,7 +74,7 @@ TEST_P(EngineSweep, MacWorkIdenticalAcrossEngines)
 TEST_P(EngineSweep, EnergyCategoriesAllPopulated)
 {
     auto engine = make();
-    RunnerOptions opt;
+    RunOptions opt;
     auto r = runInference(*engine, unitWorkload(), opt);
     EXPECT_GT(r.energy.macPj, 0.0);
     EXPECT_GT(r.energy.dramPj, 0.0);

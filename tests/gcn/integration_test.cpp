@@ -43,9 +43,9 @@ TEST_P(DatasetSweep, GrowReducesTrafficVsGcnax)
     const auto &w = WorkloadCache::get(GetParam());
     core::GrowSim grow((core::GrowConfig()));
     accel::GcnaxSim gcnax((accel::GcnaxConfig()));
-    RunnerOptions gopt;
+    RunOptions gopt;
     gopt.usePartitioning = true;
-    RunnerOptions bopt;
+    RunOptions bopt;
     auto rg = runInference(grow, w, gopt);
     auto rb = runInference(gcnax, w, bopt);
     // At unit scale (dense-ish mini graphs) GROW should at minimum be
@@ -59,7 +59,7 @@ TEST_P(DatasetSweep, AggregationLookupsCoverAllNonZeros)
 {
     const auto &w = WorkloadCache::get(GetParam());
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto r = runInference(grow, w, opt);
     EXPECT_EQ(r.cacheHits + r.cacheMisses, 2 * w.adjacency().nnz());
@@ -69,7 +69,7 @@ TEST_P(DatasetSweep, EnergyBreakdownComplete)
 {
     const auto &w = WorkloadCache::get(GetParam());
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto r = runInference(grow, w, opt);
     EXPECT_GT(r.energy.total(), 0.0);
@@ -90,9 +90,9 @@ TEST(Integration, PartitioningImprovesHitRateOnCommunityGraphs)
     // Unit-scale yelp: strong planted communities.
     const auto &w = WorkloadCache::get("yelp");
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions with;
+    RunOptions with;
     with.usePartitioning = true;
-    RunnerOptions without;
+    RunOptions without;
     without.usePartitioning = false;
     auto rw = runInference(grow, w, with);
     auto ro = runInference(grow, w, without);
@@ -109,9 +109,9 @@ TEST(Integration, GrowBeatsSparseSparseBaselines)
     core::GrowSim grow((core::GrowConfig()));
     accel::MatRaptorSim mat((accel::MatRaptorConfig()));
     accel::GammaSim gam((accel::GammaConfig()));
-    RunnerOptions gopt;
+    RunOptions gopt;
     gopt.usePartitioning = true;
-    RunnerOptions bopt;
+    RunOptions bopt;
     auto rg = runInference(grow, w, gopt);
     auto rm = runInference(mat, w, bopt);
     auto ra = runInference(gam, w, bopt);
@@ -127,8 +127,8 @@ TEST(Integration, AblationOrderingHolds)
     // Fig. 21: baseline (cache only, no runahead) < +runahead <
     // +partitioning, measured in cycles (lower is better).
     const auto &w = WorkloadCache::get("amazon");
-    RunnerOptions noPart;
-    RunnerOptions part;
+    RunOptions noPart;
+    RunOptions part;
     part.usePartitioning = true;
 
     core::GrowConfig base;
@@ -154,7 +154,7 @@ TEST(Integration, BandwidthSensitivityGcnaxSteeper)
     auto slowdown = [&](auto makeSim) {
         auto fast = makeSim(128.0);
         auto slow = makeSim(32.0);
-        RunnerOptions opt;
+        RunOptions opt;
         auto rf = runInference(*fast, w, opt);
         auto rs = runInference(*slow, w, opt);
         return static_cast<double>(rs.totalCycles) /

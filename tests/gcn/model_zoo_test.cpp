@@ -32,7 +32,7 @@ unitWorkload(const std::string &name, ModelKind model,
 /** The pre-model-zoo lowering, reproduced verbatim: two SpDeGEMMs per
  *  layer, combination then aggregation. */
 PhasePlan
-legacyGcnPlan(const GcnWorkload &w, const RunnerOptions &options)
+legacyGcnPlan(const GcnWorkload &w, const RunOptions &options)
 {
     const bool part = options.usePartitioning;
     const bool functional = options.sim.functional;
@@ -99,7 +99,7 @@ TEST(ModelZoo, DefaultGcnReproducesLegacyLoweringBitForBit)
     // default) must lower to the exact pre-refactor plan and produce a
     // bit-identical InferenceResult.
     auto w = unitWorkload("cora", ModelKind::Gcn);
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
 
     auto plan = buildPhasePlan(w, opt);
@@ -149,7 +149,7 @@ TEST(ModelZoo, PlanShapesPerModelKind)
     };
     for (const auto &g : golden) {
         auto w = unitWorkload("cora", g.model, 3);
-        RunnerOptions opt;
+        RunOptions opt;
         opt.usePartitioning = true;
         auto plan = buildPhasePlan(w, opt);
         ASSERT_EQ(plan.size(), g.layerOps.size() * w.numLayers())
@@ -168,7 +168,7 @@ TEST(ModelZoo, SageAggregatesOverSampledAdjacency)
 {
     auto w = unitWorkload("citeseer", ModelKind::SageMean);
     ASSERT_TRUE(w.hasSampling());
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto plan = buildPhasePlan(w, opt);
     for (const auto &step : plan)
@@ -176,7 +176,7 @@ TEST(ModelZoo, SageAggregatesOverSampledAdjacency)
             EXPECT_EQ(step.problem.lhs,
                       &w.adjacencySampledPartitioned());
     // The unpartitioned layout streams the original-labelling sample.
-    RunnerOptions flat;
+    RunOptions flat;
     auto flatPlan = buildPhasePlan(w, flat);
     for (const auto &step : flatPlan)
         if (step.op == PhaseOp::Aggregation)
@@ -186,7 +186,7 @@ TEST(ModelZoo, SageAggregatesOverSampledAdjacency)
 TEST(ModelZoo, GatAttentionStreamsAdjacencyWithArtefacts)
 {
     auto w = unitWorkload("cora", ModelKind::Gat);
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto plan = buildPhasePlan(w, opt);
     for (const auto &step : plan) {
@@ -202,7 +202,7 @@ TEST(ModelZoo, GatAttentionStreamsAdjacencyWithArtefacts)
 TEST(ModelZoo, GinTrailingCombinationUsesMlpOperands)
 {
     auto w = unitWorkload("cora", ModelKind::Gin, 2);
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto plan = buildPhasePlan(w, opt);
     ASSERT_EQ(plan.size(), 6u);
@@ -230,7 +230,7 @@ TEST_P(ModelSweep, FunctionalInferenceOnGrow)
 {
     auto w = unitWorkload("cora", GetParam(), 2, /*functional=*/true);
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.sim.functional = true;
     opt.usePartitioning = true;
     // Every phase is checked against sparse::referenceSpMM inside
@@ -249,7 +249,7 @@ TEST(ModelZoo, SageMeanFunctionallyEquivalentAcrossEngines)
 {
     auto w = unitWorkload("citeseer", ModelKind::SageMean, 2,
                           /*functional=*/true);
-    RunnerOptions opt;
+    RunOptions opt;
     opt.sim.functional = true;
 
     core::GrowSim grow((core::GrowConfig()));
@@ -316,7 +316,7 @@ TEST(ModelZoo, GatCarriesSecViiiOverheads)
 {
     auto w = unitWorkload("cora", ModelKind::Gat);
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto r = runInference(grow, w, opt);
     EXPECT_EQ(r.model, ModelKind::Gat);
@@ -339,7 +339,7 @@ TEST(ModelZoo, SagePoolCarriesComparatorOverheadOnAggregation)
 {
     auto w = unitWorkload("cora", ModelKind::SagePool);
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto r = runInference(grow, w, opt);
     EXPECT_NEAR(r.modelAreaOverhead, 0.014, 1e-12);
@@ -357,7 +357,7 @@ TEST(ModelZoo, ExecutorRejectsPlansLeavingOutputsUnconsumed)
     // aggregation) leaves the combination output pending: the
     // end-of-plan hardening must panic rather than drop it silently.
     auto w = unitWorkload("cora", ModelKind::Gat, 1, /*functional=*/true);
-    RunnerOptions opt;
+    RunOptions opt;
     opt.sim.functional = true;
     auto plan = buildPhasePlan(w, opt);
     ASSERT_EQ(plan.size(), 3u);
@@ -369,7 +369,7 @@ TEST(ModelZoo, ExecutorRejectsPlansLeavingOutputsUnconsumed)
 TEST(ModelZoo, AggregationWithoutCombinationNamesModelAndLayer)
 {
     auto w = unitWorkload("cora", ModelKind::Gcn, 1, /*functional=*/true);
-    RunnerOptions opt;
+    RunOptions opt;
     opt.sim.functional = true;
     auto plan = buildPhasePlan(w, opt);
     ASSERT_EQ(plan.size(), 2u);

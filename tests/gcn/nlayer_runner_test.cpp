@@ -30,7 +30,7 @@ TEST(NLayerRunner, PlanLowersTwoPhasesPerLayer)
 {
     for (uint32_t depth : {1u, 2u, 3u, 4u}) {
         auto w = unitWorkload("cora", depth);
-        RunnerOptions opt;
+        RunOptions opt;
         opt.usePartitioning = true;
         auto plan = buildPhasePlan(w, opt);
         ASSERT_EQ(plan.size(), 2u * depth) << "depth " << depth;
@@ -55,7 +55,7 @@ TEST(NLayerRunner, PlanLowersTwoPhasesPerLayer)
 TEST(NLayerRunner, PlanAttachesArtefactsOnlyToAggregation)
 {
     auto w = unitWorkload("citeseer", 3);
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto plan = buildPhasePlan(w, opt);
     for (const auto &step : plan) {
@@ -79,7 +79,7 @@ TEST_P(DepthSweep, FunctionalOnGrowMatchesReferencePerPhase)
     const uint32_t depth = GetParam();
     auto w = unitWorkload("cora", depth, /*functional=*/true);
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.sim.functional = true;
     opt.usePartitioning = true;
     // Each phase output is checked against sparse::referenceSpMM
@@ -95,7 +95,7 @@ TEST_P(DepthSweep, FunctionalOnBaselinesMatchesReferencePerPhase)
 {
     const uint32_t depth = GetParam();
     auto w = unitWorkload("citeseer", depth, /*functional=*/true);
-    RunnerOptions opt;
+    RunOptions opt;
     opt.sim.functional = true;
     accel::GcnaxSim gcnax((accel::GcnaxConfig()));
     EXPECT_NO_THROW(runInference(gcnax, w, opt));
@@ -110,7 +110,7 @@ TEST(NLayerRunner, MacOpsScaleWithDepth)
 {
     auto w = unitWorkload("cora", 3);
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto r = runInference(grow, w, opt);
     uint64_t expect = 0;
@@ -127,7 +127,7 @@ TEST(NLayerRunner, ExecutePlanRunsCallerBuiltPlans)
     // The plan is data: a caller can lower once and execute on several
     // engines.
     auto w = unitWorkload("pubmed", 2, /*functional=*/true);
-    RunnerOptions opt;
+    RunOptions opt;
     opt.sim.functional = true;
     auto plan = buildPhasePlan(w, opt);
     core::GrowSim grow((core::GrowConfig()));

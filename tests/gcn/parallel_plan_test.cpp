@@ -74,14 +74,13 @@ expectBitIdentical(const InferenceResult &a, const InferenceResult &b,
 
 InferenceResult
 runWith(const std::string &engine_key, const GcnWorkload &w,
-        uint32_t threads, Cycle epoch_cycles = 0)
+        uint32_t threads)
 {
     auto spec = driver::engineByKey(engine_key);
     auto engine = spec.make();
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = spec.usePartitioning;
     opt.sim.threads = threads;
-    opt.sim.epochCycles = epoch_cycles;
     return runInference(*engine, w, opt);
 }
 
@@ -114,18 +113,6 @@ TEST(ParallelPlan, ModelZooPlansAreBitIdenticalAcrossThreads)
     }
 }
 
-TEST(ParallelPlan, EpochModeComposesWithPhaseParallelism)
-{
-    // threads drives both levels at once (phase fan-out + epoch
-    // rounds); the composition must still be thread-count invariant.
-    auto w = makeWorkload(ModelKind::Gcn, 2);
-    auto r1 = runWith("grow", w, 1, /*epoch_cycles=*/256);
-    auto r2 = runWith("grow", w, 2, /*epoch_cycles=*/256);
-    auto r8 = runWith("grow", w, 8, /*epoch_cycles=*/256);
-    expectBitIdentical(r1, r2, "epoch+threads=2");
-    expectBitIdentical(r1, r8, "epoch+threads=8");
-}
-
 TEST(ParallelPlan, FunctionalModeStaysSerialAndVerifies)
 {
     // Functional runs thread combination outputs between phases, so
@@ -134,7 +121,7 @@ TEST(ParallelPlan, FunctionalModeStaysSerialAndVerifies)
     auto w = makeWorkload(ModelKind::Gcn, 2, /*functional=*/true);
     auto spec = driver::engineByKey("grow");
     auto engine = spec.make();
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = spec.usePartitioning;
     opt.sim.functional = true;
     opt.sim.threads = 8;
@@ -150,7 +137,7 @@ TEST(ParallelPlan, CloneProducesIdenticalResults)
     auto spec = driver::engineByKey("grow");
     auto engine = spec.make();
     auto clone = engine->clone();
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = spec.usePartitioning;
     auto a = runInference(*engine, w, opt);
     auto b = runInference(*clone, w, opt);

@@ -19,7 +19,7 @@ runGrow(const char *dataset, bool partitioned)
     c.tier = graph::ScaleTier::Unit;
     auto w = buildWorkload(graph::datasetByName(dataset), c);
     core::GrowSim sim((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = partitioned;
     return runInference(sim, w, opt);
 }

@@ -20,7 +20,7 @@ TEST(Runner, FourPhasesPerInference)
 {
     auto w = unitWorkload("cora");
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto r = runInference(grow, w, opt);
     ASSERT_EQ(r.phases.size(), 4u);
@@ -34,7 +34,7 @@ TEST(Runner, CycleAccountingConsistent)
 {
     auto w = unitWorkload("citeseer");
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto r = runInference(grow, w, opt);
     Cycle sum = 0;
@@ -49,7 +49,7 @@ TEST(Runner, EnergyAggregationConsistent)
 {
     auto w = unitWorkload("cora");
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto r = runInference(grow, w, opt);
     double sum = 0;
@@ -65,7 +65,7 @@ TEST(Runner, FunctionalVerificationPasses)
 {
     auto w = unitWorkload("cora", true);
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.sim.functional = true;
     opt.usePartitioning = true;
     // runInference panics internally on any functional mismatch.
@@ -75,10 +75,10 @@ TEST(Runner, FunctionalVerificationPasses)
 TEST(Runner, FunctionalVerificationAcrossEnginesAndLayouts)
 {
     auto w = unitWorkload("pubmed", true);
-    RunnerOptions part;
+    RunOptions part;
     part.sim.functional = true;
     part.usePartitioning = true;
-    RunnerOptions orig;
+    RunOptions orig;
     orig.sim.functional = true;
     orig.usePartitioning = false;
 
@@ -96,7 +96,7 @@ TEST(Runner, PartitioningRequiredWhenRequested)
     c.buildPartitioning = false;
     auto w = buildWorkload(graph::datasetByName("cora"), c);
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     EXPECT_ANY_THROW(runInference(grow, w, opt));
 }
@@ -105,7 +105,7 @@ TEST(Runner, CacheStatsOnlyFromAggregation)
 {
     auto w = unitWorkload("cora");
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto r = runInference(grow, w, opt);
     uint64_t aggLookups = 0;
@@ -121,7 +121,7 @@ TEST(Runner, MacOpsMatchWorkloadStructure)
 {
     auto w = unitWorkload("citeseer");
     core::GrowSim grow((core::GrowConfig()));
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = true;
     auto r = runInference(grow, w, opt);
     uint64_t expect =

@@ -189,11 +189,11 @@ TEST(Mapping, PlanProblemsAreIdenticalUnderEveryEngineMapping)
         accel::MatRaptorSim(driver::matraptorDefaultConfig()).mapping());
 
     for (bool part : {false, true}) {
-        gcn::RunnerOptions generic;
+        gcn::RunOptions generic;
         generic.usePartitioning = part;
         auto reference = gcn::buildPhasePlan(w, generic);
         for (const auto &em : mappings) {
-            gcn::RunnerOptions opt;
+            gcn::RunOptions opt;
             opt.usePartitioning = part;
             opt.mapping = std::make_shared<EngineMapping>(em);
             auto plan = gcn::buildPhasePlan(w, opt);

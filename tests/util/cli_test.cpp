@@ -118,8 +118,8 @@ TEST(CliArgs, RequireKnownCoversTheDseKeys)
     // must both accept them and keep rejecting near-miss typos (a
     // dropped `dse=1` would silently skip the whole DSE tier).
     const std::vector<std::string> keys = {
-        "dataset", "scale",  "threads", "cachedir", "model", "format",
-        "out",     "epoch",  "dse",     "pareto",   "est"};
+        "datasets", "scale", "threads", "cachedir", "model",
+        "format",   "out",   "dse",     "pareto",   "est"};
     auto ok = makeArgs({"dse=1", "pareto=8", "est=1"});
     EXPECT_NO_THROW(ok.requireKnown(keys));
     for (const char *typo : {"des=1", "dse1=1", "paretto=4", "Est=1"}) {
@@ -154,8 +154,8 @@ TEST(CliArgs, RequireKnownCoversTheIngestionKeys)
     // sets must accept them and keep rejecting near-miss typos (a
     // dropped memcap= would silently run uncapped).
     const std::vector<std::string> benchKeys = {
-        "scale",   "datasets", "model", "cachedir", "format",
-        "out",     "threads",  "epoch", "profile",  "memcap"};
+        "scale", "datasets", "model",   "cachedir", "format",
+        "out",   "threads",  "profile", "memcap"};
     auto ok = makeArgs({"memcap=512M", "datasets=file:/tmp/g.growcsr"});
     EXPECT_NO_THROW(ok.requireKnown(benchKeys));
     for (const char *typo : {"memcp=512M", "memcap2=1G", "Memcap=1"}) {
