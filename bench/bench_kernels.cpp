@@ -3,15 +3,18 @@
  * Google-benchmark microbenchmarks of the substrate kernels: golden
  * SpMM, format conversions, tile census, graph generation, the
  * multilevel partitioner and the workload-construction split, plus
- * the RowEngine hot-loop containers (ring buffer, flat map) and the
- * WorkPool submit path. These quantify the host-side cost of the
- * simulation substrate itself (not simulated cycles).
+ * the RowEngine hot-loop containers (ring buffer, flat map), GrowSim
+ * runs of one combination and one aggregation phase, and the WorkPool
+ * submit path. These quantify the host-side cost of the simulation
+ * substrate itself (not simulated cycles).
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 
+#include "core/grow.hpp"
 #include "gcn/runner.hpp"
 #include "gcn/workload.hpp"
 #include "graph/file_graph.hpp"
@@ -24,6 +27,7 @@
 #include "sparse/tiling.hpp"
 #include "util/arena.hpp"
 #include "util/flat_map.hpp"
+#include "util/logging.hpp"
 #include "util/random.hpp"
 #include "util/work_pool.hpp"
 
@@ -361,6 +365,61 @@ BM_RunaheadWindowRing(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RunaheadWindowRing);
+
+// ---------------------------------------------------------------------
+// RowEngine end to end: GrowSim::run on one fixed phase, reported per
+// product (one LHS non-zero's scalar x RHS-row issue).
+// ---------------------------------------------------------------------
+
+/** Layer-0 step @p op of citeseer's partitioned GCN plan (unit tier). */
+const gcn::PlannedPhase &
+citeseerPhase(gcn::PhaseOp op)
+{
+    static const gcn::GcnWorkload w = [] {
+        gcn::WorkloadConfig wc;
+        wc.tier = graph::ScaleTier::Unit;
+        return gcn::buildWorkload(graph::datasetByName("citeseer"), wc);
+    }();
+    static const gcn::PhasePlan plan =
+        gcn::buildPhasePlan(w, gcn::RunOptions{}.withPartitioning());
+    const auto it = std::find_if(
+        plan.begin(), plan.end(), [op](const gcn::PlannedPhase &step) {
+            return step.layer == 0 && step.op == op;
+        });
+    GROW_ASSERT(it != plan.end(), "plan lacks the benchmarked phase");
+    return *it;
+}
+
+void
+growPhaseRun(benchmark::State &state, gcn::PhaseOp op)
+{
+    const auto &step = citeseerPhase(op);
+    core::GrowSim sim((core::GrowConfig()));
+    for (auto _ : state) {
+        auto r = sim.run(step.problem, accel::SimOptions{});
+        benchmark::DoNotOptimize(r);
+    }
+    uint64_t products = 0;
+    for (const auto &s : sim.lastEngineStats())
+        products += s.products;
+    state.SetItemsProcessed(state.iterations() * products);
+}
+
+/** Combination: W resident, one MAC run per row. */
+void
+BM_RowEngineCombination(benchmark::State &state)
+{
+    growPhaseRun(state, gcn::PhaseOp::Combination);
+}
+BENCHMARK(BM_RowEngineCombination);
+
+/** Aggregation: HDN hits and DRAM misses, one product at a time. */
+void
+BM_RowEngineAggregation(benchmark::State &state)
+{
+    growPhaseRun(state, gcn::PhaseOp::Aggregation);
+}
+BENCHMARK(BM_RowEngineAggregation);
 
 /**
  * WorkPool submit throughput: one halo epoch of the scale-out link

@@ -142,6 +142,13 @@ BenchContext::emitSimSpeed()
     // values are nondeterministic, which is fine: sim-speed units
     // ("ms", "rows/s") are outside report_diff's default gate set and
     // only compare under an explicit loose tolerance override.
+    auto splitKey = [](const std::string &key) {
+        const auto slash = key.find('/');
+        return std::pair<std::string, std::string>(
+            key.substr(0, slash), slash == std::string::npos
+                                      ? std::string()
+                                      : key.substr(slash + 1));
+    };
     if (!results_.empty()) {
         auto t = report_.table("sim_speed",
                                "Simulator speed (host wall-clock)");
@@ -154,11 +161,7 @@ BenchContext::emitSimSpeed()
             .col("sim_rows", "sim rows", "rows")
             .col("rows_per_sec", "sim rows/s", "rows/s");
         for (const auto &[key, r] : results_) {
-            const auto slash = key.find('/');
-            std::string dataset = key.substr(0, slash);
-            std::string engine = slash == std::string::npos
-                                     ? std::string()
-                                     : key.substr(slash + 1);
+            const auto [dataset, engine] = splitKey(key);
             double comb = 0.0, agg = 0.0, attn = 0.0;
             for (const auto &pm : r.phases) {
                 switch (pm.op) {
@@ -189,6 +192,55 @@ BenchContext::emitSimSpeed()
                 .add(report::real(
                     util::rowsPerSecond(r.simRows, r.hostMillis), 1,
                     "rows/s"));
+        }
+
+        // The same host time split by (layer, op), beside the simulated
+        // cycles it bought. A table of its own, not more *_ms columns
+        // of sim_speed, whose grow rows are summed per *_ms metric by
+        // perfbench's smoke trace. Phases sharing a (layer, op) -- GIN's
+        // two MLP combinations -- fold into one row.
+        auto lt = report_.table("sim_speed_layer",
+                                "Simulator speed per layer (host wall-clock)");
+        lt.col("dataset", "dataset")
+            .col("engine", "engine")
+            .col("layer", "layer")
+            .col("op", "op")
+            .col("host_ms", "host ms", "ms")
+            .col("cycles", "sim cycles", "cycles");
+        for (const auto &[key, r] : results_) {
+            const auto [dataset, engine] = splitKey(key);
+            std::map<std::pair<uint32_t, gcn::PhaseOp>,
+                     std::pair<double, Cycle>>
+                split;
+            for (const auto &pm : r.phases) {
+                auto &[ms, cycles] = split[{pm.layer, pm.op}];
+                ms += pm.hostMillis;
+                cycles += pm.result.cycles;
+            }
+            std::map<gcn::PhaseOp, Cycle> rowCycles;
+            for (const auto &[layerOp, v] : split) {
+                const std::string layer = std::to_string(layerOp.first);
+                const char *op = gcn::phaseOpName(layerOp.second);
+                rowCycles[layerOp.second] += v.second;
+                lt.row({.dataset = dataset,
+                        .engine = engine,
+                        .extra = {{"layer", layer}, {"op", op}}})
+                    .add(report::textCell(dataset))
+                    .add(report::textCell(engine))
+                    .add(report::textCell(layer))
+                    .add(report::textCell(op))
+                    .add(report::real(v.first, 3, "ms"))
+                    .add(report::count(v.second, "cycles"));
+            }
+            GROW_ASSERT(
+                rowCycles[gcn::PhaseOp::Combination] ==
+                        r.combinationCycles &&
+                    rowCycles[gcn::PhaseOp::Aggregation] ==
+                        r.aggregationCycles &&
+                    rowCycles[gcn::PhaseOp::AttentionScore] ==
+                        r.attentionCycles,
+                "sim_speed_layer rows of " + key +
+                    " do not sum to the inference's per-op cycles");
         }
     }
     // build_phase family: per-stage wall-clock of every bundle this

@@ -287,8 +287,8 @@ RowEngine::retireFront()
     while (window_.front().pending > 0) {
         MacCompletion comp = mac_.drainOne();
         Slot &slot = findSlot(comp.rowToken);
-        GROW_ASSERT(slot.pending > 0, "pending underflow");
-        slot.pending -= 1;
+        GROW_ASSERT(slot.pending >= comp.count, "pending underflow");
+        slot.pending -= comp.count;
         slot.lastFinish = std::max(slot.lastFinish, comp.finish);
     }
     Slot front = window_.front();
@@ -331,50 +331,65 @@ RowEngine::processNextRow()
     const uint64_t token = window_.back().token;
 
     auto cols = problem_.lhs->rowCols(row);
-    auto vals = problem_.lhs->rowVals(row);
     const Bytes rhsRowBytes =
         static_cast<Bytes>(problem_.rhsCols) * kValueBytes;
     iBufSparse_.read(cols.size() * (kValueBytes + kIndexBytes));
 
-    for (size_t i = 0; i < cols.size(); ++i) {
-        const NodeId k = cols[i];
-        clock_ += 1; // HDN ID list CAM: one lookup per cycle
-        stats_.camLookups += 1;
+    if (problem_.rhsOnChip) {
+        // Combination: W is resident, so the row's n products are
+        // ready at its n CAM cycles clock_+1 ... clock_+n and issue as
+        // one MAC run with every per-product counter batched.
+        const auto n = static_cast<uint32_t>(cols.size());
+        if (n > 0) {
+            mac_.addRun(clock_ + 1, token, durPerProduct_, n);
+            clock_ += n; // HDN ID list CAM: one lookup per cycle
+            stats_.camLookups += n;
+            wBuf_.read(rhsRowBytes, n);
+            window_.back().pending += n;
+            oBufDense_.write(rhsRowBytes, n);
+            stats_.products += n;
+            stats_.macOps += static_cast<uint64_t>(n) * problem_.rhsCols;
+        }
+    } else {
+        for (const NodeId k : cols) {
+            clock_ += 1; // HDN ID list CAM: one lookup per cycle
+            stats_.camLookups += 1;
 
-        Cycle ready;
-        if (problem_.rhsOnChip) {
-            wBuf_.read(rhsRowBytes);
-            ready = clock_;
-        } else if (config_.hdnCacheEnabled &&
-                   config_.hdnPolicy == HdnPolicy::Lru) {
-            // Sec. VIII alternative: demand-filled LRU over the same
-            // capacity. Hubs compete with one-touch cold rows.
-            if (lruCache_.lookup(k)) {
-                ++lruHits_;
-                hdnCache_.dataArray().read(rhsRowBytes);
+            Cycle ready;
+            if (config_.hdnCacheEnabled &&
+                config_.hdnPolicy == HdnPolicy::Lru) {
+                // Sec. VIII alternative: demand-filled LRU over the
+                // same capacity. Hubs compete with one-touch cold rows.
+                if (lruCache_.lookup(k)) {
+                    ++lruHits_;
+                    hdnCache_.dataArray().read(rhsRowBytes);
+                    ready = clock_;
+                } else {
+                    ++lruMisses_;
+                    ready = missFetch(k);
+                    lruCache_.insert(k);
+                    hdnCache_.dataArray().write(rhsRowBytes);
+                }
+            } else if (config_.hdnCacheEnabled && hdnCache_.lookup(k)) {
                 ready = clock_;
             } else {
-                ++lruMisses_;
                 ready = missFetch(k);
-                lruCache_.insert(k);
-                hdnCache_.dataArray().write(rhsRowBytes);
             }
-        } else if (config_.hdnCacheEnabled && hdnCache_.lookup(k)) {
-            ready = clock_;
-        } else {
-            ready = missFetch(k);
+            mac_.addRun(ready, token, durPerProduct_, 1);
+            window_.back().pending += 1;
+            oBufDense_.write(rhsRowBytes);
+            stats_.products += 1;
+            stats_.macOps += problem_.rhsCols;
         }
-        mac_.addProduct(ready, token, durPerProduct_);
-        window_.back().pending += 1;
-        oBufDense_.write(rhsRowBytes);
-        stats_.products += 1;
-        stats_.macOps += problem_.rhsCols;
+    }
 
-        if (out_ != nullptr) {
-            GROW_ASSERT(problem_.rhsValues != nullptr,
-                        "functional mode requires RHS values");
-            double *acc = out_->row(row);
-            const double *rhs = problem_.rhsValues->row(k);
+    if (out_ != nullptr) {
+        GROW_ASSERT(problem_.rhsValues != nullptr,
+                    "functional mode requires RHS values");
+        auto vals = problem_.lhs->rowVals(row);
+        double *acc = out_->row(row);
+        for (size_t i = 0; i < cols.size(); ++i) {
+            const double *rhs = problem_.rhsValues->row(cols[i]);
             const double v = vals[i];
             for (uint32_t j = 0; j < problem_.rhsCols; ++j)
                 acc[j] += v * rhs[j];

@@ -22,13 +22,22 @@
  * products) or the row window itself -- exactly the structural hazards
  * of Fig. 16.
  *
+ * Combination (rhsOnChip) keeps W in the repurposed HDN data array, so
+ * steps 3-4 collapse: every product is ready at its CAM cycle. A row's
+ * n products are then ready at n consecutive cycles and issue as one
+ * MAC run (mac_scheduler.hpp) with its clock, CAM, SRAM and product
+ * counters advanced once per row; outside functional mode combination
+ * does no per-non-zero work. Aggregation issues one product at a time.
+ *
  * Hot-loop layout: the per-row bookkeeping (multi-row window, stream
  * chunk FIFO, LDN table) lives in fixed-capacity ring buffers and an
  * open-addressing flat map carved from one per-engine arena
  * (util/arena.hpp, util/flat_map.hpp). Their capacities are derived
  * from the hardware configuration, so they never grow. bench_kernels
  * times them on this engine's access patterns (BM_LdnTableFlatMap,
- * BM_RunaheadWindowRing).
+ * BM_RunaheadWindowRing), and times whole GrowSim runs of one
+ * combination and one aggregation phase per product
+ * (BM_RowEngineCombination, BM_RowEngineAggregation).
  */
 #pragma once
 

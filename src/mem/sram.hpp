@@ -3,10 +3,10 @@
  * On-chip SRAM buffer accounting.
  *
  * The engines access SRAM at full pipeline rate, so these buffers carry
- * no timing state -- they exist to (a) enforce capacity invariants and
- * (b) count accesses for the energy model (Fig. 22's "SRAM (dynamic)"
- * component scales with per-access energy, which itself scales with the
- * buffer's capacity).
+ * no timing state and do not track occupancy: read() and write() never
+ * check capacity. They count accesses for the energy model (Fig. 22's
+ * "SRAM (dynamic)" component scales with per-access energy, which
+ * itself scales with the buffer's capacity).
  */
 #pragma once
 
@@ -26,21 +26,22 @@ class SramBuffer
     const std::string &name() const { return name_; }
     Bytes capacity() const { return capacity_; }
 
-    /** Record a read of @p bytes. Inline: this sits on the per-nonzero
-     *  CAM/data path of the row engines. */
+    /** Record @p count reads of @p bytes each. Inline: this sits on
+     *  the row engines' per-non-zero (aggregation) and per-row
+     *  (combination) paths. */
     void
-    read(Bytes bytes)
+    read(Bytes bytes, uint64_t count = 1)
     {
-        readAccesses_ += 1;
-        bytesRead_ += bytes;
+        readAccesses_ += count;
+        bytesRead_ += bytes * count;
     }
 
-    /** Record a write of @p bytes. */
+    /** Record @p count writes of @p bytes each. */
     void
-    write(Bytes bytes)
+    write(Bytes bytes, uint64_t count = 1)
     {
-        writeAccesses_ += 1;
-        bytesWritten_ += bytes;
+        writeAccesses_ += count;
+        bytesWritten_ += bytes * count;
     }
 
     uint64_t readAccesses() const { return readAccesses_; }

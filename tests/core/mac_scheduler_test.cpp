@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <string>
+
 #include "core/mac_scheduler.hpp"
+#include "util/random.hpp"
 
 namespace grow::core {
 namespace {
@@ -8,8 +13,8 @@ namespace {
 TEST(MacScheduler, BackToBackProducts)
 {
     MacScheduler m;
-    m.addProduct(0, 1, 4);
-    m.addProduct(0, 2, 4);
+    m.addRun(0, 1, 4, 1);
+    m.addRun(0, 2, 4, 1);
     auto a = m.drainOne();
     auto b = m.drainOne();
     EXPECT_EQ(a.rowToken, 1u);
@@ -22,8 +27,8 @@ TEST(MacScheduler, BackToBackProducts)
 TEST(MacScheduler, ReadyOrderNotInsertionOrder)
 {
     MacScheduler m;
-    m.addProduct(100, 1, 4); // a late miss product
-    m.addProduct(0, 2, 4);   // an early hit product
+    m.addRun(100, 1, 4, 1); // a late miss product
+    m.addRun(0, 2, 4, 1);   // an early hit product
     auto first = m.drainOne();
     EXPECT_EQ(first.rowToken, 2u); // the hit goes first
     EXPECT_EQ(first.finish, 4u);
@@ -35,8 +40,8 @@ TEST(MacScheduler, ReadyOrderNotInsertionOrder)
 TEST(MacScheduler, IdleGapsNotBilled)
 {
     MacScheduler m;
-    m.addProduct(0, 1, 2);
-    m.addProduct(50, 2, 2);
+    m.addRun(0, 1, 2, 1);
+    m.addRun(50, 2, 2, 1);
     m.drainOne();
     auto b = m.drainOne();
     EXPECT_EQ(b.finish, 52u);
@@ -46,23 +51,24 @@ TEST(MacScheduler, IdleGapsNotBilled)
 TEST(MacScheduler, TieBreakDeterministic)
 {
     MacScheduler m;
-    m.addProduct(5, 10, 1);
-    m.addProduct(5, 20, 1);
-    m.addProduct(5, 30, 1);
+    m.addRun(5, 10, 1, 1);
+    m.addRun(5, 20, 1, 1);
+    m.addRun(5, 30, 1, 1);
     EXPECT_EQ(m.drainOne().rowToken, 10u);
     EXPECT_EQ(m.drainOne().rowToken, 20u);
     EXPECT_EQ(m.drainOne().rowToken, 30u);
 }
 
-TEST(MacScheduler, PendingCount)
+TEST(MacScheduler, IdleUntilEveryRunDrains)
 {
     MacScheduler m;
     EXPECT_TRUE(m.idle());
-    m.addProduct(0, 1, 1);
-    m.addProduct(0, 1, 1);
-    EXPECT_EQ(m.pendingProducts(), 2u);
+    m.addRun(0, 1, 1, 1);
+    m.addRun(0, 1, 1, 1);
     m.drainOne();
-    EXPECT_EQ(m.pendingProducts(), 1u);
+    EXPECT_FALSE(m.idle());
+    m.drainOne();
+    EXPECT_TRUE(m.idle());
 }
 
 TEST(MacScheduler, DrainEmptyThrows)
@@ -74,7 +80,13 @@ TEST(MacScheduler, DrainEmptyThrows)
 TEST(MacScheduler, ZeroDurationRejected)
 {
     MacScheduler m;
-    EXPECT_ANY_THROW(m.addProduct(0, 1, 0));
+    EXPECT_ANY_THROW(m.addRun(0, 1, 0, 1));
+}
+
+TEST(MacScheduler, EmptyRunRejected)
+{
+    MacScheduler m;
+    EXPECT_ANY_THROW(m.addRun(0, 1, 1, 0));
 }
 
 TEST(MacScheduler, MakespanLowerBound)
@@ -84,7 +96,7 @@ TEST(MacScheduler, MakespanLowerBound)
     MacScheduler m;
     Cycle total = 0;
     for (int i = 0; i < 100; ++i) {
-        m.addProduct(i * 3, 1, 4);
+        m.addRun(i * 3, 1, 4, 1);
         total += 4;
     }
     Cycle last = 0;
@@ -92,6 +104,102 @@ TEST(MacScheduler, MakespanLowerBound)
         last = m.drainOne().finish;
     EXPECT_GE(last, total);
     EXPECT_GE(last, 99u * 3 + 4);
+}
+
+TEST(MacScheduler, RunDrainsInClosedForm)
+{
+    MacScheduler m;
+    m.addRun(5, 1, 3, 4);   // ready 5..8, 3 cycles each
+    m.addRun(100, 2, 3, 2); // after an idle gap
+    auto a = m.drainOne();
+    EXPECT_EQ(a.rowToken, 1u);
+    EXPECT_EQ(a.count, 4u);
+    EXPECT_EQ(a.finish, 5u + 4 * 3);
+    auto b = m.drainOne();
+    EXPECT_EQ(b.count, 2u);
+    EXPECT_EQ(b.finish, 100u + 2 * 3);
+    EXPECT_EQ(m.busyCycles(), 18u);
+}
+
+TEST(MacScheduler, RunStreamsDrainLikeTheirProductExpansion)
+{
+    // Seeded property: a strictly monotone stream of runs (count 1-700,
+    // dur 1-40, 0-50 idle cycles between one run's last ready and the
+    // next run's first) drains to the same finishes, macFree and busy
+    // cycles as its expansion into single products, with drains
+    // interleaved with enqueues as the row engine's retirement does.
+    struct Queued
+    {
+        uint64_t token;
+        Cycle ready;
+        uint32_t count;
+        Cycle dur;
+    };
+    for (uint64_t seed = 1; seed <= 100; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        MacScheduler runs, products;
+        std::deque<Queued> queued;
+        Cycle oracleFree = 0;
+        auto drainAndCompare = [&] {
+            const Queued q = queued.front();
+            queued.pop_front();
+            const MacCompletion run = runs.drainOne();
+            ASSERT_EQ(run.rowToken, q.token);
+            ASSERT_EQ(run.count, q.count);
+            MacCompletion last;
+            for (uint32_t j = 0; j < q.count; ++j) {
+                last = products.drainOne();
+                ASSERT_EQ(last.rowToken, q.token);
+            }
+            ASSERT_EQ(run.finish, last.finish);
+            oracleFree = std::max(oracleFree, q.ready) + q.count * q.dur;
+            ASSERT_EQ(run.finish, oracleFree);
+        };
+
+        Cycle ready = static_cast<Cycle>(rng.range(0, 50));
+        const auto numRuns = rng.range(1, 40);
+        for (int64_t i = 0; i < numRuns; ++i) {
+            const Queued q{static_cast<uint64_t>(i), ready,
+                           static_cast<uint32_t>(rng.range(1, 700)),
+                           static_cast<Cycle>(rng.range(1, 40))};
+            runs.addRun(q.ready, q.token, q.dur, q.count);
+            for (uint32_t j = 0; j < q.count; ++j)
+                products.addRun(q.ready + j, q.token, q.dur, 1);
+            queued.push_back(q);
+            ready += q.count + static_cast<Cycle>(rng.range(0, 50));
+            while (!queued.empty() && rng.bernoulli(0.4))
+                drainAndCompare();
+        }
+        while (!queued.empty())
+            drainAndCompare();
+        EXPECT_TRUE(runs.idle());
+        EXPECT_TRUE(products.idle());
+        EXPECT_EQ(runs.macFree(), products.macFree());
+        EXPECT_EQ(runs.busyCycles(), products.busyCycles());
+    }
+}
+
+TEST(MacScheduler, InterleavingEnqueueAfterRunIsRejected)
+{
+    // Products ready inside a queued run would drain before its tail
+    // in per-product order, so the run could not drain whole.
+    MacScheduler m;
+    m.addRun(10, 1, 2, 4); // ready 10..13
+    EXPECT_ANY_THROW(m.addRun(12, 2, 2, 1));
+    EXPECT_ANY_THROW(m.addRun(13, 2, 2, 3));
+    EXPECT_NO_THROW(m.addRun(14, 2, 2, 1));
+}
+
+TEST(MacScheduler, RunMustFollowEveryEarlierProduct)
+{
+    // Single-product runs may arrive out of ready order (aggregation
+    // misses), but a multi-product run must start after all of them.
+    MacScheduler m;
+    m.addRun(51, 1, 1, 1);
+    m.addRun(10, 2, 1, 1);
+    EXPECT_ANY_THROW(m.addRun(50, 3, 1, 3)); // 50..52 straddles 51
+    EXPECT_NO_THROW(m.addRun(52, 3, 1, 3));
 }
 
 } // namespace

@@ -18,6 +18,28 @@ TEST(SramBuffer, CountsAccesses)
     EXPECT_EQ(b.bytesWritten(), 64u);
 }
 
+TEST(SramBuffer, AccessCountBatchesEqualAccesses)
+{
+    // read/write(bytes, n) records exactly what n single accesses do.
+    SramBuffer batched("buf", 1024), single("buf", 1024);
+    batched.read(32, 5);
+    batched.write(16, 3);
+    batched.read(8, 1);
+    for (int i = 0; i < 5; ++i)
+        single.read(32);
+    for (int i = 0; i < 3; ++i)
+        single.write(16);
+    single.read(8);
+    EXPECT_EQ(batched.readAccesses(), 6u);
+    EXPECT_EQ(batched.writeAccesses(), 3u);
+    EXPECT_EQ(batched.bytesRead(), 168u);
+    EXPECT_EQ(batched.bytesWritten(), 48u);
+    EXPECT_EQ(batched.readAccesses(), single.readAccesses());
+    EXPECT_EQ(batched.writeAccesses(), single.writeAccesses());
+    EXPECT_EQ(batched.bytesRead(), single.bytesRead());
+    EXPECT_EQ(batched.bytesWritten(), single.bytesWritten());
+}
+
 TEST(SramBuffer, ClearStats)
 {
     SramBuffer b("buf", 1024);
