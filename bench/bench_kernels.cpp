@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the substrate kernels: golden
  * SpMM, format conversions, tile census, graph generation, the
- * multilevel partitioner and the workload-construction split, plus
+ * multilevel partitioner, feature synthesis (randomCsr) and the
+ * workload-construction split, plus
  * the RowEngine hot-loop containers (ring buffer, flat map), GrowSim
  * runs of one combination and one aggregation phase, and the WorkPool
  * submit path. These quantify the host-side cost of the simulation
@@ -235,6 +236,27 @@ BM_BuildLayerData(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BuildLayerData)->Arg(2)->Arg(4);
+
+void
+BM_RandomCsr(benchmark::State &state)
+{
+    // Feature synthesis at a mini-tier X(0) shape (20000 x 602), with
+    // and without kept values; range(0) is the density in per mille.
+    const double density = static_cast<double>(state.range(0)) / 1000.0;
+    const bool withValues = state.range(1) != 0;
+    Rng rng(11);
+    int64_t nnz = 0;
+    for (auto _ : state) {
+        auto m = sparse::randomCsr(20000, 602, density, rng, withValues);
+        nnz += static_cast<int64_t>(m.nnz());
+        benchmark::DoNotOptimize(m);
+    }
+    state.SetItemsProcessed(nnz);
+}
+BENCHMARK(BM_RandomCsr)
+    ->ArgNames({"permille", "values"})
+    ->ArgsProduct({{1000, 990, 100}, {1, 0}})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_SampleNeighbors(benchmark::State &state)

@@ -66,7 +66,7 @@ GROW_BENCH_MAIN("model_zoo")
             std::string key =
                 std::string(gcn::modelKindName(model)) + "/" + spec.name;
             const auto &w =
-                workloads.emplace(key, ctx.cache().workload(spec, wc))
+                workloads.emplace(key, ctx.workload(spec, wc))
                     .first->second;
             for (const auto &engine : engineKeys)
                 jobs.push_back(driver::makeEngineJob(

@@ -90,7 +90,7 @@ GROW_BENCH_MAIN("scaleout")
         wc.tier = ctx.tier();
         wc.model = ctx.model();
         wc.targetClusterSize = static_cast<uint32_t>(clusterNodes);
-        const auto &w = ctx.cache().workload(spec, wc);
+        const auto &w = ctx.workload(spec, wc);
 
         Cycle baseCycles = 0;
         for (uint32_t chips : ctx.chipCounts()) {

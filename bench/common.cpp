@@ -278,6 +278,26 @@ BenchContext::emitSimSpeed()
                 .add(report::real(p.arcsPerSec(), 1, "edges/s"));
         }
     }
+    // Layer data (synthetic features, GIN operands, weights) per
+    // (dataset, model, depth); repeated builds of one key sum. A table
+    // of its own for the same reason as sim_speed_layer.
+    if (!layerDataMs_.empty()) {
+        auto dt = report_.table("layer_data", "Layer data (host wall-clock)");
+        dt.col("dataset", "dataset")
+            .col("model", "model")
+            .col("depth", "depth")
+            .col("host_ms", "host ms", "ms");
+        for (const auto &[key, ms] : layerDataMs_) {
+            const auto &[dataset, model, depth] = key;
+            const std::string d = std::to_string(depth);
+            dt.row({.dataset = dataset,
+                    .extra = {{"model", model}, {"depth", d}}})
+                .add(report::textCell(dataset))
+                .add(report::textCell(model))
+                .add(report::textCell(d))
+                .add(report::real(ms, 3, "ms"));
+        }
+    }
     auto bt = report_.table("sim_speed_bench", "Bench wall-clock");
     bt.col("bench_wall_ms", "bench wall ms", "ms");
     bt.row({}).add(report::real(benchClock_.elapsedMs(), 3, "ms"));
@@ -303,11 +323,25 @@ BenchContext::workload(const std::string &name)
         wc.tier = tier_;
         wc.model = model_;
         it = workloads_
-                 .emplace(name,
-                          cache_.workload(graph::datasetByName(name), wc))
+                 .emplace(name, workload(graph::datasetByName(name), wc))
                  .first;
     }
     return it->second;
+}
+
+gcn::GcnWorkload
+BenchContext::workload(const graph::DatasetSpec &spec,
+                       const gcn::WorkloadConfig &config)
+{
+    // cache_.workload() in its two steps, so the clock covers the layer
+    // data alone: artefact builds already report in build_phase.
+    auto artifacts =
+        cache_.artifacts(spec, config.tier, config.partitionPlan());
+    util::WallClock clock;
+    gcn::GcnWorkload w = gcn::buildLayerData(std::move(artifacts), config);
+    layerDataMs_[{spec.name, gcn::modelKindName(config.model),
+                  config.numLayers}] += clock.elapsedMs();
+    return w;
 }
 
 gcn::RunOptions

@@ -30,13 +30,17 @@
  *   profile=0|1                 also report the `sim-speed` metric
  *                               family: host wall-clock per inference
  *                               (split by phase op) plus simulated
- *                               rows per host second, and the
+ *                               rows per host second, the
  *                               `build_phase` family: per-stage
  *                               workload-build wall-clock (synthesis,
  *                               normalize, partition, relabel, HDN)
  *                               plus build edges/s, one row per
  *                               freshly built bundle (cache hits have
- *                               no build to time). Off by default
+ *                               no build to time), and the
+ *                               `layer_data` table: host wall-clock
+ *                               of the per-depth layer data (features,
+ *                               weights) per (dataset, model, depth).
+ *                               Off by default
  *                               -- wall-clock is nondeterministic and
  *                               must never enter golden-locked output
  *                               (see DESIGN.md "Simulator
@@ -79,6 +83,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "accel/gamma.hpp"
@@ -206,6 +211,15 @@ class BenchContext
     const gcn::GcnWorkload &workload(const std::string &name);
 
     /**
+     * Build the workload of @p spec under @p config through cache()
+     * (not memoised here). Benches that sweep their own configs use
+     * this instead of cache().workload() so the layer-data build is
+     * timed for the profile=1 `layer_data` table.
+     */
+    gcn::GcnWorkload workload(const graph::DatasetSpec &spec,
+                              const gcn::WorkloadConfig &config);
+
+    /**
      * The shared construction cache behind workload(): graph-level
      * artefacts are memoised per (dataset, tier, partition plan), and
      * persisted on disk when `cachedir=` was given.
@@ -254,6 +268,9 @@ class BenchContext
     std::vector<graph::DatasetSpec> specs_;
     driver::WorkloadCache cache_;
     std::map<std::string, gcn::GcnWorkload> workloads_;
+    /** Host ms of every layer-data build, by (dataset, model, depth). */
+    std::map<std::tuple<std::string, std::string, uint32_t>, double>
+        layerDataMs_;
     std::map<std::string, gcn::InferenceResult> results_;
     report::Report report_;
     std::string format_;

@@ -62,12 +62,14 @@ permuteRows(const sparse::CsrMatrix &m,
     for (NodeId i = 0; i < m.rows(); ++i)
         rowPtr[i + 1] = rowPtr[i] + m.rowNnz(new_to_old[i]);
     std::vector<NodeId> colIdx(m.nnz());
-    std::vector<double> values(m.nnz());
+    std::vector<double> values(m.hasValues() ? m.nnz() : 0);
     for (NodeId i = 0; i < m.rows(); ++i) {
         auto cols = m.rowCols(new_to_old[i]);
-        auto vals = m.rowVals(new_to_old[i]);
         std::copy(cols.begin(), cols.end(), colIdx.begin() + rowPtr[i]);
-        std::copy(vals.begin(), vals.end(), values.begin() + rowPtr[i]);
+        if (!values.empty()) {
+            auto vals = m.rowVals(new_to_old[i]);
+            std::copy(vals.begin(), vals.end(), values.begin() + rowPtr[i]);
+        }
     }
     return sparse::CsrMatrix::fromRaw(m.rows(), m.cols(),
                                       std::move(rowPtr), std::move(colIdx),
@@ -271,10 +273,14 @@ buildLayerData(std::shared_ptr<const GraphArtifacts> artifacts,
     // The draw order below (features, then GIN extras, then weights)
     // keeps the model=Gcn random stream identical to the pre-model-zoo
     // builder, so default workloads reproduce bit-for-bit.
+    // The engines read only feature structure: values are kept for
+    // functional runs alone, and randomCsr draws them either way, so
+    // the stream -- and every structure -- is the same without them.
+    const bool keepValues = config.functionalData;
     w.features.reserve(config.numLayers);
     for (const auto &layer : w.layers)
-        w.features.push_back(
-            sparse::randomCsr(n, layer.inDim, layer.xDensity, rng));
+        w.features.push_back(sparse::randomCsr(
+            n, layer.inDim, layer.xDensity, rng, keepValues));
 
     if (config.model == ModelKind::Gin) {
         // X'(i): sparse stand-in for relu(A_gin X(i) W(i)), the input
@@ -283,7 +289,7 @@ buildLayerData(std::shared_ptr<const GraphArtifacts> artifacts,
         w.mlpFeatures.reserve(config.numLayers);
         for (const auto &layer : w.layers)
             w.mlpFeatures.push_back(sparse::randomCsr(
-                n, layer.outDim, spec.x1Density, rng));
+                n, layer.outDim, spec.x1Density, rng, keepValues));
         // The epsilon-weighted central node enters the aggregation
         // operand's diagonal; every layer shares one A_gin (no rng).
         w.ginEpsilon = config.ginEpsilon;

@@ -13,7 +13,9 @@
  *    baselines (Table II: their preprocessing is "None");
  *  - one synthetic feature matrix X(i) per layer at the densities of
  *    Table I (X(i), i >= 1, stands in for relu(A X(i-1) W(i-1)) of a
- *    trained model -- see DESIGN.md substitutions);
+ *    trained model -- see DESIGN.md substitutions). The engines read
+ *    only its structure, so it carries values only under
+ *    WorkloadConfig::functionalData and is structure-only otherwise;
  *  - optional dense per-layer weight matrices for functional
  *    verification.
  *
@@ -90,7 +92,11 @@ struct WorkloadConfig
      * + sum_u h_u)).
      */
     double ginEpsilon = 0.1;
-    /** Also synthesise dense weights for functional verification. */
+    /**
+     * Also synthesise dense weights for functional verification, and
+     * keep the feature values (features are structure-only without it;
+     * the random stream is the same either way).
+     */
     bool functionalData = false;
     uint64_t seed = 7;
 
@@ -296,9 +302,14 @@ struct GcnWorkload
     /** Per-layer shape/density plan; size is the model depth. */
     std::vector<LayerSpec> layers;
 
-    /** Per-layer feature matrices X(i), original labelling. */
+    /**
+     * Per-layer feature matrices X(i), original labelling. Values
+     * present only with functionalData; otherwise structure-only
+     * (CsrMatrix::hasValues() is false), with the same rowPtr/colIdx.
+     */
     std::vector<sparse::CsrMatrix> features;
-    /** Row-permuted copies matching adjacencyPartitioned(). */
+    /** Row-permuted copies matching adjacencyPartitioned() (values
+     *  present exactly when features carry them). */
     std::vector<sparse::CsrMatrix> featuresPartitioned;
 
     /** Per-layer dense weights W(i) (empty unless functionalData). */
@@ -310,7 +321,8 @@ struct GcnWorkload
      * loop -- GIN's central-node weighting lives here, not in a
      * normalized A). X'(i) is the synthetic sparse stand-in for
      * relu(A_gin X(i) W(i)) that feeds the trailing MLP combination of
-     * layer i (see DESIGN.md substitutions), and mlpWeights holds its
+     * layer i (see DESIGN.md substitutions; structure-only unless
+     * functionalData, like features), and mlpWeights holds its
      * outDim x outDim weight.
      */
     double ginEpsilon = 0.0;
@@ -422,7 +434,8 @@ GcnWorkload buildLayerData(std::shared_ptr<const GraphArtifacts> artifacts,
 GcnWorkload buildWorkload(const graph::DatasetSpec &spec,
                           const WorkloadConfig &config);
 
-/** Permute the rows of a CSR matrix: row i of result = row map[i]. */
+/** Permute the rows of a CSR matrix: row i of result = row map[i].
+ *  Values are carried when present; structure-only stays so. */
 sparse::CsrMatrix permuteRows(const sparse::CsrMatrix &m,
                               const std::vector<NodeId> &new_to_old);
 

@@ -22,6 +22,24 @@ appendStringDim(std::string &key, const JsonValue &record,
         key += std::string("|") + field + "=" + v->str;
 }
 
+/**
+ * Which way a host wall-clock unit regresses: +1 when higher is worse
+ * (ms), -1 when lower is worse (rows/s, edges/s). Host time gates
+ * one-sided, so a speed-up is drift, never a failure. Every other unit
+ * returns 0 and gates both ways: modelled metrics (cycles, bytes, est,
+ * link-bytes) are deterministic, so an unexplained improvement is a
+ * behavioural change too.
+ */
+int
+worseDirection(const std::string &unit)
+{
+    if (unit == "ms")
+        return 1;
+    if (unit == "rows/s" || unit == "edges/s")
+        return -1;
+    return 0;
+}
+
 /** The slice of one record the join compares. */
 struct RecordView
 {
@@ -166,8 +184,11 @@ diffReports(const JsonValue &base, const JsonValue &current,
                 const double *ov = overrideFor(metric, e.unit);
                 const double tol =
                     ov != nullptr ? *ov : options.relTolerance;
-                e.regression = (ov != nullptr || gatedUnit(e.unit)) &&
-                               std::fabs(e.relDelta) > tol;
+                const int worse = worseDirection(e.unit);
+                const double regress =
+                    worse == 0 ? std::fabs(e.relDelta) : worse * e.relDelta;
+                e.regression =
+                    (ov != nullptr || gatedUnit(e.unit)) && regress > tol;
                 if (e.regression)
                     ++out.regressions;
                 out.drifted.push_back(std::move(e));

@@ -29,7 +29,10 @@ struct DiffOptions
 {
     /**
      * Allowed relative drift |curr - base| / |base| of a gated metric
-     * before it counts as a regression. 0 demands bit-stability.
+     * before it counts as a regression. 0 demands bit-stability. Host
+     * wall-clock units gate one-sided: "ms" regresses only upward,
+     * "rows/s" and "edges/s" only downward; a speed-up past the
+     * tolerance is reported as drift.
      */
     double relTolerance = 0.0;
     /** Units participating in the gate (cycle counts, byte totals). */
@@ -55,7 +58,8 @@ struct DiffEntry
     double currValue = 0.0;
     /** (curr - base) / |base|; +-inf when base == 0 and curr != 0. */
     double relDelta = 0.0;
-    /** Whether the unit is gated *and* |relDelta| exceeds tolerance. */
+    /** Whether the unit is gated *and* the drift exceeds tolerance in
+     *  the unit's worse direction (both directions unless host time). */
     bool regression = false;
 };
 

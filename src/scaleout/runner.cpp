@@ -49,14 +49,20 @@ sliceRows(const sparse::CsrMatrix &m,
     rowPtr.push_back(0);
     std::vector<NodeId> colIdx;
     colIdx.reserve(nnz);
+    // Values ride along only when present: structure-only operands
+    // (non-functional feature matrices) slice to structure-only.
+    const bool valued = m.hasValues();
     std::vector<double> values;
-    values.reserve(nnz);
+    if (valued)
+        values.reserve(nnz);
     for (const auto &[lo, hi] : ranges) {
         for (uint32_t r = lo; r < hi; ++r) {
             const auto cols = m.rowCols(r);
-            const auto vals = m.rowVals(r);
             colIdx.insert(colIdx.end(), cols.begin(), cols.end());
-            values.insert(values.end(), vals.begin(), vals.end());
+            if (valued) {
+                const auto vals = m.rowVals(r);
+                values.insert(values.end(), vals.begin(), vals.end());
+            }
             rowPtr.push_back(colIdx.size());
         }
     }

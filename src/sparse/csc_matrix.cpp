@@ -35,6 +35,7 @@ CscMatrix::fromCoo(const CooMatrix &coo)
 CscMatrix
 CscMatrix::fromCsr(const CsrMatrix &csr)
 {
+    GROW_ASSERT(csr.hasValues(), "CSC of a structure-only CSR matrix");
     CscMatrix m(csr.rows(), csr.cols());
     m.rowIdx_.resize(csr.nnz());
     m.values_.resize(csr.nnz());

@@ -30,7 +30,8 @@ class CscMatrix
     /** Build from a canonical COO matrix. */
     static CscMatrix fromCoo(const CooMatrix &coo);
 
-    /** Build from a CSR matrix (transpose of structure arrays). */
+    /** Build from a CSR matrix (transpose of structure arrays);
+     *  @p csr must carry values (CsrMatrix::hasValues()). */
     static CscMatrix fromCsr(const CsrMatrix &csr);
 
     uint32_t rows() const { return rows_; }

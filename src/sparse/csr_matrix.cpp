@@ -67,6 +67,7 @@ std::span<const double>
 CsrMatrix::rowVals(NodeId r) const
 {
     GROW_ASSERT(r < rows_, "row index out of range");
+    GROW_ASSERT(hasValues(), "values of a structure-only CSR matrix");
     return {values_.data() + rowPtr_[r],
             static_cast<size_t>(rowPtr_[r + 1] - rowPtr_[r])};
 }
@@ -74,6 +75,7 @@ CsrMatrix::rowVals(NodeId r) const
 CsrMatrix
 CsrMatrix::transposed() const
 {
+    GROW_ASSERT(hasValues(), "transpose of a structure-only CSR matrix");
     CsrMatrix t(cols_, rows_);
     t.colIdx_.resize(nnz());
     t.values_.resize(nnz());
@@ -110,9 +112,11 @@ CsrMatrix::permutedSymmetric(const std::vector<NodeId> &new_to_old,
         old_to_new[o] = n;
     }
 
+    const bool valued = hasValues();
     CsrMatrix p(rows_, cols_);
     p.colIdx_.resize(nnz());
-    p.values_.resize(nnz());
+    if (valued)
+        p.values_.resize(nnz());
     for (NodeId n = 0; n < rows_; ++n)
         p.rowPtr_[n + 1] = p.rowPtr_[n] + rowNnz(new_to_old[n]);
 
@@ -125,8 +129,15 @@ CsrMatrix::permutedSymmetric(const std::vector<NodeId> &new_to_old,
             NodeId o = new_to_old[n];
             uint64_t out = p.rowPtr_[n];
             auto cols = rowCols(o);
-            auto vals = rowVals(o);
             // Remap columns then sort the row back into ascending order.
+            if (!valued) {
+                auto dst = p.colIdx_.begin() + out;
+                for (size_t i = 0; i < cols.size(); ++i)
+                    dst[i] = old_to_new[cols[i]];
+                std::sort(dst, dst + cols.size());
+                continue;
+            }
+            auto vals = rowVals(o);
             entries.resize(cols.size());
             for (size_t i = 0; i < cols.size(); ++i)
                 entries[i] = {old_to_new[cols[i]], vals[i]};
@@ -155,7 +166,7 @@ CsrMatrix::validate() const
         return false;
     if (rowPtr_.front() != 0 || rowPtr_.back() != colIdx_.size())
         return false;
-    if (colIdx_.size() != values_.size())
+    if (!values_.empty() && values_.size() != colIdx_.size())
         return false;
     for (uint32_t r = 0; r < rows_; ++r) {
         if (rowPtr_[r] > rowPtr_[r + 1])

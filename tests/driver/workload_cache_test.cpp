@@ -109,18 +109,33 @@ TEST(WorkloadCache, DepthSweepBuildsArtifactsOncePerDataset)
     EXPECT_NE(workloads[0].artifacts.get(), workloads[4].artifacts.get());
 }
 
+/** unitConfig() with feature values kept (functionalData). */
+gcn::WorkloadConfig
+functionalUnitConfig(uint32_t layers = 2)
+{
+    gcn::WorkloadConfig c = unitConfig(layers);
+    c.functionalData = true;
+    return c;
+}
+
 TEST(WorkloadCache, CachedWorkloadMatchesDirectBuild)
 {
     WorkloadCache cache;
-    auto cached = cache.workload(graph::datasetByName("cora"),
-                                 unitConfig(3));
-    auto direct = gcn::buildWorkload(graph::datasetByName("cora"),
-                                     unitConfig(3));
+    const auto &spec = graph::datasetByName("cora");
+    auto cached = cache.workload(spec, unitConfig(3));
+    auto direct = gcn::buildWorkload(spec, unitConfig(3));
     expectArtifactsIdentical(*cached.artifacts, *direct.artifacts);
     ASSERT_EQ(cached.features.size(), direct.features.size());
-    for (size_t i = 0; i < cached.features.size(); ++i) {
+    for (size_t i = 0; i < cached.features.size(); ++i)
         EXPECT_EQ(cached.features[i].colIdx(), direct.features[i].colIdx());
-        EXPECT_EQ(cached.features[i].values(), direct.features[i].values());
+    // Feature values exist only under functionalData.
+    auto cachedValued = cache.workload(spec, functionalUnitConfig(3));
+    auto directValued = gcn::buildWorkload(spec, functionalUnitConfig(3));
+    ASSERT_EQ(cachedValued.features.size(), directValued.features.size());
+    for (size_t i = 0; i < cachedValued.features.size(); ++i) {
+        ASSERT_TRUE(cachedValued.features[i].hasValues());
+        EXPECT_EQ(cachedValued.features[i].values(),
+                  directValued.features[i].values());
     }
 }
 
@@ -157,7 +172,10 @@ TEST(WorkloadCache, DiskRoundTripIsBitIdentical)
     auto a = cold.workload(spec, unitConfig());
     auto b = warm.workload(spec, unitConfig());
     EXPECT_EQ(a.x(0).colIdx(), b.x(0).colIdx());
-    EXPECT_EQ(a.x(0).values(), b.x(0).values());
+    auto av = cold.workload(spec, functionalUnitConfig());
+    auto bv = warm.workload(spec, functionalUnitConfig());
+    ASSERT_TRUE(av.x(0).hasValues());
+    EXPECT_EQ(av.x(0).values(), bv.x(0).values());
     fs::remove_all(dir);
 }
 

@@ -127,6 +127,57 @@ TEST(Workload, FunctionalDataOnlyOnRequest)
     EXPECT_EQ(w2.weight(1).cols(), w2.shape().classes);
 }
 
+TEST(Workload, FeatureStructureIndependentOfFunctionalData)
+{
+    // Feature values are kept only for functional runs; the random
+    // stream, and with it every feature structure, must not notice.
+    auto expectSameStructure =
+        [](const std::vector<sparse::CsrMatrix> &bare,
+           const std::vector<sparse::CsrMatrix> &valued,
+           const std::string &what) {
+            ASSERT_EQ(bare.size(), valued.size()) << what;
+            for (size_t i = 0; i < bare.size(); ++i) {
+                EXPECT_EQ(bare[i].rowPtr(), valued[i].rowPtr()) << what;
+                EXPECT_EQ(bare[i].colIdx(), valued[i].colIdx()) << what;
+                EXPECT_TRUE(bare[i].values().empty()) << what;
+                EXPECT_EQ(valued[i].values().size(), valued[i].nnz())
+                    << what;
+            }
+        };
+    for (const char *name : {"cora", "citeseer", "pubmed"}) {
+        WorkloadConfig c = unitConfig();
+        auto artifacts = buildGraphArtifacts(graph::datasetByName(name),
+                                             c.tier, c.partitionPlan());
+        for (ModelKind model : {ModelKind::Gcn, ModelKind::Gin}) {
+            for (uint32_t depth : {2u, 3u}) {
+                c.model = model;
+                c.numLayers = depth;
+                c.functionalData = false;
+                const auto bare = buildLayerData(artifacts, c);
+                c.functionalData = true;
+                const auto valued = buildLayerData(artifacts, c);
+                const std::string what = std::string(name) + " " +
+                                         modelKindName(model) + " depth " +
+                                         std::to_string(depth);
+                EXPECT_FALSE(bare.hasFunctionalData());
+                expectSameStructure(bare.features, valued.features,
+                                    what + " features");
+                expectSameStructure(bare.featuresPartitioned,
+                                    valued.featuresPartitioned,
+                                    what + " featuresPartitioned");
+                expectSameStructure(bare.mlpFeatures, valued.mlpFeatures,
+                                    what + " mlpFeatures");
+                expectSameStructure(bare.mlpFeaturesPartitioned,
+                                    valued.mlpFeaturesPartitioned,
+                                    what + " mlpFeaturesPartitioned");
+                EXPECT_EQ(bare.features.size(), depth);
+                EXPECT_EQ(bare.mlpFeatures.size(),
+                          model == ModelKind::Gin ? depth : 0u);
+            }
+        }
+    }
+}
+
 TEST(Workload, DeterministicForSeed)
 {
     auto a = buildWorkload(graph::datasetByName("cora"), unitConfig());
@@ -254,7 +305,27 @@ TEST(PermuteRows, SimpleExample)
         ASSERT_EQ(a.size(), b.size());
         for (size_t j = 0; j < a.size(); ++j)
             EXPECT_EQ(a[j], b[j]);
+        auto av = p.rowVals(i);
+        auto bv = m.rowVals(3 - i);
+        for (size_t j = 0; j < av.size(); ++j)
+            EXPECT_EQ(av[j], bv[j]);
     }
+}
+
+TEST(PermuteRows, StructureOnlyStaysStructureOnly)
+{
+    Rng a(3), b(3);
+    const auto valued = sparse::randomCsr(30, 6, 0.5, a);
+    const auto bare = sparse::randomCsr(30, 6, 0.5, b, false);
+    std::vector<NodeId> perm(30);
+    for (NodeId i = 0; i < 30; ++i)
+        perm[i] = 29 - i;
+    const auto pv = permuteRows(valued, perm);
+    const auto pb = permuteRows(bare, perm);
+    EXPECT_FALSE(pb.hasValues());
+    EXPECT_TRUE(pv.hasValues());
+    EXPECT_EQ(pb.rowPtr(), pv.rowPtr());
+    EXPECT_EQ(pb.colIdx(), pv.colIdx());
 }
 
 } // namespace

@@ -245,35 +245,76 @@ const char *kSimSpeedDrifted =
     R"({"bench":"zoo","table":"sim_speed","dataset":"cora",)"
     R"("engine":"grow","metric":"rows_per_sec","unit":"rows/s",)"
     R"("value":1100})";
+const char *kSimSpeedSlower =
+    R"({"bench":"zoo","table":"sim_speed","dataset":"cora",)"
+    R"("engine":"grow","metric":"rows_per_sec","unit":"rows/s",)"
+    R"("value":900})";
 
 TEST(ReportDiff, TolOverrideGatesAUnitOutsideTheDefaultGateSet)
 {
     // sim-speed units (ms, rows/s) are not in gateUnits; by default
     // their drift is informational. A tol override both sets their
-    // tolerance AND opts them into the gate.
+    // tolerance AND opts them into the gate -- one-sided: 1000 -> 1100
+    // rows/s is a speed-up, so it is drift; 1000 -> 900 regresses.
     auto base = parse(reportWith(kSimSpeedBase));
-    auto curr = parse(reportWith(kSimSpeedDrifted));
+    auto faster = parse(reportWith(kSimSpeedDrifted));
+    auto slower = parse(reportWith(kSimSpeedSlower));
 
-    auto plain = diffReports(base, curr);
+    auto plain = diffReports(base, slower);
     ASSERT_EQ(plain.drifted.size(), 1u);
     EXPECT_EQ(plain.regressions, 0u);
 
     DiffOptions opt;
     opt.tolOverrides["rows/s"] = 0.05;
-    auto gated = diffReports(base, curr, opt);
+    auto speedUp = diffReports(base, faster, opt);
+    ASSERT_EQ(speedUp.drifted.size(), 1u);
+    EXPECT_EQ(speedUp.regressions, 0u);
+    EXPECT_FALSE(speedUp.drifted[0].regression);
+    auto gated = diffReports(base, slower, opt);
     EXPECT_EQ(gated.regressions, 1u);
 
     // The 10% drift passes a 15% override (the CI setting).
     opt.tolOverrides["rows/s"] = 0.15;
-    auto loose = diffReports(base, curr, opt);
+    auto loose = diffReports(base, slower, opt);
     ASSERT_EQ(loose.drifted.size(), 1u);
     EXPECT_EQ(loose.regressions, 0u);
+}
+
+TEST(ReportDiff, HostTimeGatesOneSidedAndModelledUnitsBothWays)
+{
+    auto rec = [](const char *unit, double value) {
+        return std::string(R"({"bench":"b","table":"t","metric":"m",)") +
+               R"("unit":")" + unit + R"(","value":)" +
+               std::to_string(value) + "}";
+    };
+    auto regressions = [&](const char *unit, double curr) {
+        DiffOptions opt;
+        opt.gateUnits = {"cycles", "bytes", "est", "link-bytes"};
+        opt.tolOverrides[unit] = 0.15;
+        return diffReports(parse(reportWith(rec(unit, 100.0))),
+                           parse(reportWith(rec(unit, curr))), opt)
+            .regressions;
+    };
+    // ms regresses only upward.
+    EXPECT_EQ(regressions("ms", 130.0), 1u);
+    EXPECT_EQ(regressions("ms", 50.0), 0u);
+    // Throughput units regress only downward.
+    for (const char *unit : {"rows/s", "edges/s"}) {
+        EXPECT_EQ(regressions(unit, 70.0), 1u) << unit;
+        EXPECT_EQ(regressions(unit, 200.0), 0u) << unit;
+    }
+    // Modelled units stay two-sided.
+    for (const char *unit : {"cycles", "bytes", "est", "link-bytes"}) {
+        EXPECT_EQ(regressions(unit, 130.0), 1u) << unit;
+        EXPECT_EQ(regressions(unit, 70.0), 1u) << unit;
+        EXPECT_EQ(regressions(unit, 110.0), 0u) << unit;
+    }
 }
 
 TEST(ReportDiff, MetricNameOverrideBeatsUnitOverride)
 {
     auto base = parse(reportWith(kSimSpeedBase));
-    auto curr = parse(reportWith(kSimSpeedDrifted));
+    auto curr = parse(reportWith(kSimSpeedSlower));
 
     DiffOptions opt;
     opt.tolOverrides["rows/s"] = 0.05;       // would gate the 10% drift

@@ -106,6 +106,28 @@ TEST(Scaleout, ShardedRunIsThreadCountInvariant)
         EXPECT_EQ(a.links.egressBytes[i], b.links.egressBytes[i]);
 }
 
+TEST(Scaleout, StructureOnlyOperandsShardLikeValuedOnes)
+{
+    // Sharding row-slices every operand. A non-functional workload's
+    // features are structure-only; their slices must drive the chips
+    // exactly like the slices of the same features with values.
+    const auto &bare = workloadOf("citeseer");
+    ASSERT_FALSE(bare.x(0).hasValues());
+    gcn::WorkloadConfig c;
+    c.tier = graph::ScaleTier::Unit;
+    c.targetClusterSize = 64;
+    c.functionalData = true;
+    const auto valued =
+        gcn::buildWorkload(graph::datasetByName("citeseer"), c);
+    ASSERT_TRUE(valued.x(0).hasValues());
+
+    const auto topo = EngineTopology("grow").withChips(4);
+    const auto a = runInference(topo, bare, gcn::RunOptions{});
+    const auto b = runInference(topo, valued, gcn::RunOptions{});
+    expectSameResult(a.merged, b.merged);
+    EXPECT_EQ(a.haloBytes, b.haloBytes);
+}
+
 TEST(Scaleout, HaloScheduleIsPinned)
 {
     // Exact halo cycles and per-link egress counters of the link

@@ -55,6 +55,30 @@ TEST(Convert, RandomCsrZeroDensityIsEmpty)
     EXPECT_TRUE(m.validate());
 }
 
+TEST(Convert, StructureOnlyRandomCsrKeepsStructureAndStream)
+{
+    // Dropping values must not change the pattern or any later draw:
+    // every value is drawn either way.
+    for (const auto &[rows, cols] :
+         {std::pair<uint32_t, uint32_t>{17, 23}, {300, 300}, {2000, 602}}) {
+        for (double density : {0.0, 1e-4, 0.0085, 0.1, 0.639, 0.99, 1.0}) {
+            for (uint64_t seed : {1ULL, 0x9e3779b9ULL}) {
+                Rng a(seed), b(seed);
+                const auto valued = randomCsr(rows, cols, density, a);
+                const auto bare =
+                    randomCsr(rows, cols, density, b, false);
+                EXPECT_TRUE(bare.validate());
+                EXPECT_EQ(bare.rowPtr(), valued.rowPtr());
+                EXPECT_EQ(bare.colIdx(), valued.colIdx());
+                EXPECT_TRUE(bare.values().empty());
+                EXPECT_EQ(valued.values().size(), valued.nnz());
+                EXPECT_EQ(a.next(), b.next())
+                    << rows << "x" << cols << " @ " << density;
+            }
+        }
+    }
+}
+
 TEST(Convert, RandomCsrDeterministicPerSeed)
 {
     Rng a(6), b(6);

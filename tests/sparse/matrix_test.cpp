@@ -112,6 +112,65 @@ TEST(CsrMatrix, PermutedSymmetricRejectsBadPermutation)
     EXPECT_ANY_THROW(m.permutedSymmetric({0, 1}));
 }
 
+/** rowPtr/colIdx of CsrMatrix::fromCoo(smallCoo()), without values. */
+CsrMatrix
+structureOnlyCsr()
+{
+    return CsrMatrix::fromRaw(3, 4, {0, 2, 2, 4}, {1, 3, 0, 2}, {});
+}
+
+TEST(CsrMatrix, StructureOnlyKeepsEveryStructureOperation)
+{
+    auto m = structureOnlyCsr();
+    const auto valued = CsrMatrix::fromCoo(smallCoo());
+    EXPECT_TRUE(m.validate());
+    EXPECT_FALSE(m.hasValues());
+    EXPECT_TRUE(valued.hasValues());
+    EXPECT_EQ(m.nnz(), valued.nnz());
+    EXPECT_EQ(m.rowNnz(2), 2u);
+    EXPECT_EQ(m.rowCols(2)[1], 2u);
+    // The modelled stream always carries values.
+    EXPECT_EQ(m.streamBytes(), valued.streamBytes());
+    // A value array holds exactly nnz entries or none.
+    EXPECT_ANY_THROW(
+        CsrMatrix::fromRaw(3, 4, {0, 2, 2, 4}, {1, 3, 0, 2}, {1.0, 2.0}));
+}
+
+TEST(CsrMatrix, ValueReadersRejectStructureOnly)
+{
+    const auto m = structureOnlyCsr();
+    EXPECT_ANY_THROW(m.rowVals(0));
+    EXPECT_ANY_THROW(m.rowVals(1)); // an empty row too
+    EXPECT_ANY_THROW(m.transposed());
+    EXPECT_ANY_THROW(toDense(m));
+    EXPECT_ANY_THROW(CscMatrix::fromCsr(m));
+    EXPECT_ANY_THROW(toCsc(m));
+    // Without non-zeros there is nothing to read: vacuously valued.
+    const auto empty = CsrMatrix::fromRaw(4, 4, {0, 0, 0, 0, 0}, {}, {});
+    EXPECT_TRUE(empty.hasValues());
+    EXPECT_TRUE(empty.rowVals(2).empty());
+    EXPECT_EQ(toDense(empty).rows(), 4u);
+}
+
+TEST(CsrMatrix, PermutedSymmetricCarriesValuesOnlyWhenPresent)
+{
+    Rng a(8), b(8);
+    const auto valued = randomCsr(40, 40, 0.2, a);
+    const auto bare = randomCsr(40, 40, 0.2, b, false);
+    std::vector<NodeId> perm(40);
+    for (NodeId i = 0; i < 40; ++i)
+        perm[i] = (i * 7 + 3) % 40;
+    for (uint32_t threads : {1u, 4u}) {
+        const auto pv = valued.permutedSymmetric(perm, threads);
+        const auto pb = bare.permutedSymmetric(perm, threads);
+        EXPECT_TRUE(pb.validate());
+        EXPECT_FALSE(pb.hasValues());
+        EXPECT_EQ(pv.values().size(), pv.nnz());
+        EXPECT_EQ(pb.rowPtr(), pv.rowPtr());
+        EXPECT_EQ(pb.colIdx(), pv.colIdx());
+    }
+}
+
 TEST(CscMatrix, FromCooStructure)
 {
     auto m = CscMatrix::fromCoo(smallCoo());
