@@ -444,10 +444,12 @@ BM_RowEngineAggregation(benchmark::State &state)
 BENCHMARK(BM_RowEngineAggregation);
 
 /**
- * WorkPool submit throughput: one halo epoch of the scale-out link
- * co-simulation is one runAll() of one small task per chip, so batch
- * setup cost (allocation, ticket posting, wakeup, completion wait) is
- * paid per epoch. Arg = worker count (0 = caller-only).
+ * WorkPool submit cost: one runAll() of 16 trivial tasks, so the time
+ * is all batch overhead (open the batch, wake the invited workers,
+ * claim under the pool mutex, wait for the stragglers). Real batches
+ * -- sweep jobs, phase fan-out, a halo window -- run for milliseconds
+ * or more, so this only has to stay in the microseconds. Arg = worker
+ * count (0 = caller-only).
  */
 void
 BM_WorkPoolSubmit(benchmark::State &state)

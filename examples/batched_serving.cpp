@@ -19,8 +19,8 @@
  * produced by serve::appendServedDatasetTable, which
  * tests/serve/serve_report_test.cpp locks down.
  *
- * For the full daemon (socket protocol, admission control, deadlines,
- * multi-tenant fairness) see tools/grow_serve and tools/serve_load.
+ * For seeded multi-tenant schedules with admission control, deadlines
+ * and fair share, see tools/grow_serve.
  *
  * Usage: batched_serving [datasets=cora,citeseer,pubmed] [scale=unit]
  *                        [engine=grow] [requests=4] [threads=1]

@@ -5,15 +5,16 @@
  * The executor is the one place a ServeRequest meets the simulator:
  * it validates the (dataset, model, engine, depth) tuple against the
  * configured universe -- returning an error instead of fatal()ing,
- * because a malformed request must never take the daemon down --
- * resolves the workload through the shared driver::WorkloadCache
- * (artefact reuse + LRU eviction), and runs gcn::runInference on a
- * fresh engine instance.
+ * because one malformed request in a schedule must resolve as an
+ * Error record, not end the run -- resolves the workload through the
+ * shared driver::WorkloadCache (artefact reuse + LRU eviction), and
+ * runs gcn::runInference on a fresh engine instance.
  *
  * Everything in the returned digest is a deterministic function of
- * the request tuple alone: the same request served by the daemon, by
- * the virtual-clock loop, or by a direct in-process call produces a
- * bit-identical digest. The CI serving gate diffs exactly that.
+ * the request tuple alone: the same request served by the
+ * virtual-clock loop or by a direct in-process call, at any
+ * `threads=`, produces a bit-identical digest. The CI serving smoke
+ * diffs exactly that.
  */
 #pragma once
 

@@ -90,10 +90,6 @@ ServeMetrics::recordOutcome(const RequestRecord &record)
         ++counters_.rejectedBytes;
         ++t.rejected;
         break;
-    case RequestStatus::RejectedClosed:
-        ++counters_.rejectedClosed;
-        ++t.rejected;
-        break;
     case RequestStatus::Expired:
         ++counters_.expired;
         ++t.expired;
@@ -105,27 +101,12 @@ ServeMetrics::recordOutcome(const RequestRecord &record)
     }
 }
 
-void
-ServeMetrics::recordProtocolError()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    ++counters_.protocolErrors;
-}
-
 uint64_t
 ServeMetrics::outcomes() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     return counters_.completed + counters_.rejectedQueueFull +
-           counters_.rejectedBytes + counters_.rejectedClosed +
-           counters_.expired + counters_.errors;
-}
-
-uint64_t
-ServeMetrics::protocolErrors() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return counters_.protocolErrors;
+           counters_.rejectedBytes + counters_.expired + counters_.errors;
 }
 
 void
@@ -149,20 +130,16 @@ ServeMetrics::fillReport(report::Report &rep,
             .col("completed", "completed", "count")
             .col("rejected_queue_full", "rej. queue", "count")
             .col("rejected_byte_budget", "rej. bytes", "count")
-            .col("rejected_shutdown", "rej. shutdown", "count")
             .col("expired", "expired", "count")
-            .col("errors", "errors", "count")
-            .col("protocol_errors", "protocol errors", "count");
+            .col("errors", "errors", "count");
         t.row({})
             .add(report::count(counters.submitted))
             .add(report::count(counters.admitted))
             .add(report::count(counters.completed))
             .add(report::count(counters.rejectedQueueFull))
             .add(report::count(counters.rejectedBytes))
-            .add(report::count(counters.rejectedClosed))
             .add(report::count(counters.expired))
-            .add(report::count(counters.errors))
-            .add(report::count(counters.protocolErrors));
+            .add(report::count(counters.errors));
     }
 
     if (!tenants.empty()) {

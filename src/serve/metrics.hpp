@@ -5,13 +5,13 @@
  * emitted through grow::report so the serving trajectory is gated by
  * report_check/report_diff like every other metric family.
  *
- * The same ServeMetrics instance sits behind the socket daemon (many
- * threads; every mutator is mutex-protected) and the deterministic
- * virtual-clock loop (one thread, virtual timestamps). Report output
- * is deterministic whenever the event sequence is: tenants emit in
- * name order, percentiles are nearest-rank on the full latency set,
- * and the queue-depth series decimates by stride doubling (a pure
- * function of the event sequence, never of wall-clock sampling).
+ * ServeMetrics sits behind the deterministic virtual-clock loop (one
+ * thread, virtual timestamps); every mutator is mutex-protected, so a
+ * caller may record from several threads. Report output is
+ * deterministic whenever the event sequence is: tenants emit in name
+ * order, percentiles are nearest-rank on the full latency set, and
+ * the queue-depth series decimates by stride doubling (a pure function
+ * of the event sequence, never of wall-clock sampling).
  */
 #pragma once
 
@@ -39,17 +39,12 @@ class ServeMetrics
     /** Depth sample outside admission (dispatch, periodic flush). */
     void sampleQueueDepth(Micros now, uint32_t depth);
 
-    /** Final disposition of one request (completion, rejection
-     *  response, expiry, execution error). */
+    /** Final disposition of one request (completion, rejection,
+     *  expiry, execution error). */
     void recordOutcome(const RequestRecord &record);
-
-    /** A client line that failed to parse (daemon only). */
-    void recordProtocolError();
 
     /** Requests whose outcome has been recorded. */
     uint64_t outcomes() const;
-
-    uint64_t protocolErrors() const;
 
     /**
      * Append the serving tables to @p rep: serve_admission (counter
@@ -82,10 +77,8 @@ class ServeMetrics
         uint64_t completed = 0;
         uint64_t rejectedQueueFull = 0;
         uint64_t rejectedBytes = 0;
-        uint64_t rejectedClosed = 0;
         uint64_t expired = 0;
         uint64_t errors = 0;
-        uint64_t protocolErrors = 0;
     };
 
     struct DepthSample

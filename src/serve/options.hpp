@@ -2,10 +2,8 @@
  * @file
  * The serving binaries' shared `key=value` option grammar.
  *
- * grow_serve (mode=sim and the socket daemon), serve_load and the
- * batched_serving example all accept the same schedule- and
- * admission-control flags; this is the one place their key lists and
- * parsing live, so the grammars cannot drift between the tools and a
+ * grow_serve accepts the schedule- and admission-control flags; this
+ * is the one place their key lists and parsing live, so a
  * requireKnown() list always matches what the parser reads.
  */
 #pragma once
@@ -20,10 +18,10 @@
 namespace grow::serve {
 
 /**
- * The schedule flags shared by grow_serve mode=sim, serve_load and
- * batched_serving: requests=, seed=, mean_gap_us=, tenants=,
- * datasets=, engines=, model=, scale=, depth=, feature_seed=,
- * deadline_ms=. Append to a tool's requireKnown() list.
+ * grow_serve's schedule flags: requests=, seed=, mean_gap_us=,
+ * tenants=, datasets=, engines=, model=, scale=, depth=,
+ * feature_seed=, deadline_ms=. Append to a tool's requireKnown()
+ * list.
  */
 const std::vector<std::string> &scheduleKeys();
 

@@ -16,8 +16,6 @@ Admission
 RequestQueue::push(ServeRequest r, Micros now)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    if (closed_)
-        return Admission::Closed;
     if (depth_ >= config_.maxDepth)
         return Admission::QueueFull;
     if (config_.byteBudget > 0 &&
@@ -74,20 +72,6 @@ RequestQueue::onComplete(const ServeRequest &r)
     GROW_ASSERT(inflightBytes_ >= r.costBytes,
                 "onComplete() without a matching pop()");
     inflightBytes_ -= r.costBytes;
-}
-
-void
-RequestQueue::close()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    closed_ = true;
-}
-
-bool
-RequestQueue::closed() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return closed_;
 }
 
 uint32_t

@@ -2,16 +2,15 @@
  * @file
  * Bounded multi-tenant request queue with admission control.
  *
- * The single waiting room of the serving layer, shared by the socket
- * daemon (many producer connections, one dispatcher consumer) and the
- * deterministic virtual-clock loop (one thread wearing both hats):
+ * The single waiting room of the serving layer, driven by the
+ * deterministic virtual-clock loop (serve/virtual_serve.hpp):
  *
  *  - Admission (push): a request is rejected -- with a reason the
- *    caller turns into a protocol response -- when the bounded queue
+ *    caller records as the request's outcome -- when the bounded queue
  *    sits at maxDepth or when its cost estimate would push the queued
  *    + in-flight byte total past the budget. Backpressure is explicit
- *    rejection, never silent blocking: a client that keeps sending
- *    into an overloaded daemon gets told so per request.
+ *    rejection, never silent blocking: an overloaded queue says so
+ *    per request.
  *  - Deadlines (pop): a request whose absolute deadline has passed is
  *    cancelled *before* dispatch and returned on the expired list --
  *    simulating a stale inference nobody will read wastes an engine.
@@ -26,7 +25,7 @@
  * from queued to in-flight, it does not release it); expiry and
  * rejection release immediately. All member functions are
  * thread-safe; time is always passed in by the caller, so the queue
- * itself works identically on the real and the virtual clock.
+ * never reads a clock of its own.
  */
 #pragma once
 
@@ -84,15 +83,6 @@ class RequestQueue
      */
     void onComplete(const ServeRequest &r);
 
-    /**
-     * Stop admitting (push returns Closed); queued requests still
-     * drain through pop(). The graceful-shutdown sequence is: close(),
-     * drain via pop()/onComplete(), flush the final report.
-     */
-    void close();
-
-    bool closed() const;
-
     /** Queued requests (excludes in-flight). */
     uint32_t depth() const;
 
@@ -114,7 +104,6 @@ class RequestQueue
     uint32_t depth_ = 0;
     uint64_t queuedBytes_ = 0;
     uint64_t inflightBytes_ = 0;
-    bool closed_ = false;
 };
 
 } // namespace grow::serve

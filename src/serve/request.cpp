@@ -1,43 +1,10 @@
 #include "serve/request.hpp"
 
+#include <sstream>
+
 #include "util/logging.hpp"
 
 namespace grow::serve {
-
-const char *
-statusName(RequestStatus status)
-{
-    switch (status) {
-    case RequestStatus::Completed:
-        return "ok";
-    case RequestStatus::RejectedQueueFull:
-        return "rejected_queue_full";
-    case RequestStatus::RejectedBytes:
-        return "rejected_byte_budget";
-    case RequestStatus::RejectedClosed:
-        return "rejected_shutdown";
-    case RequestStatus::Expired:
-        return "expired";
-    case RequestStatus::Error:
-        return "error";
-    }
-    panic("unhandled RequestStatus");
-}
-
-bool
-statusFromName(const std::string &name, RequestStatus &out)
-{
-    for (RequestStatus s :
-         {RequestStatus::Completed, RequestStatus::RejectedQueueFull,
-          RequestStatus::RejectedBytes, RequestStatus::RejectedClosed,
-          RequestStatus::Expired, RequestStatus::Error}) {
-        if (name == statusName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
 
 RequestStatus
 rejectionStatus(Admission a)
@@ -47,12 +14,24 @@ rejectionStatus(Admission a)
         return RequestStatus::RejectedQueueFull;
     case Admission::OverByteBudget:
         return RequestStatus::RejectedBytes;
-    case Admission::Closed:
-        return RequestStatus::RejectedClosed;
     case Admission::Admitted:
         break;
     }
     panic("rejectionStatus() called on an admitted request");
+}
+
+std::string
+digestLine(const ServeRequest &req, const InferenceDigest &digest)
+{
+    std::ostringstream os;
+    os << "tenant=" << req.tenant << " id=" << req.id
+       << " dataset=" << req.dataset << " model=" << req.model
+       << " engine=" << req.engine << " scale=" << graph::tierName(req.tier)
+       << " depth=" << req.depth << " seed=" << req.seed
+       << " cycles=" << digest.cycles << " dram_bytes=" << digest.dramBytes
+       << " mac_ops=" << digest.macOps << " cache_hits=" << digest.cacheHits
+       << " cache_misses=" << digest.cacheMisses;
+    return os.str();
 }
 
 } // namespace grow::serve

@@ -11,10 +11,9 @@
  * every serving metric (p50/p99, admission counters, byte-identity
  * diffs) is derived from.
  *
- * Time is kept as integer microseconds on a serving-layer clock that
- * is either the host's steady clock (the socket daemon) or a virtual
- * clock advanced by the deterministic event loop (serve/virtual_serve
- * .hpp) -- the queue, metrics and records never know which.
+ * Time is kept as integer microseconds on the virtual clock advanced
+ * by the deterministic event loop (serve/virtual_serve.hpp); the queue
+ * and metrics take every timestamp from their caller.
  */
 #pragma once
 
@@ -40,7 +39,6 @@ enum class Admission {
     Admitted,
     QueueFull,       ///< bounded queue at maxDepth
     OverByteBudget,  ///< queued + in-flight cost bytes past the budget
-    Closed,          ///< queue closed (graceful shutdown in progress)
 };
 
 /** Final disposition of one request. */
@@ -48,16 +46,9 @@ enum class RequestStatus {
     Completed,          ///< inference ran; digest is valid
     RejectedQueueFull,  ///< admission: queue depth cap
     RejectedBytes,      ///< admission: in-flight byte budget
-    RejectedClosed,     ///< admission: daemon shutting down
     Expired,            ///< deadline passed before dispatch
     Error,              ///< invalid request or execution failure
 };
-
-/** Wire name of @p status ("ok", "rejected_queue_full", ...). */
-const char *statusName(RequestStatus status);
-
-/** Inverse of statusName(); returns false on an unknown name. */
-bool statusFromName(const std::string &name, RequestStatus &out);
 
 /** The rejection status matching an admission verdict (not Admitted). */
 RequestStatus rejectionStatus(Admission a);
@@ -65,7 +56,7 @@ RequestStatus rejectionStatus(Admission a);
 /** One serving request. */
 struct ServeRequest
 {
-    /** Client-chosen id, echoed in the response (unique per client). */
+    /** Request id, unique within a schedule. */
     uint64_t id = 0;
     std::string tenant = "default";
     std::string dataset;
@@ -79,12 +70,12 @@ struct ServeRequest
     /**
      * Absolute deadline on the serving clock; 0 = none. A request
      * past its deadline is cancelled before dispatch, never after.
-     * Stamped at admission from deadlineRelUs (the wire/schedule form)
-     * or the queue's default.
+     * Stamped at admission from deadlineRelUs (the schedule form) or
+     * the queue's default.
      */
     Micros deadlineUs = 0;
-    /** Relative deadline (wire `deadline_ms`, schedule form); 0 =
-     *  none. Converted to deadlineUs when the queue admits. */
+    /** Relative deadline (schedule form, `deadline_ms=`); 0 = none.
+     *  Converted to deadlineUs when the queue admits. */
     Micros deadlineRelUs = 0;
     /**
      * Admission cost estimate (operand footprint of the job,
@@ -92,15 +83,13 @@ struct ServeRequest
      * budget from admission until completion.
      */
     uint64_t costBytes = 0;
-    /** Daemon-internal dispatch ticket (callback routing); not wire. */
-    uint64_t ticket = 0;
 };
 
 /**
  * The deterministic core of one completed inference: every field is a
- * bit-exact function of the request tuple, so a daemon-served request
- * and a direct gcn::runInference() of the same tuple must produce
- * identical digests (the CI byte-identity gate).
+ * bit-exact function of the request tuple, so a request served on the
+ * virtual clock and a direct Executor::run() of the same tuple must
+ * produce identical digests, for every `threads=` value.
  */
 struct InferenceDigest
 {
@@ -127,9 +116,8 @@ struct RequestRecord
      *  rejections and expiries). */
     Micros dispatchUs = 0;
     Micros completionUs = 0;
-    /** Host- or virtual-clock execution time in ms (Completed only).
-     *  The socket daemon measures host wall-clock; the virtual loop
-     *  uses the simulated service time -- deterministic. */
+    /** Execution time in ms (Completed only): the simulated service
+     *  time, so it is deterministic. */
     double execMs = 0.0;
     InferenceDigest digest;
     std::string error; ///< Error status only
@@ -148,5 +136,15 @@ struct RequestRecord
         return millis(completionUs - request.arrivalUs);
     }
 };
+
+/**
+ * Canonical one-line digest of a completed request, the byte-identity
+ * currency of the serving tests and CI: records served on the virtual
+ * clock and direct execution of the same request must produce
+ * identical lines. Integer-exact fields only -- no floating timing,
+ * nothing host-dependent.
+ */
+std::string digestLine(const ServeRequest &req,
+                       const InferenceDigest &digest);
 
 } // namespace grow::serve

@@ -4,11 +4,10 @@
  *
  * A schedule is the serving analogue of a synthetic dataset: an exact,
  * replayable list of (arrival time, request) pairs derived from one
- * 64-bit seed. The virtual-clock loop replays it in simulated time,
- * serve_load replays it against a live daemon in real time, and the
- * direct mode executes the same requests with no daemon at all --
- * because all three draw the identical schedule, their digests must
- * agree byte for byte (the CI equivalence gate).
+ * 64-bit seed. The virtual-clock loop (serve/virtual_serve.hpp)
+ * replays it in simulated time; because the schedule is a pure
+ * function of its config, a replay at any `threads=` must yield
+ * byte-identical digests (the CI serving smoke diffs them).
  *
  * Arrival gaps are integer microseconds drawn uniformly from
  * [meanGapUs/2, 3*meanGapUs/2) -- no floating point in the timeline,

@@ -2,10 +2,10 @@
  * @file
  * Deterministic in-process serving simulation on a virtual clock.
  *
- * Replays a seeded schedule (serve/schedule.hpp) through the exact
- * admission/fair-share/deadline machinery the socket daemon uses
- * (serve/queue.hpp), but advances an integer virtual clock by discrete
- * events instead of waiting on a host clock. Service time for a
+ * Replays a seeded schedule (serve/schedule.hpp) through the
+ * admission/fair-share/deadline machinery of serve/queue.hpp, and
+ * advances an integer virtual clock by discrete events instead of
+ * waiting on a host clock. Service time for a
  * completed request is its *simulated* latency -- digest cycles at the
  * 1 GHz modeled clock -- so every latency percentile, queue-depth
  * sample and admission counter is a pure function of (schedule seed,
@@ -14,9 +14,7 @@
  * simulator's own metric families and report_diff holds the line.
  *
  * Event order at one instant: completions resolve before arrivals, so
- * a slot freed at t can serve a request arriving at t -- mirroring the
- * daemon, where the dispatcher observes completion before accepting
- * more work.
+ * a slot freed at t can serve a request arriving at t.
  */
 #pragma once
 

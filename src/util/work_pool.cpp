@@ -1,13 +1,13 @@
 #include "util/work_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <deque>
-#include <mutex>
 #include <utility>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/logging.hpp"
-#include "util/topology.hpp"
 
 namespace grow::util {
 
@@ -38,139 +38,89 @@ rethrowFirstError(const std::vector<std::exception_ptr> &errors)
 
 namespace {
 
-/** Tasks per completion-tree leaf counter (one cacheline each). */
-constexpr size_t kLeafFan = 8;
+/**
+ * CPUs of the calling thread's affinity mask, ascending -- the CPUs
+ * the user granted (taskset, cgroup cpuset), not every online CPU.
+ * Empty where affinity is unavailable.
+ */
+std::vector<int>
+affinityCpus()
+{
+    std::vector<int> cpus;
+#ifdef __linux__
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0)
+        for (int c = 0; c < CPU_SETSIZE; ++c)
+            if (CPU_ISSET(c, &mask))
+                cpus.push_back(c);
+#endif
+    return cpus;
+}
 
-/** Worker has no assigned CPU (topology too narrow to pin). */
-constexpr uint32_t kNoCpu = UINT32_MAX;
-
-/** Retired batches kept for reuse; beyond this they just die. */
-constexpr size_t kMaxSpareBatches = 4;
+/** Best-effort pin of the calling thread to @p cpu; placement is an
+ *  optimisation, never a contract, so failure is ignored. */
+void
+pinCurrentThread(int cpu)
+{
+#ifdef __linux__
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    CPU_SET(cpu, &mask);
+    sched_setaffinity(0, sizeof(mask), &mask);
+#else
+    (void)cpu;
+#endif
+}
 
 } // namespace
 
 /**
- * One runAll() invocation. Owned by shared_ptr: a claim ticket that a
- * worker only picks up after the batch already drained must find the
- * control block alive (and see no unclaimed task), not dangling
- * caller-stack memory. Retired batches are pooled (WorkPool::Impl::
- * spares) and reset() for the next submission, so steady-state
- * fan-out allocates nothing.
+ * One runAll() invocation, living on its caller's stack. The cursor
+ * and the counts are guarded by WorkPool::mutex_; task i and
+ * errors[i] belong, unlocked, to whoever claimed i. The caller
+ * returns only once `done` reaches the task count, and a helper
+ * touches the batch only while it holds the mutex or runs a task it
+ * claimed, so nobody can see the batch after it is gone.
  */
 struct WorkPool::Batch
 {
     std::vector<std::function<void()>> tasks;
     std::vector<std::exception_ptr> errors;
-    std::atomic<size_t> next{0};
-
-    /**
-     * Completion tree: task i retires into leaf i / kLeafFan; the last
-     * task of a leaf retires the leaf into doneLeaves, which is the
-     * only word the caller parks on. Workers thus contend on
-     * ceil(size / kLeafFan) distinct cachelines instead of one hot
-     * counter, and the caller is woken exactly once.
-     */
-    struct alignas(64) Leaf
-    {
-        std::atomic<size_t> done{0};
-    };
-    std::unique_ptr<Leaf[]> leaves;
-    size_t numLeaves = 0;
-    size_t leafCapacity = 0;
-    std::atomic<size_t> doneLeaves{0};
-
-    /** Arm for a new submission (caller must hold the only reference). */
-    void reset(std::vector<std::function<void()>> new_tasks)
-    {
-        tasks = std::move(new_tasks);
-        errors.assign(tasks.size(), std::exception_ptr());
-        next.store(0, std::memory_order_relaxed);
-        numLeaves = (tasks.size() + kLeafFan - 1) / kLeafFan;
-        if (numLeaves > leafCapacity) {
-            leaves = std::make_unique<Leaf[]>(numLeaves);
-            leafCapacity = numLeaves;
-        } else {
-            for (size_t g = 0; g < numLeaves; ++g)
-                leaves[g].done.store(0, std::memory_order_relaxed);
-        }
-        doneLeaves.store(0, std::memory_order_relaxed);
-    }
+    size_t next = 0;      ///< claim cursor
+    size_t done = 0;      ///< finished tasks
+    uint32_t invites = 0; ///< workers that may still join
 };
 
-struct WorkPool::Impl
+WorkPool::WorkPool(uint32_t workers)
 {
-    std::mutex m;
-
-    /** One announced batch; takers count the invites down. */
-    struct Ticket
-    {
-        std::shared_ptr<Batch> batch;
-        uint32_t invites = 0;
-    };
-    std::deque<Ticket> tickets;
-
-    /**
-     * Per-worker parking slot: a worker that finds no ticket loads its
-     * epoch under the lock, registers on the idle stack and futex-
-     * waits on the epoch outside the lock. A waker pops the id, bumps
-     * the epoch and notifies that one slot -- the bump-after-load
-     * ordering through the mutex makes the wakeup lossless.
-     */
-    struct alignas(64) Slot
-    {
-        std::atomic<uint32_t> epoch{0};
-        bool parkedListed = false; ///< under m: id is on `idle`
-    };
-    std::unique_ptr<Slot[]> slots;
-    std::vector<uint32_t> idle; ///< LIFO of parked worker ids (under m)
-
-    /** Retired batches available for reuse (under m). */
-    std::vector<std::shared_ptr<Batch>> spares;
-
-    /** Fire-and-forget tasks (trySubmit) awaiting a worker (under m). */
-    std::deque<std::function<void()>> detached;
-    /** Detached tasks submitted but not yet finished (drain futex). */
-    std::atomic<uint64_t> detachedPending{0};
-
-    bool stop = false;
-};
-
-WorkPool::WorkPool(uint32_t workers) : impl_(std::make_unique<Impl>())
-{
-    impl_->slots = std::make_unique<Impl::Slot[]>(workers);
-    impl_->idle.reserve(workers);
-    // Topology-aware placement: pin workers node-major/compact when
-    // the host has a CPU for each worker; on narrower machines (CI
-    // containers, oversubscribed pools) leave placement to the
-    // scheduler rather than stack pinned workers on one core.
-    const Topology &topo = Topology::host();
-    std::vector<uint32_t> place;
-    if (workers > 0 && workers <= topo.cpus().size())
-        place = topo.placement(workers);
+    // Pin worker i to the i-th CPU the creating thread may run on when
+    // the mask has a CPU for each worker: pinned workers keep the
+    // shared read-only operands cache-warm, which measurably pays
+    // (DESIGN.md "Worker pool"). On a narrower mask, leave the workers
+    // unpinned inside the inherited mask rather than stack them on one
+    // CPU.
+    std::vector<int> cpus = affinityCpus();
+    if (workers > cpus.size())
+        cpus.clear();
     workers_.reserve(workers);
     for (uint32_t i = 0; i < workers; ++i) {
-        const uint32_t cpu = place.empty() ? kNoCpu : place[i];
-        workers_.emplace_back([this, i, cpu] {
-            if (cpu != kNoCpu)
+        const int cpu = cpus.empty() ? -1 : cpus[i];
+        workers_.emplace_back([this, cpu] {
+            if (cpu >= 0)
                 pinCurrentThread(cpu);
-            workerLoop(i);
+            workerLoop();
         });
     }
 }
 
 WorkPool::~WorkPool()
 {
-    // Detached work first: a task handed to trySubmit() before the
-    // destructor began must run, not vanish with the workers.
-    drainDetached();
     {
-        std::lock_guard<std::mutex> lk(impl_->m);
-        impl_->stop = true;
+        std::lock_guard<std::mutex> lk(mutex_);
+        stop_ = true;
     }
-    for (size_t i = 0; i < workers_.size(); ++i) {
-        impl_->slots[i].epoch.fetch_add(1, std::memory_order_release);
-        impl_->slots[i].epoch.notify_one();
-    }
+    workCv_.notify_all();
     for (auto &t : workers_)
         t.join();
 }
@@ -187,86 +137,45 @@ WorkPool::shared()
 }
 
 void
-WorkPool::help(Batch &batch)
+WorkPool::close(Batch &batch)
+{
+    const auto it = std::find(open_.begin(), open_.end(), &batch);
+    if (it != open_.end())
+        open_.erase(it);
+}
+
+void
+WorkPool::help(Batch &batch, std::unique_lock<std::mutex> &lk)
 {
     const size_t size = batch.tasks.size();
-    while (true) {
-        const size_t i = batch.next.fetch_add(1);
-        if (i >= size)
-            return;
+    while (batch.next < size) {
+        const size_t i = batch.next++;
+        if (batch.next == size)
+            close(batch); // nothing left to join for
+        lk.unlock();
         try {
             batch.tasks[i]();
         } catch (...) {
             batch.errors[i] = std::current_exception();
         }
-        const size_t leaf = i / kLeafFan;
-        const size_t group = std::min(kLeafFan, size - leaf * kLeafFan);
-        if (batch.leaves[leaf].done.fetch_add(1) + 1 == group) {
-            if (batch.doneLeaves.fetch_add(1) + 1 == batch.numLeaves)
-                batch.doneLeaves.notify_all();
-        }
+        lk.lock();
+        if (++batch.done == size)
+            doneCv_.notify_all();
     }
 }
 
 void
-WorkPool::workerLoop(uint32_t id)
+WorkPool::workerLoop()
 {
-    Impl &impl = *impl_;
-    Impl::Slot &slot = impl.slots[id];
+    std::unique_lock<std::mutex> lk(mutex_);
     while (true) {
-        std::shared_ptr<Batch> batch;
-        std::function<void()> fire;
-        uint32_t seen = 0;
-        {
-            std::unique_lock<std::mutex> lk(impl.m);
-            // Stop is honoured only once no work is pending: a pool
-            // being torn down finishes what was already submitted
-            // (tickets have a participating caller; detached tasks
-            // have nobody else).
-            if (!impl.tickets.empty()) {
-                Impl::Ticket &t = impl.tickets.front();
-                batch = t.batch; // refcount bump only, no allocation
-                if (--t.invites == 0)
-                    impl.tickets.pop_front();
-            } else if (!impl.detached.empty()) {
-                fire = std::move(impl.detached.front());
-                impl.detached.pop_front();
-            } else if (impl.stop) {
-                return;
-            } else {
-                // The epoch load is ordered before any waker's bump by
-                // the mutex, so wait(seen) below cannot miss a wakeup:
-                // a bump between unlock and wait makes it return
-                // immediately.
-                seen = slot.epoch.load(std::memory_order_relaxed);
-                if (!slot.parkedListed) {
-                    slot.parkedListed = true;
-                    impl.idle.push_back(id);
-                }
-            }
-        }
-        if (batch) {
-            help(*batch);
-            continue;
-        }
-        if (fire) {
-            try {
-                fire();
-            } catch (const std::exception &e) {
-                logError(std::string("detached pool task threw: ") +
-                         e.what());
-            } catch (...) {
-                logError("detached pool task threw a non-std exception");
-            }
-            // Destroy the closure before announcing completion: drain
-            // waiters may rely on resources the closure owns being
-            // released.
-            fire = nullptr;
-            impl.detachedPending.fetch_sub(1, std::memory_order_release);
-            impl.detachedPending.notify_all();
-            continue;
-        }
-        slot.epoch.wait(seen);
+        workCv_.wait(lk, [this] { return stop_ || !open_.empty(); });
+        if (open_.empty())
+            return; // stopping, and nothing left to join
+        Batch &batch = *open_.front();
+        if (--batch.invites == 0)
+            close(batch);
+        help(batch, lk);
     }
 }
 
@@ -276,129 +185,28 @@ WorkPool::runAll(std::vector<std::function<void()>> tasks,
 {
     if (tasks.empty())
         return {};
-    const size_t size = tasks.size();
-
-    // Reuse a retired batch when the spare list holds the only
-    // reference (no straggling helper can still touch its counters).
-    std::shared_ptr<Batch> batch;
-    {
-        std::lock_guard<std::mutex> lk(impl_->m);
-        auto &spares = impl_->spares;
-        for (auto it = spares.begin(); it != spares.end(); ++it) {
-            if (it->use_count() == 1) {
-                batch = std::move(*it);
-                spares.erase(it);
-                break;
-            }
-        }
-    }
-    if (!batch)
-        batch = std::make_shared<Batch>();
-    batch->reset(std::move(tasks));
+    Batch batch;
+    batch.tasks = std::move(tasks);
+    const size_t size = batch.tasks.size();
+    batch.errors.resize(size);
 
     // Invite helpers: the caller is one executor, so max_parallel - 1
     // invites bound the in-flight task count at max_parallel; never
     // more invites than workers or tasks could use.
     const size_t budget = max_parallel == 0 ? workers_.size()
                                             : max_parallel - 1;
-    const uint32_t helpers = static_cast<uint32_t>(
+    batch.invites = static_cast<uint32_t>(
         std::min<size_t>({budget, workers_.size(), size - 1}));
-    if (helpers > 0) {
-        // One ticket for the whole batch, then targeted wakeups of
-        // exactly the parked workers wanted. Busy workers re-check the
-        // ticket queue before parking, so invites beyond the parked
-        // population are picked up as workers free up.
-        std::vector<uint32_t> wake;
-        wake.reserve(helpers);
-        {
-            std::lock_guard<std::mutex> lk(impl_->m);
-            impl_->tickets.push_back(Impl::Ticket{batch, helpers});
-            for (uint32_t h = 0; h < helpers && !impl_->idle.empty();
-                 ++h) {
-                const uint32_t id = impl_->idle.back();
-                impl_->idle.pop_back();
-                impl_->slots[id].parkedListed = false;
-                wake.push_back(id);
-            }
-        }
-        for (uint32_t id : wake) {
-            impl_->slots[id].epoch.fetch_add(1, std::memory_order_release);
-            impl_->slots[id].epoch.notify_one();
-        }
+
+    std::unique_lock<std::mutex> lk(mutex_);
+    if (batch.invites > 0) {
+        open_.push_back(&batch);
+        for (uint32_t h = 0; h < batch.invites; ++h)
+            workCv_.notify_one();
     }
-
-    help(*batch);
-    // Park on the completion-tree root until every leaf retired.
-    size_t seen = batch->doneLeaves.load(std::memory_order_acquire);
-    while (seen != batch->numLeaves) {
-        batch->doneLeaves.wait(seen);
-        seen = batch->doneLeaves.load(std::memory_order_acquire);
-    }
-
-    std::vector<std::exception_ptr> errors = std::move(batch->errors);
-    {
-        std::lock_guard<std::mutex> lk(impl_->m);
-        // Pool the batch only when we hold the sole reference: a late
-        // taker of a drained ticket may still read tasks.size(), so
-        // the closures can only be dropped once nobody else can look.
-        if (batch.use_count() == 1 &&
-            impl_->spares.size() < kMaxSpareBatches) {
-            batch->tasks.clear();
-            impl_->spares.push_back(std::move(batch));
-        }
-    }
-    return errors;
-}
-
-bool
-WorkPool::trySubmit(std::function<void()> task)
-{
-    if (workers_.empty())
-        return false;
-    uint32_t wakeId = 0;
-    bool haveWake = false;
-    {
-        std::lock_guard<std::mutex> lk(impl_->m);
-        if (impl_->stop)
-            return false;
-        impl_->detached.push_back(std::move(task));
-        impl_->detachedPending.fetch_add(1, std::memory_order_relaxed);
-        if (!impl_->idle.empty()) {
-            wakeId = impl_->idle.back();
-            impl_->idle.pop_back();
-            impl_->slots[wakeId].parkedListed = false;
-            haveWake = true;
-        }
-        // No parked worker: a busy one re-checks the detached queue
-        // before parking, so the task is picked up as workers free up.
-    }
-    if (haveWake) {
-        impl_->slots[wakeId].epoch.fetch_add(1, std::memory_order_release);
-        impl_->slots[wakeId].epoch.notify_one();
-    }
-    return true;
-}
-
-uint32_t
-WorkPool::idleWorkers() const
-{
-    std::lock_guard<std::mutex> lk(impl_->m);
-    return static_cast<uint32_t>(impl_->idle.size());
-}
-
-uint64_t
-WorkPool::detachedPending() const
-{
-    return impl_->detachedPending.load(std::memory_order_acquire);
-}
-
-void
-WorkPool::drainDetached()
-{
-    uint64_t pending;
-    while ((pending = impl_->detachedPending.load(
-                std::memory_order_acquire)) != 0)
-        impl_->detachedPending.wait(pending);
+    help(batch, lk);
+    doneCv_.wait(lk, [&] { return batch.done == size; });
+    return std::move(batch.errors);
 }
 
 uint32_t

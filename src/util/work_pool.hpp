@@ -3,11 +3,11 @@
  * Shared work pool for every level of parallelism in the simulator.
  *
  * Sweep-level jobs (driver::SweepDriver), phase-level fan-out inside
- * one inference (gcn::executePlan) and the per-chip lanes of the
- * scale-out halo step (src/scaleout/) all draw workers from one
- * process-wide pool, so nesting them composes without oversubscribing
- * the machine: an inner fan-out never spawns threads, it only enqueues
- * claim tickets that idle pool workers may pick up.
+ * one inference (gcn::executePlan), the per-chip lanes of the
+ * scale-out halo step (src/scaleout/) and parallelFor all draw workers
+ * from one process-wide pool, so nesting them composes without
+ * oversubscribing the machine: an inner fan-out never spawns threads,
+ * it only opens a batch that idle pool workers may join.
  *
  * Deadlock freedom under nesting comes from caller participation:
  * runAll() has the calling thread claim and execute tasks of its own
@@ -16,23 +16,14 @@
  * drains the inner batch the same way, so no thread ever blocks on
  * work that only itself could perform.
  *
- * Hot-path mechanics (the halo co-simulation submits a batch per
- * epoch, so submission cost is on the simulator's critical path):
- *  - Batch objects are pooled and reused across runAll() calls; a
- *    steady-state round allocates nothing.
- *  - A batch is announced as ONE ticket carrying an invite count;
- *    takers count it down. The old design queued one shared_ptr copy
- *    per helper.
- *  - Idle workers park on per-worker futex slots and runAll() wakes
- *    exactly the helpers it wants (targeted wakeup); the old central
- *    notify_all woke the whole pool to race for tickets.
- *  - Completion is a two-level tree of counters: tasks retire into
- *    per-leaf cachelines and only the last task of a leaf touches the
- *    root the caller parks on -- no per-batch mutex/condvar.
- *  - Worker threads are placed node-major/compact on the host CPUs
- *    (util/topology.hpp) when the machine is wide enough to give each
- *    worker its own CPU; co-simulating lanes share read-only operands,
- *    so same-socket placement keeps them in one LLC.
+ * Mechanics: one mutex guards a deque of open batches, each with an
+ * invite count (how many workers may still join) and a claim cursor.
+ * Idle workers wait on one condition variable, callers waiting for
+ * stragglers on another. A batch runs for milliseconds to seconds, so
+ * the per-batch submit cost (a few microseconds) never shows up end
+ * to end. Workers are pinned one per CPU of the creating thread's
+ * affinity mask when the mask has a CPU for each worker; otherwise
+ * they inherit the mask unpinned (DESIGN.md "Worker pool").
  *
  * Determinism: tasks of one batch must be independent (they write to
  * disjoint slots); under that contract results are bit-identical for
@@ -42,10 +33,12 @@
  */
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -94,13 +87,8 @@ class WorkPool
      *  of runAll() does all the work itself). */
     explicit WorkPool(uint32_t workers);
 
-    /**
-     * Shutdown ordering: finish every detached task (drainDetached()),
-     * then stop and join the workers. Workers honour the stop flag
-     * only once no ticket or detached work is pending, so a pool with
-     * parked workers drains cleanly -- nothing submitted before the
-     * destructor began is ever dropped.
-     */
+    /** Stop and join the workers. Every runAll() has returned by
+     *  then: its caller blocks until its batch is done. */
     ~WorkPool();
 
     WorkPool(const WorkPool &) = delete;
@@ -111,63 +99,36 @@ class WorkPool
      *  +1: runAll() always participates). */
     static WorkPool &shared();
 
-    uint32_t numWorkers() const
-    {
-        return static_cast<uint32_t>(workers_.size());
-    }
-
     /**
      * Execute every task; the calling thread participates until the
      * batch is exhausted, then blocks for in-flight stragglers. At
      * most @p max_parallel tasks run concurrently (0 = pool width +
      * caller; 1 = serial on the caller, in task order). Returns one
      * exception_ptr slot per task (null on success) in task order --
-     * a throwing task never cancels its siblings.
+     * a throwing task never cancels its siblings. Safe to call from
+     * any number of threads at once, pool workers included.
      */
     std::vector<std::exception_ptr>
     runAll(std::vector<std::function<void()>> tasks,
            uint32_t max_parallel = 0);
 
-    /**
-     * Fire-and-forget submission: hand @p task to an idle pool worker
-     * without blocking the caller (the serving daemon's dispatch path;
-     * runAll() callers keep participating as before). Returns false --
-     * and does NOT take the task -- when the pool has no workers or is
-     * shutting down, in which case the caller must run the task inline
-     * itself. A detached task that throws is logged and swallowed:
-     * there is no caller left to rethrow into. Detached tasks may
-     * themselves call runAll() (nested fan-out composes as usual).
-     */
-    bool trySubmit(std::function<void()> task);
-
-    /**
-     * Workers currently parked with nothing to do -- an O(1) capacity
-     * hint for admission control (a racy snapshot, not a reservation:
-     * the value may be stale by the time the caller acts on it).
-     */
-    uint32_t idleWorkers() const;
-
-    /** Detached tasks submitted but not yet finished. */
-    uint64_t detachedPending() const;
-
-    /**
-     * Block until every detached task submitted so far has finished
-     * (graceful-shutdown path: stop submitting, drainDetached(), flush
-     * reports). runAll() batches need no draining -- their caller
-     * already blocks for them.
-     */
-    void drainDetached();
-
   private:
     struct Batch;
 
-    /** Claim-and-execute loop shared by workers and callers. */
-    static void help(Batch &batch);
+    /** Claim and execute tasks of @p batch until none are left
+     *  unclaimed; @p lk holds mutex_ on entry and on return. */
+    void help(Batch &batch, std::unique_lock<std::mutex> &lk);
 
-    void workerLoop(uint32_t id);
+    /** Drop @p batch from the open list (no more joiners). */
+    void close(Batch &batch);
 
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
+    void workerLoop();
+
+    std::mutex mutex_;
+    std::condition_variable workCv_; ///< workers wait for open batches
+    std::condition_variable doneCv_; ///< callers wait for stragglers
+    std::deque<Batch *> open_;       ///< batches workers may join
+    bool stop_ = false;
     std::vector<std::thread> workers_;
 };
 

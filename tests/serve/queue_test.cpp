@@ -1,8 +1,8 @@
 /**
  * @file
  * RequestQueue admission control: bounded depth, in-flight byte
- * budget, shutdown rejection, deadline expiry at dispatch and the
- * per-tenant fair-share pop order.
+ * budget, deadline expiry at dispatch and the per-tenant fair-share
+ * pop order.
  */
 #include <gtest/gtest.h>
 
@@ -62,20 +62,6 @@ TEST(RequestQueue, ByteBudgetCountsQueuedAndInflight)
     q.onComplete(out);
     EXPECT_EQ(q.pendingBytes(), 40u);
     EXPECT_EQ(q.push(makeRequest(5, "a", 10), 0), Admission::Admitted);
-}
-
-TEST(RequestQueue, ClosedQueueRejectsEverything)
-{
-    RequestQueue q({});
-    EXPECT_EQ(q.push(makeRequest(1, "a"), 0), Admission::Admitted);
-    q.close();
-    EXPECT_TRUE(q.closed());
-    EXPECT_EQ(q.push(makeRequest(2, "a"), 0), Admission::Closed);
-    // Already-admitted work still drains.
-    ServeRequest out;
-    std::vector<ServeRequest> expired;
-    EXPECT_TRUE(q.pop(0, out, expired));
-    EXPECT_EQ(out.id, 1u);
 }
 
 TEST(RequestQueue, DeadlineStampedAndExpiredAtPop)

@@ -1,92 +1,21 @@
 /**
  * @file
  * Served-vs-direct equivalence: the same request tuple must produce a
- * bit-identical inference digest whether it runs through the socket
- * daemon, the virtual-clock loop, or a direct Executor call -- the
- * property the CI serving gate diffs. Also covers the daemon's
- * non-fatal handling of invalid requests and protocol garbage, and
- * graceful drain on the shutdown command.
+ * bit-identical inference digest whether it runs through the
+ * virtual-clock loop or a direct Executor call. Also covers the
+ * executor's non-fatal handling of invalid requests: they resolve as
+ * Error records and the run goes on.
  */
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <map>
 
 #include "driver/workload_cache.hpp"
 #include "serve/executor.hpp"
-#include "serve/protocol.hpp"
-#include "serve/server.hpp"
 #include "serve/virtual_serve.hpp"
 
 namespace grow::serve {
 namespace {
-
-/** Minimal blocking client for one test connection. */
-class TestClient
-{
-  public:
-    explicit TestClient(const std::string &path)
-    {
-        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        EXPECT_GE(fd_, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        connected_ = ::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                               sizeof(addr)) == 0;
-    }
-
-    ~TestClient()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    bool connected() const { return connected_; }
-
-    void
-    send(const std::string &line)
-    {
-        std::string framed = line + "\n";
-        ASSERT_EQ(::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL),
-                  static_cast<ssize_t>(framed.size()));
-    }
-
-    bool
-    readLine(std::string &line)
-    {
-        for (;;) {
-            size_t nl = buffer_.find('\n');
-            if (nl != std::string::npos) {
-                line = buffer_.substr(0, nl);
-                buffer_.erase(0, nl + 1);
-                return true;
-            }
-            char chunk[4096];
-            ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-            if (n <= 0)
-                return false;
-            buffer_.append(chunk, static_cast<size_t>(n));
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    bool connected_ = false;
-    std::string buffer_;
-};
-
-std::string
-testSocketPath(const char *tag)
-{
-    return "/tmp/grow_serve_test_" + std::to_string(::getpid()) + "_" +
-           tag + ".sock";
-}
 
 ServeRequest
 unitRequest(uint64_t id, const std::string &dataset,
@@ -101,7 +30,17 @@ unitRequest(uint64_t id, const std::string &dataset,
     return req;
 }
 
-TEST(ServeEquivalence, DaemonVirtualAndDirectDigestsMatch)
+/** @p requests as an instantaneous schedule, one microsecond apart. */
+std::vector<ScheduledRequest>
+scheduleOf(const std::vector<ServeRequest> &requests)
+{
+    std::vector<ScheduledRequest> schedule;
+    for (size_t i = 0; i < requests.size(); ++i)
+        schedule.push_back({static_cast<Micros>(i + 1), requests[i]});
+    return schedule;
+}
+
+TEST(ServeEquivalence, VirtualAndDirectDigestsMatch)
 {
     const std::vector<ServeRequest> requests = {
         unitRequest(1, "cora", "grow"),
@@ -122,139 +61,44 @@ TEST(ServeEquivalence, DaemonVirtualAndDirectDigestsMatch)
     // Virtual clock: same requests as an instantaneous schedule.
     driver::WorkloadCache virtCache;
     Executor virtExec(virtCache);
-    std::vector<ScheduledRequest> schedule;
-    for (size_t i = 0; i < requests.size(); ++i)
-        schedule.push_back(
-            {static_cast<Micros>(i + 1), requests[i]});
     auto virtualResult =
-        runVirtualServe(schedule, &virtExec, {}, nullptr);
+        runVirtualServe(scheduleOf(requests), &virtExec, {}, nullptr);
+    ASSERT_EQ(virtualResult.records.size(), requests.size());
     for (const RequestRecord &rec : virtualResult.records) {
         ASSERT_EQ(rec.status, RequestStatus::Completed) << rec.error;
         EXPECT_EQ(digestLine(rec.request, rec.digest),
                   directLines.at(rec.request.id));
     }
-
-    // Socket daemon: same requests over the wire.
-    driver::WorkloadCache daemonCache;
-    Executor daemonExec(daemonCache);
-    ServeMetrics metrics;
-    ServerConfig config;
-    config.socketPath = testSocketPath("equiv");
-    ServeDaemon daemon(daemonExec, config, metrics);
-    std::string error;
-    ASSERT_TRUE(daemon.start(&error)) << error;
-    {
-        TestClient client(config.socketPath);
-        ASSERT_TRUE(client.connected());
-        for (const ServeRequest &req : requests)
-            client.send(encodeRequest(req));
-        for (size_t i = 0; i < requests.size(); ++i) {
-            std::string line;
-            ASSERT_TRUE(client.readLine(line));
-            RequestRecord rec;
-            ASSERT_TRUE(parseResponse(line, rec, &error)) << error;
-            EXPECT_EQ(rec.status, RequestStatus::Completed) << rec.error;
-            EXPECT_EQ(digestLine(rec.request, rec.digest),
-                      directLines.at(rec.request.id));
-        }
-        client.send(encodeShutdown());
-    }
-    daemon.wait();
-    EXPECT_EQ(metrics.outcomes(), requests.size());
-    EXPECT_EQ(daemon.records().size(), requests.size());
 }
 
-TEST(ServeDaemon, InvalidRequestsAnsweredNotFatal)
+TEST(ServeEquivalence, InvalidRequestsResolveAsErrorsNotFatal)
 {
     driver::WorkloadCache cache;
     Executor executor(cache);
+
+    // Validated, answered, never executed.
+    ExecResult bad = executor.run(unitRequest(5, "atlantis", "grow"));
+    EXPECT_FALSE(bad.ok);
+    EXPECT_FALSE(bad.error.empty());
+    bad = executor.run(unitRequest(6, "cora", "warp-drive"));
+    EXPECT_FALSE(bad.ok);
+    EXPECT_FALSE(bad.error.empty());
+
+    // In a schedule the invalid requests become Error records and the
+    // valid one after them is still served.
     ServeMetrics metrics;
-    ServerConfig config;
-    config.socketPath = testSocketPath("invalid");
-    ServeDaemon daemon(executor, config, metrics);
-    std::string error;
-    ASSERT_TRUE(daemon.start(&error)) << error;
-    {
-        TestClient client(config.socketPath);
-        ASSERT_TRUE(client.connected());
-
-        // Protocol garbage: an error response, daemon stays up.
-        client.send("this is not json");
-        std::string line;
-        ASSERT_TRUE(client.readLine(line));
-        RequestRecord rec;
-        ASSERT_TRUE(parseResponse(line, rec, &error)) << error;
-        EXPECT_EQ(rec.status, RequestStatus::Error);
-
-        // Unknown dataset: validated, answered, never executed.
-        ServeRequest req = unitRequest(5, "atlantis", "grow");
-        client.send(encodeRequest(req));
-        ASSERT_TRUE(client.readLine(line));
-        ASSERT_TRUE(parseResponse(line, rec, &error)) << error;
-        EXPECT_EQ(rec.status, RequestStatus::Error);
-        EXPECT_EQ(rec.request.id, 5u);
-
-        // Unknown engine likewise.
-        req = unitRequest(6, "cora", "warp-drive");
-        client.send(encodeRequest(req));
-        ASSERT_TRUE(client.readLine(line));
-        ASSERT_TRUE(parseResponse(line, rec, &error)) << error;
-        EXPECT_EQ(rec.status, RequestStatus::Error);
-
-        // The daemon still serves a valid request afterwards.
-        req = unitRequest(7, "cora", "grow");
-        client.send(encodeRequest(req));
-        ASSERT_TRUE(client.readLine(line));
-        ASSERT_TRUE(parseResponse(line, rec, &error)) << error;
-        EXPECT_EQ(rec.status, RequestStatus::Completed) << rec.error;
-
-        client.send(encodeShutdown());
-    }
-    daemon.wait();
-    EXPECT_EQ(metrics.protocolErrors(), 1u);
-    // Three request outcomes (two invalid, one served); the garbage
-    // line is a protocol error, not a request outcome.
+    const auto result = runVirtualServe(
+        scheduleOf({unitRequest(5, "atlantis", "grow"),
+                    unitRequest(6, "cora", "warp-drive"),
+                    unitRequest(7, "cora", "grow")}),
+        &executor, {}, &metrics);
+    std::map<uint64_t, RequestStatus> status;
+    for (const RequestRecord &rec : result.records)
+        status[rec.request.id] = rec.status;
+    EXPECT_EQ(status.at(5), RequestStatus::Error);
+    EXPECT_EQ(status.at(6), RequestStatus::Error);
+    EXPECT_EQ(status.at(7), RequestStatus::Completed);
     EXPECT_EQ(metrics.outcomes(), 3u);
-}
-
-TEST(ServeDaemon, ShutdownRejectsNewButDrainsAdmitted)
-{
-    driver::WorkloadCache cache;
-    Executor executor(cache);
-    ServeMetrics metrics;
-    ServerConfig config;
-    config.socketPath = testSocketPath("drain");
-    ServeDaemon daemon(executor, config, metrics);
-    std::string error;
-    ASSERT_TRUE(daemon.start(&error)) << error;
-    {
-        TestClient client(config.socketPath);
-        ASSERT_TRUE(client.connected());
-        // Queue work, then immediately request shutdown: everything
-        // admitted must still complete (clean drain), and the daemon
-        // must stop on its own.
-        for (uint64_t id = 1; id <= 4; ++id)
-            client.send(encodeRequest(unitRequest(id, "cora", "grow")));
-        client.send(encodeShutdown());
-        // Expect exactly 5 lines back: 4 request responses (in any
-        // interleaving with) the shutdown ack.
-        size_t completed = 0;
-        for (int i = 0; i < 5; ++i) {
-            std::string line;
-            ASSERT_TRUE(client.readLine(line));
-            if (line.find("\"cmd\"") != std::string::npos)
-                continue; // shutdown ack
-            RequestRecord rec;
-            ASSERT_TRUE(parseResponse(line, rec, &error)) << error;
-            if (rec.status == RequestStatus::Completed)
-                ++completed;
-        }
-        // All four admitted before the shutdown line was read must
-        // complete; none may be dropped mid-drain.
-        EXPECT_EQ(completed, 4u);
-    }
-    daemon.wait();
-    EXPECT_EQ(daemon.records().size(), 4u);
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
  * Serving report shapes: the ServeMetrics tables (admission counters,
- * per-tenant percentiles, queue-depth series, cache snapshot) and the
- * batched_serving example's per-dataset table + aggregate record.
+ * per-tenant percentiles, queue-depth series, cache snapshot), the
+ * nearest-rank percentile helper and the batched_serving example's
+ * per-dataset table + aggregate record.
  */
 #include <gtest/gtest.h>
 
@@ -102,6 +103,17 @@ TEST(ServeMetricsReport, DepthSeriesDecimatesDeterministically)
                      r.metric == "depth";
     EXPECT_GE(depthRows, 64u);
     EXPECT_LE(depthRows, 1024u);
+}
+
+TEST(Percentile, NearestRank)
+{
+    std::vector<double> sorted = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+    EXPECT_DOUBLE_EQ(percentile(sorted, 0.0), 1.0);
+    EXPECT_DOUBLE_EQ(percentile(sorted, 0.50), 5.0);
+    EXPECT_DOUBLE_EQ(percentile(sorted, 0.95), 10.0);
+    EXPECT_DOUBLE_EQ(percentile(sorted, 1.0), 10.0);
+    EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
+    EXPECT_DOUBLE_EQ(percentile({42.0}, 0.99), 42.0);
 }
 
 TEST(ServedDatasetTable, HistoricalExampleShape)

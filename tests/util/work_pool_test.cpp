@@ -1,16 +1,22 @@
 /**
  * @file
  * Shared worker pool: caller participation, nested fan-out without
- * deadlock, per-task exception capture, concurrency bounding and the
- * `threads=` validation used by every bench CLI.
+ * deadlock, per-task exception capture, concurrency bounding,
+ * concurrent callers, worker placement inside the creator's CPU
+ * affinity and the `threads=` validation used by every bench CLI.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "util/work_pool.hpp"
 
@@ -138,6 +144,105 @@ TEST(WorkPool, SharedPoolIsAProcessSingleton)
     EXPECT_EQ(hits.load(), 4);
 }
 
+TEST(WorkPool, ConcurrentCallersFromForeignThreads)
+{
+    // Four threads outside the pool submit at once; caller 0's tasks
+    // fan out again. Every batch must finish with its own error slots:
+    // task 7 of each batch throws, nothing else does.
+    WorkPool pool(3);
+    constexpr int kCallers = 4;
+    constexpr int kTasks = 64;
+    constexpr int kInner = 4;
+    std::vector<std::vector<int>> slots(kCallers,
+                                        std::vector<int>(kTasks, 0));
+    std::vector<std::vector<std::exception_ptr>> errors(kCallers);
+    std::atomic<int> leaves{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            std::vector<std::function<void()>> tasks;
+            for (int i = 0; i < kTasks; ++i) {
+                tasks.emplace_back([&, c, i] {
+                    if (c == 0) {
+                        std::vector<std::function<void()>> inner;
+                        for (int j = 0; j < kInner; ++j)
+                            inner.emplace_back(
+                                [&leaves] { leaves.fetch_add(1); });
+                        rethrowFirstError(pool.runAll(std::move(inner)));
+                    }
+                    slots[c][i] = c * kTasks + i + 1;
+                    if (i == 7)
+                        throw std::runtime_error("task 7");
+                });
+            }
+            errors[c] = pool.runAll(std::move(tasks));
+        });
+    }
+    for (auto &t : callers)
+        t.join();
+    EXPECT_EQ(leaves.load(), kTasks * kInner);
+    for (int c = 0; c < kCallers; ++c) {
+        ASSERT_EQ(errors[c].size(), static_cast<size_t>(kTasks)) << c;
+        for (int i = 0; i < kTasks; ++i) {
+            EXPECT_EQ(slots[c][i], c * kTasks + i + 1) << c << "/" << i;
+            EXPECT_EQ(errors[c][i] != nullptr, i == 7) << c << "/" << i;
+        }
+    }
+}
+
+#ifdef __linux__
+TEST(WorkPool, WorkersStayInsideCreatorAffinity)
+{
+    cpu_set_t original;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+    if (CPU_COUNT(&original) < 2)
+        GTEST_SKIP() << "needs at least 2 CPUs in the affinity mask";
+    int last = -1;
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &original))
+            last = c;
+    cpu_set_t creator;
+    CPU_ZERO(&creator);
+    CPU_SET(last, &creator);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(creator), &creator), 0);
+
+    // Two tasks that wait for each other: one of them must run on the
+    // pool's only worker, and it reports that thread's mask.
+    cpu_set_t worker;
+    CPU_ZERO(&worker);
+    bool sawWorker = false;
+    std::vector<std::exception_ptr> errors;
+    {
+        WorkPool pool(1);
+        std::latch bothStarted(2);
+        const auto caller = std::this_thread::get_id();
+        std::vector<std::function<void()>> tasks;
+        for (int i = 0; i < 2; ++i)
+            tasks.emplace_back([&] {
+                bothStarted.arrive_and_wait();
+                if (std::this_thread::get_id() != caller) {
+                    sched_getaffinity(0, sizeof(worker), &worker);
+                    sawWorker = true;
+                }
+            });
+        errors = pool.runAll(std::move(tasks));
+    }
+    sched_setaffinity(0, sizeof(original), &original);
+
+    for (const auto &e : errors)
+        EXPECT_EQ(e, nullptr);
+    ASSERT_TRUE(sawWorker);
+    EXPECT_GT(CPU_COUNT(&worker), 0);
+    std::vector<int> outside;
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &worker) && !CPU_ISSET(c, &creator))
+            outside.push_back(c);
+    EXPECT_EQ(outside, std::vector<int>{})
+        << "worker may run outside its creator's mask (CPU " << last
+        << ")";
+}
+#endif
+
 TEST(CheckedThreadCount, AcceptsSaneValues)
 {
     EXPECT_EQ(checkedThreadCount(1), 1u);
@@ -155,84 +260,6 @@ TEST(CheckedThreadCount, RejectsZeroNegativeAndSillyValues)
     const int64_t hw = std::max(1u, std::thread::hardware_concurrency());
     EXPECT_THROW(checkedThreadCount(hw * 4 + 1), std::runtime_error);
     EXPECT_THROW(checkedThreadCount(1 << 20), std::runtime_error);
-}
-
-TEST(WorkPoolDetached, TrySubmitRunsOnAWorker)
-{
-    WorkPool pool(2);
-    std::atomic<int> hits{0};
-    const auto caller = std::this_thread::get_id();
-    std::atomic<bool> onCaller{false};
-    for (int i = 0; i < 32; ++i)
-        ASSERT_TRUE(pool.trySubmit([&hits, &onCaller, caller] {
-            if (std::this_thread::get_id() == caller)
-                onCaller.store(true);
-            hits.fetch_add(1);
-        }));
-    pool.drainDetached();
-    EXPECT_EQ(hits.load(), 32);
-    EXPECT_FALSE(onCaller.load());
-    EXPECT_EQ(pool.detachedPending(), 0u);
-}
-
-TEST(WorkPoolDetached, ZeroWorkersRefusesSoCallerRunsInline)
-{
-    WorkPool pool(0);
-    EXPECT_EQ(pool.idleWorkers(), 0u);
-    EXPECT_FALSE(pool.trySubmit([] {}));
-}
-
-TEST(WorkPoolDetached, DestructorDrainsPendingDetachedWork)
-{
-    std::atomic<int> hits{0};
-    {
-        WorkPool pool(2);
-        for (int i = 0; i < 16; ++i)
-            ASSERT_TRUE(pool.trySubmit([&hits] {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-                hits.fetch_add(1);
-            }));
-        // No drain: shutdown ordering must run every accepted task
-        // before the workers stop.
-    }
-    EXPECT_EQ(hits.load(), 16);
-}
-
-TEST(WorkPoolDetached, ThrowingTaskIsSwallowedAndCounted)
-{
-    WorkPool pool(1);
-    std::atomic<int> after{0};
-    ASSERT_TRUE(
-        pool.trySubmit([] { throw std::runtime_error("detached boom"); }));
-    ASSERT_TRUE(pool.trySubmit([&after] { after.fetch_add(1); }));
-    pool.drainDetached();
-    // The throwing task must not take the worker down.
-    EXPECT_EQ(after.load(), 1);
-    EXPECT_EQ(pool.detachedPending(), 0u);
-}
-
-TEST(WorkPoolDetached, DetachedAndTicketBatchesCoexist)
-{
-    WorkPool pool(3);
-    std::atomic<int> detachedHits{0}, batchHits{0};
-    for (int i = 0; i < 8; ++i)
-        ASSERT_TRUE(
-            pool.trySubmit([&detachedHits] { detachedHits.fetch_add(1); }));
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 8; ++i)
-        tasks.emplace_back([&batchHits] { batchHits.fetch_add(1); });
-    pool.runAll(std::move(tasks));
-    pool.drainDetached();
-    EXPECT_EQ(detachedHits.load(), 8);
-    EXPECT_EQ(batchHits.load(), 8);
-}
-
-TEST(WorkPoolDetached, IdleWorkersIsBoundedByWorkerCount)
-{
-    WorkPool pool(2);
-    // Racy by design: only the invariant 0 <= idle <= workers holds.
-    EXPECT_LE(pool.idleWorkers(), 2u);
 }
 
 } // namespace
