@@ -223,19 +223,26 @@ BENCHMARK(BM_BuildGraphArtifacts);
 void
 BM_BuildLayerData(benchmark::State &state)
 {
-    // The cheap, per-depth half layered on cached artefacts.
+    // The cheap, per-workload half layered on cached artefacts; the
+    // sage-mean case includes its fanout-k neighbour sample.
     const auto &spec = graph::datasetByName("cora");
     auto artifacts = gcn::buildGraphArtifacts(spec, graph::ScaleTier::Unit);
     gcn::WorkloadConfig wc;
     wc.tier = graph::ScaleTier::Unit;
     wc.numLayers = static_cast<uint32_t>(state.range(0));
+    wc.model = static_cast<gcn::ModelKind>(state.range(1));
     for (auto _ : state) {
         wc.seed += 1;
         auto w = gcn::buildLayerData(artifacts, wc);
         benchmark::DoNotOptimize(w);
     }
+    state.SetLabel(gcn::modelKindName(wc.model));
 }
-BENCHMARK(BM_BuildLayerData)->Arg(2)->Arg(4);
+BENCHMARK(BM_BuildLayerData)
+    ->ArgNames({"depth", "model"})
+    ->ArgsProduct({{2, 4},
+                   {static_cast<int>(gcn::ModelKind::Gcn),
+                    static_cast<int>(gcn::ModelKind::SageMean)}});
 
 void
 BM_RandomCsr(benchmark::State &state)
@@ -261,8 +268,8 @@ BENCHMARK(BM_RandomCsr)
 void
 BM_SampleNeighbors(benchmark::State &state)
 {
-    // SAGEConv's seeded fanout-k sampling pass (the depth-independent
-    // artefact buildGraphArtifacts caches for the sampling models).
+    // SAGEConv's seeded fanout-k sampling pass, which buildLayerData
+    // runs once per sage-mean / sage-pool workload.
     auto g = graph::generateChungLu(
         static_cast<uint32_t>(state.range(0)), 16.0, 2.3, 5);
     uint64_t seed = 1;

@@ -46,15 +46,12 @@ GROW_BENCH_MAIN("model_zoo")
     } else {
         models = gcn::allModelKinds();
     }
-    const int64_t fanout = ctx.args().getInt("fanout", 10);
-    if (fanout < 1 || fanout > 1024)
-        fatal("fanout must be in [1, 1024], got " +
-              std::to_string(fanout));
+    const int64_t fanout = ctx.args().getInt("fanout", 10, 1, 1024);
 
     // Build every (model, dataset) workload up front through the shared
-    // cache (map, not vector: jobs borrow stable addresses). Models
-    // that don't sample share one graph-artefact bundle per dataset;
-    // the SAGEConv models add the sampled-adjacency artefact to theirs.
+    // cache (map, not vector: jobs borrow stable addresses). Every
+    // model shares one graph-artefact bundle per dataset; the SAGEConv
+    // models draw their sampled adjacency with the layer data.
     std::map<std::string, gcn::GcnWorkload> workloads;
     std::vector<driver::SweepJob> jobs;
     for (gcn::ModelKind model : models) {

@@ -89,7 +89,7 @@ GROW_BENCH_MAIN("scaleout")
         gcn::WorkloadConfig wc;
         wc.tier = ctx.tier();
         wc.model = ctx.model();
-        wc.targetClusterSize = static_cast<uint32_t>(clusterNodes);
+        wc.plan.targetClusterSize = static_cast<uint32_t>(clusterNodes);
         const auto &w = ctx.workload(spec, wc);
 
         Cycle baseCycles = 0;

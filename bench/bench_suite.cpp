@@ -189,10 +189,5 @@ suiteMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return suiteMain(argc, argv);
-    } catch (const std::exception &e) {
-        std::cerr << "bench_suite: " << e.what() << "\n";
-        return 1;
-    }
+    return runMain(argc, argv, suiteMain);
 }

@@ -247,9 +247,9 @@ BenchContext::emitSimSpeed()
     // process actually built (cache/disk hits record nothing). The
     // cache's build log survives eviction, so a memcap= run still
     // reports its builds. One row per dataset: a sweep may build
-    // several bundle variants of one graph (e.g. a sampled extension),
+    // several bundle variants of one graph (one per partition plan),
     // but duplicate row keys would collide in the record stream, so
-    // the first (base) build represents the dataset.
+    // the first build represents the dataset.
     std::map<std::string, gcn::GraphArtifacts::BuildProfile> built;
     for (const auto &[name, profile] : cache_.buildLog())
         built.emplace(name, profile);
@@ -335,8 +335,7 @@ BenchContext::workload(const graph::DatasetSpec &spec,
 {
     // cache_.workload() in its two steps, so the clock covers the layer
     // data alone: artefact builds already report in build_phase.
-    auto artifacts =
-        cache_.artifacts(spec, config.tier, config.partitionPlan());
+    auto artifacts = cache_.artifacts(spec, config.tier, config.plan);
     util::WallClock clock;
     gcn::GcnWorkload w = gcn::buildLayerData(std::move(artifacts), config);
     layerDataMs_[{spec.name, gcn::modelKindName(config.model),

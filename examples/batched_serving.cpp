@@ -39,11 +39,14 @@
 #include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
+#include "util/work_pool.hpp"
 
 using namespace grow;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     args.requireKnown({"datasets", "scale", "engine", "requests",
@@ -52,20 +55,14 @@ main(int argc, char **argv)
         args.getList("datasets", {"cora", "citeseer", "pubmed"}));
     auto tier = graph::tierFromString(args.get("scale", "unit"));
     const std::string engineKey = args.get("engine", "grow");
-    const int64_t requests = args.getInt("requests", 4);
-    if (requests < 1 || requests > 4096)
-        fatal("requests must be between 1 and 4096, got " +
-              std::to_string(requests));
-    const int64_t threads = args.getInt("threads", 1);
-    if (threads < 1 || threads > 1024)
-        fatal("threads must be between 1 and 1024, got " +
-              std::to_string(threads));
+    const int64_t requests = args.getInt("requests", 4, 1, 4096);
+    const uint32_t threads =
+        util::checkedThreadCount(args.getInt("threads", 1));
     const std::string format = args.get("format", "table");
     report::makeSink(format); // reject bad formats before simulating
 
     driver::WorkloadCache cache(args.get("cachedir", ""));
-    serve::Executor executor(cache, specs,
-                             static_cast<uint32_t>(threads));
+    serve::Executor executor(cache, specs, threads);
 
     // ---- The batch as a serving schedule: requests x graphs, all
     // arriving at once, served back to back on one virtual engine.
@@ -135,4 +132,12 @@ main(int argc, char **argv)
 
     report::emitReport(rep, format, args.get("out", ""));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, run);
 }

@@ -89,10 +89,8 @@ fmtFixed(double value, int decimals)
     return buf;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     args.requireKnown({"datasets", "scale", "threads", "cachedir", "model",
@@ -104,20 +102,11 @@ main(int argc, char **argv)
               std::to_string(names.size()) + " in datasets=");
     const auto &spec = graph::datasetByName(names.front());
     auto tier = graph::tierFromString(args.get("scale", "tiny"));
-    const int64_t threadsArg = args.getInt("threads", 0);
-    if (threadsArg < 0 || threadsArg > 1024)
-        fatal("threads must be between 0 (= all cores) and 1024, got " +
-              std::to_string(threadsArg));
-    const int64_t dseArg = args.getInt("dse", 0);
-    if (dseArg != 0 && dseArg != 1)
-        fatal("dse must be 0 or 1, got " + std::to_string(dseArg));
-    const int64_t paretoArg = args.getInt("pareto", 8);
-    if (paretoArg < 0)
-        fatal("pareto must be >= 0 survivors (0 = whole frontier), got " +
-              std::to_string(paretoArg));
-    const int64_t estArg = args.getInt("est", 0);
-    if (estArg != 0 && estArg != 1)
-        fatal("est must be 0 or 1, got " + std::to_string(estArg));
+    // threads=0 is every core; pareto=0 keeps the whole frontier.
+    const int64_t threadsArg = args.getInt("threads", 0, 0, 1024);
+    const int64_t dseArg = args.getInt("dse", 0, 0, 1);
+    const int64_t paretoArg = args.getInt("pareto", 8, 0);
+    const int64_t estArg = args.getInt("est", 0, 0, 1);
     const std::string format = args.get("format", "table");
     report::makeSink(format); // reject bad formats before simulating
     driver::SweepDriver pool(static_cast<uint32_t>(threadsArg));
@@ -504,4 +493,12 @@ main(int argc, char **argv)
 
     report::emitReport(rep, format, args.get("out", ""));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, run);
 }

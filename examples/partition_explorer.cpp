@@ -60,10 +60,8 @@ makeLayout(const std::string &name, const graph::Graph &g,
     return l;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     args.requireKnown({"dataset", "scale"});
@@ -72,7 +70,7 @@ main(int argc, char **argv)
 
     gcn::WorkloadConfig wc;
     wc.tier = tier;
-    wc.buildPartitioning = false;
+    wc.plan.buildPartitioning = false;
     auto w = gcn::buildWorkload(spec, wc);
     const auto &g = w.graph();
     const auto &A = w.adjacency();
@@ -136,4 +134,12 @@ main(int argc, char **argv)
     }
     t.print();
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, run);
 }

@@ -13,25 +13,22 @@
 #include "accel/gcnax.hpp"
 #include "core/grow.hpp"
 #include "util/cli.hpp"
-#include "util/logging.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
 using namespace grow;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     args.requireKnown({"dataset", "scale", "functional", "layers"});
     const auto &spec = graph::datasetByName(args.get("dataset", "cora"));
     auto tier = graph::tierFromString(args.get("scale", "mini"));
     const bool functional = args.getBool("functional", true);
-    const int64_t layersArg = args.getInt("layers", 2);
-    if (layersArg < 1 || layersArg > 64)
-        fatal("layers must be between 1 and 64, got " +
-              std::to_string(layersArg));
-    const uint32_t layers = static_cast<uint32_t>(layersArg);
+    const auto layers = static_cast<uint32_t>(args.getInt("layers", 2, 1, 64));
 
     // 1. Build the workload: synthetic graph matched to Table I,
     //    normalized adjacency, METIS-like partitioning, HDN lists.
@@ -84,4 +81,12 @@ main(int argc, char **argv)
         std::cout << "functional outputs verified against reference "
                      "SpMM.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, run);
 }

@@ -29,8 +29,10 @@
 
 using namespace grow;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     args.requireKnown({"users", "avgdeg", "circles", "features", "hidden",
@@ -134,4 +136,12 @@ main(int argc, char **argv)
     std::cout << "aggregation speedup vs GCNAX: " << fmtRatio(speedup)
               << "\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, run);
 }

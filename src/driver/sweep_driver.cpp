@@ -34,17 +34,6 @@ makeEngineJob(const std::string &key, const gcn::GcnWorkload &workload,
     return job;
 }
 
-SweepJob
-makeEngineJob(const std::string &key,
-              std::shared_ptr<const gcn::GcnWorkload> workload,
-              const gcn::RunOptions &base)
-{
-    GROW_ASSERT(workload != nullptr, "engine job without a workload");
-    SweepJob job = makeEngineJob(key, *workload, base);
-    job.ownedWorkload = std::move(workload);
-    return job;
-}
-
 SweepDriver::SweepDriver(uint32_t num_threads)
 {
     if (num_threads == 0)

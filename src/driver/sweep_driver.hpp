@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,12 +37,6 @@ struct SweepJob
     EngineFactory makeEngine;
     /** Borrowed workload; must outlive runAll(). */
     const gcn::GcnWorkload *workload = nullptr;
-    /**
-     * Optional shared ownership of the workload (batched serving: jobs
-     * assembled from a WorkloadCache outlive the construction scope).
-     * When set, `workload` points into it.
-     */
-    std::shared_ptr<const gcn::GcnWorkload> ownedWorkload;
     gcn::RunOptions options;
 };
 
@@ -61,11 +54,6 @@ struct SweepOutcome
  */
 SweepJob makeEngineJob(const std::string &key,
                        const gcn::GcnWorkload &workload,
-                       const gcn::RunOptions &base = {});
-
-/** As above, but the job co-owns the workload (see SweepJob). */
-SweepJob makeEngineJob(const std::string &key,
-                       std::shared_ptr<const gcn::GcnWorkload> workload,
                        const gcn::RunOptions &base = {});
 
 /** Fixed-size thread pool running sweep jobs. */

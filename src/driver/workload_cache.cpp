@@ -213,8 +213,7 @@ ArtifactKey::fingerprint() const
     std::ostringstream oss;
     oss << dataset << '-' << tierToken(tier) << "-p"
         << (plan.buildPartitioning ? 1 : 0) << "-c"
-        << plan.targetClusterSize << "-h" << plan.hdnTopN << "-s"
-        << plan.sampleFanout;
+        << plan.targetClusterSize << "-h" << plan.hdnTopN;
     if (fileChecksum != 0)
         oss << "-f" << std::hex << fileChecksum;
     return oss.str();
@@ -227,7 +226,7 @@ ArtifactKey::operator<(const ArtifactKey &o) const
         return std::make_tuple(k.dataset, static_cast<int>(k.tier),
                                k.plan.buildPartitioning,
                                k.plan.targetClusterSize, k.plan.hdnTopN,
-                               k.plan.sampleFanout, k.fileChecksum);
+                               k.fileChecksum);
     };
     return tie(*this) < tie(o);
 }
@@ -236,8 +235,6 @@ bool
 saveArtifacts(const std::string &path, const gcn::GraphArtifacts &a)
 {
     GROW_ASSERT(a.spec != nullptr, "artefacts without a dataset spec");
-    GROW_ASSERT(a.hasSampling == (a.plan.sampleFanout > 0),
-                "sampling flag disagrees with the plan fanout");
     Writer w;
     w.str(a.spec->name);
     w.pod(specFingerprint(*a.spec));
@@ -245,33 +242,23 @@ saveArtifacts(const std::string &path, const gcn::GraphArtifacts &a)
     w.pod(static_cast<uint8_t>(a.plan.buildPartitioning));
     w.pod(a.plan.targetClusterSize);
     w.pod(a.plan.hdnTopN);
-    w.pod(a.plan.sampleFanout);
     w.pod(a.maxClusterNodes);
     w.pod(static_cast<uint8_t>(a.hasPartitioning));
     w.pod(static_cast<uint8_t>(a.fileBacked()));
-    if (a.hasSampling) {
-        // v3 extension file: only the sampled operand. The graph-level
-        // payload is owned by (and serialized under) the base bundle.
-        w.pod(a.sampleSeed);
-        w.csr(a.adjacencySampled);
-        if (a.hasPartitioning)
-            w.csr(a.adjacencySampledPartitioned);
-    } else {
-        // v4: a file-backed bundle's graph stays in its .growcsr file
-        // (re-mapped at load); only heap bundles serialize the arrays.
-        if (!a.fileBacked()) {
-            w.vec(a.own.graph.offsets());
-            w.vec(a.own.graph.adjacency());
-        }
-        w.csr(a.own.adjacency);
-        if (a.hasPartitioning) {
-            w.csr(a.own.adjacencyPartitioned);
-            w.vec(a.own.relabel.newToOld);
-            w.vec(a.own.relabel.clustering.clusterStart);
-            w.pod(static_cast<uint64_t>(a.own.hdnLists.size()));
-            for (const auto &list : a.own.hdnLists)
-                w.vec(list);
-        }
+    // v4: a file-backed bundle's graph stays in its .growcsr file
+    // (re-mapped at load); only heap bundles serialize the arrays.
+    if (!a.fileBacked()) {
+        w.vec(a.graph.offsets());
+        w.vec(a.graph.adjacency());
+    }
+    w.csr(a.adjacency);
+    if (a.hasPartitioning) {
+        w.csr(a.adjacencyPartitioned);
+        w.vec(a.relabel.newToOld);
+        w.vec(a.relabel.clustering.clusterStart);
+        w.pod(static_cast<uint64_t>(a.hdnLists.size()));
+        for (const auto &list : a.hdnLists)
+            w.vec(list);
     }
 
     try {
@@ -308,8 +295,7 @@ saveArtifacts(const std::string &path, const gcn::GraphArtifacts &a)
 }
 
 std::shared_ptr<const gcn::GraphArtifacts>
-loadArtifacts(const std::string &path, const ArtifactKey &expected,
-              std::shared_ptr<const gcn::GraphArtifacts> base)
+loadArtifacts(const std::string &path, const ArtifactKey &expected)
 {
     // One sized read into one buffer; the checksum and the Reader both
     // work on it in place (artefact files can be large, and tripling
@@ -356,7 +342,7 @@ loadArtifacts(const std::string &path, const ArtifactKey &expected,
         if (!r.str(dataset) || !r.pod(fingerprint) || !r.pod(tier) ||
             !r.pod(buildPartitioning) ||
             !r.pod(a->plan.targetClusterSize) || !r.pod(a->plan.hdnTopN) ||
-            !r.pod(a->plan.sampleFanout) || !r.pod(a->maxClusterNodes))
+            !r.pod(a->maxClusterNodes))
             return nullptr;
         a->plan.buildPartitioning = buildPartitioning != 0;
         a->tier = static_cast<graph::ScaleTier>(tier);
@@ -364,8 +350,7 @@ loadArtifacts(const std::string &path, const ArtifactKey &expected,
             a->plan.buildPartitioning != expected.plan.buildPartitioning ||
             a->plan.targetClusterSize !=
                 expected.plan.targetClusterSize ||
-            a->plan.hdnTopN != expected.plan.hdnTopN ||
-            a->plan.sampleFanout != expected.plan.sampleFanout)
+            a->plan.hdnTopN != expected.plan.hdnTopN)
             return nullptr;
         a->spec = &graph::datasetByName(dataset);
         // The registry's spec may have been edited since the file was
@@ -387,63 +372,37 @@ loadArtifacts(const std::string &path, const ArtifactKey &expected,
         if ((fileBacked != 0) != a->spec->isFileBacked())
             return nullptr;
 
-        if (a->plan.sampleFanout > 0) {
-            // Extension file: the graph-level payload is shared with
-            // the caller-supplied base, which must describe the same
-            // (dataset, tier, base plan).
-            if (base == nullptr || base->hasSampling ||
-                base->spec != a->spec || base->tier != a->tier ||
-                base->hasPartitioning != a->hasPartitioning ||
-                base->plan.targetClusterSize !=
-                    a->plan.targetClusterSize ||
-                base->plan.hdnTopN != a->plan.hdnTopN)
-                return nullptr;
-            if (!r.pod(a->sampleSeed) || !r.csr(a->adjacencySampled))
-                return nullptr;
-            if (a->hasPartitioning &&
-                !r.csr(a->adjacencySampledPartitioned))
-                return nullptr;
-            if (a->adjacencySampled.rows() != base->nodes())
-                return nullptr;
-            a->base = std::move(base);
-            a->hasSampling = true;
-            if (!r.done())
-                return nullptr; // trailing bytes: not a file we wrote
-            return a;
-        }
-
         if (fileBacked != 0) {
             // The graph never left its .growcsr: re-attach the mapped
             // instance held by the file-dataset registry.
-            a->own.mapped = graph::fileDatasetGraph(*a->spec);
-            if (a->own.mapped == nullptr)
+            a->mapped = graph::fileDatasetGraph(*a->spec);
+            if (a->mapped == nullptr)
                 return nullptr;
         } else {
             std::vector<uint64_t> offsets;
             std::vector<NodeId> neighbors;
             if (!r.vec(offsets) || !r.vec(neighbors))
                 return nullptr;
-            a->own.graph =
-                graph::Graph::fromAdjacency(std::move(offsets),
-                                            std::move(neighbors));
+            a->graph = graph::Graph::fromAdjacency(std::move(offsets),
+                                                   std::move(neighbors));
         }
-        if (!r.csr(a->own.adjacency))
+        if (!r.csr(a->adjacency))
             return nullptr;
         if (a->hasPartitioning) {
             uint64_t numLists = 0;
-            if (!r.csr(a->own.adjacencyPartitioned) ||
-                !r.vec(a->own.relabel.newToOld) ||
-                !r.vec(a->own.relabel.clustering.clusterStart) ||
+            if (!r.csr(a->adjacencyPartitioned) ||
+                !r.vec(a->relabel.newToOld) ||
+                !r.vec(a->relabel.clustering.clusterStart) ||
                 !r.pod(numLists))
                 return nullptr;
-            a->own.hdnLists.resize(numLists);
-            for (auto &list : a->own.hdnLists)
+            a->hdnLists.resize(numLists);
+            for (auto &list : a->hdnLists)
                 if (!r.vec(list))
                     return nullptr;
         }
         if (!r.done())
             return nullptr; // trailing bytes: not a file we wrote
-        if (a->own.adjacency.rows() != a->graphView().numNodes())
+        if (a->adjacency.rows() != a->graphView().numNodes())
             return nullptr;
         return a;
     } catch (const std::exception &e) {
@@ -465,32 +424,22 @@ artifactFootprintBytes(const gcn::GraphArtifacts &a)
                vecBytes(m.colIdx().size(), sizeof(NodeId)) +
                vecBytes(m.values().size(), sizeof(double));
     };
-    if (a.hasSampling) {
-        // Extension bundle: the base payload is a separate cache entry.
-        uint64_t bytes = sizeof(a.sampleSeed);
-        bytes += csrBytes(a.adjacencySampled);
-        if (a.hasPartitioning)
-            bytes += csrBytes(a.adjacencySampledPartitioned);
-        return bytes;
-    }
     uint64_t bytes = 0;
     // A mapped graph contributes nothing: its pages are reclaimable
     // page cache, not process heap. That is the whole point of the
     // out-of-core path -- a graph over the byte budget still runs.
     if (!a.fileBacked()) {
-        bytes += vecBytes(a.own.graph.offsets().size(),
-                          sizeof(uint64_t));
-        bytes += vecBytes(a.own.graph.adjacency().size(),
-                          sizeof(NodeId));
+        bytes += vecBytes(a.graph.offsets().size(), sizeof(uint64_t));
+        bytes += vecBytes(a.graph.adjacency().size(), sizeof(NodeId));
     }
-    bytes += csrBytes(a.own.adjacency);
+    bytes += csrBytes(a.adjacency);
     if (a.hasPartitioning) {
-        bytes += csrBytes(a.own.adjacencyPartitioned);
-        bytes += vecBytes(a.own.relabel.newToOld.size(), sizeof(NodeId));
-        bytes += vecBytes(a.own.relabel.clustering.clusterStart.size(),
+        bytes += csrBytes(a.adjacencyPartitioned);
+        bytes += vecBytes(a.relabel.newToOld.size(), sizeof(NodeId));
+        bytes += vecBytes(a.relabel.clustering.clusterStart.size(),
                           sizeof(uint32_t));
         bytes += sizeof(uint64_t);
-        for (const auto &list : a.own.hdnLists)
+        for (const auto &list : a.hdnLists)
             bytes += vecBytes(list.size(), sizeof(NodeId));
     }
     return bytes;
@@ -524,24 +473,12 @@ WorkloadCache::artifacts(const graph::DatasetSpec &spec,
 
     // Build / load outside the lock: synthesis can take seconds and
     // independent keys should not serialize on each other.
-    //
-    // A sampled plan only adds the (cheap, deterministic) sampled
-    // adjacency to the unsampled bundle: serve the base through the
-    // cache first -- both the in-memory extension and the on-disk
-    // extension file share it, so mixed model sweeps never hold (or
-    // persist) the expensive graph-level payload twice.
-    std::shared_ptr<const gcn::GraphArtifacts> baseBundle;
-    if (plan.sampleFanout > 0) {
-        gcn::PartitionPlan basePlan = plan;
-        basePlan.sampleFanout = 0;
-        baseBundle = artifacts(spec, tier, basePlan);
-    }
     std::shared_ptr<const gcn::GraphArtifacts> built;
     bool fromDisk = false;
     bool diskFailed = false;
     if (!dir_.empty()) {
         const std::string path = pathFor(key);
-        built = loadArtifacts(path, key, baseBundle);
+        built = loadArtifacts(path, key);
         if (built)
             fromDisk = true;
         else if (fs::exists(fs::path(path)))
@@ -553,11 +490,7 @@ WorkloadCache::artifacts(const graph::DatasetSpec &spec,
             std::lock_guard<std::mutex> lock(mu_);
             threads = buildThreads_;
         }
-        built = baseBundle
-                    ? gcn::extendWithSampling(baseBundle,
-                                              plan.sampleFanout)
-                    : gcn::buildGraphArtifacts(spec, tier, plan,
-                                               threads);
+        built = gcn::buildGraphArtifacts(spec, tier, plan, threads);
     }
 
     bool stored = false;
@@ -597,7 +530,7 @@ WorkloadCache::workload(const graph::DatasetSpec &spec,
                         const gcn::WorkloadConfig &config)
 {
     return gcn::buildLayerData(
-        artifacts(spec, config.tier, config.partitionPlan()), config);
+        artifacts(spec, config.tier, config.plan), config);
 }
 
 WorkloadCache::Stats
@@ -615,7 +548,6 @@ WorkloadCache::snapshot() const
     s.counters = stats_;
     s.entries = mem_.size();
     s.bytes = totalBytes_;
-    s.entryCap = entryCap_;
     s.byteCap = byteCap_;
     return s;
 }
@@ -634,21 +566,6 @@ WorkloadCache::clearMemory()
     mem_.clear();
     lru_.clear();
     totalBytes_ = 0;
-}
-
-void
-WorkloadCache::setMemoryEntryCap(uint64_t max_entries)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    entryCap_ = max_entries;
-    enforceCapLocked();
-}
-
-uint64_t
-WorkloadCache::memoryEntryCap() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return entryCap_;
 }
 
 void
@@ -690,25 +607,14 @@ WorkloadCache::memoryEntries() const
 void
 WorkloadCache::enforceCapLocked()
 {
-    auto evictOldest = [this] {
+    // Evict LRU-first, but always retain the most recently used entry
+    // so one over-budget bundle still runs.
+    while (byteCap_ != 0 && totalBytes_ > byteCap_ && mem_.size() > 1) {
         auto it = mem_.find(lru_.back());
         totalBytes_ -= it->second.bytes;
         mem_.erase(it);
         lru_.pop_back();
-    };
-    if (entryCap_ != 0) {
-        while (mem_.size() > entryCap_) {
-            evictOldest();
-            ++stats_.evictions;
-        }
-    }
-    // Byte budget: evict LRU-first, but always retain the most
-    // recently used entry so one over-budget bundle still runs.
-    if (byteCap_ != 0) {
-        while (totalBytes_ > byteCap_ && mem_.size() > 1) {
-            evictOldest();
-            ++stats_.evictionsByBytes;
-        }
+        ++stats_.evictionsByBytes;
     }
 }
 

@@ -3,13 +3,15 @@
  * Shared workload construction cache.
  *
  * Graph synthesis + partitioning dominates sweep start-up, yet every
- * depth/config of a sweep needs the *same* graph-level artefacts
+ * model/depth/config of a sweep needs the *same* graph-level artefacts
  * (gcn::GraphArtifacts). The cache makes that sharing explicit, at two
  * levels:
  *
  *  - In memory: artefact bundles are memoised per (dataset, tier,
- *    partition plan) key, so a depth-1..k sweep over d datasets runs
- *    synthesis + partitioning exactly d times, not d*k times.
+ *    partition plan) key, so a model x depth sweep over d datasets
+ *    runs synthesis + partitioning exactly d times. Model operands
+ *    (SAGEConv's sampled adjacency, GIN's A + (1+eps)I) are layer data,
+ *    built per workload, and never cached.
  *  - On disk (optional): bundles are persisted as binary files with a
  *    format-version header and payload checksum, so repeated bench/CI
  *    invocations skip synthesis entirely. A corrupted, truncated or
@@ -63,24 +65,18 @@ struct ArtifactKey
  * *or the semantics of any serialized artefact* change (e.g. a
  * partitioning fix): stale files must miss, not poison results.
  *
- * v2: sampled-adjacency artefacts (SAGEConv fanout-k operand) appended
- *     to the payload; PartitionPlan::sampleFanout joined the key.
- * v3: a sampled bundle holds its unsampled base by shared_ptr and its
- *     file carries only the sampled *extension* (seed + sampled
- *     adjacencies); the graph-level payload lives solely in the base
- *     bundle's file and is re-attached at load time.
  * v4: file-backed bundles (dataset=file:<path>) serialize a flag
  *     instead of the graph arrays -- the graph stays in the .growcsr
  *     file and is re-mapped at load time; the spec fingerprint covers
  *     the source-file checksum.
+ * v5: the sampled adjacency left the bundle for the layer data, and
+ *     the sampling fanout left the key and the payload header.
  */
-inline constexpr uint32_t kArtifactFormatVersion = 4;
+inline constexpr uint32_t kArtifactFormatVersion = 5;
 
 /**
  * Serialize @p artifacts to @p path (binary; atomic via temp+rename).
- * A sampled bundle writes only its extension payload (see
- * kArtifactFormatVersion v3); the base bundle is saved under its own
- * key. Returns false (after logging) when the file cannot be written.
+ * Returns false (after logging) when the file cannot be written.
  */
 bool saveArtifacts(const std::string &path,
                    const gcn::GraphArtifacts &artifacts);
@@ -90,23 +86,16 @@ bool saveArtifacts(const std::string &path,
  * throws, never returns partial data -- when the file is missing,
  * truncated, corrupted (checksum mismatch), from another format
  * version, or describes a different key than @p expected.
- *
- * When @p expected names a sampled plan the file holds only the
- * extension, so the unsampled @p base bundle (same dataset, tier and
- * base plan) must be supplied; the loaded bundle shares it. Loading a
- * base plan ignores @p base.
  */
 std::shared_ptr<const gcn::GraphArtifacts>
-loadArtifacts(const std::string &path, const ArtifactKey &expected,
-              std::shared_ptr<const gcn::GraphArtifacts> base = nullptr);
+loadArtifacts(const std::string &path, const ArtifactKey &expected);
 
 /**
  * Heap footprint of @p artifacts, mirroring the serialized payload
  * layout (the dominant vectors and CSR arrays; per-bundle bookkeeping
  * is ignored). A mmap-backed graph counts as zero -- its pages live in
- * the page cache and are reclaimable, not held by this process. A
- * sampled extension counts only its own payload (the base is a
- * separate cache entry). Used to size the byte-budget memory cap.
+ * the page cache and are reclaimable, not held by this process. Used
+ * to size the byte-budget memory cap.
  */
 uint64_t artifactFootprintBytes(const gcn::GraphArtifacts &artifacts);
 
@@ -125,7 +114,6 @@ class WorkloadCache
         uint64_t diskLoads = 0;    ///< served from a valid disk file
         uint64_t diskStores = 0;   ///< files written after a build
         uint64_t diskFailures = 0; ///< unreadable/corrupt files skipped
-        uint64_t evictions = 0;    ///< entries dropped by the entry cap
         /** Entries dropped by the byte-budget cap (memcap=). */
         uint64_t evictionsByBytes = 0;
     };
@@ -152,8 +140,8 @@ class WorkloadCache
 
     /**
      * Build the workload of @p spec under @p config on top of cached
-     * artefacts. Per-layer features/weights are synthesised fresh (they
-     * are cheap and depth-dependent); the graph-level bundle is shared.
+     * artefacts. The layer data (features, model operands, weights) is
+     * built fresh; the graph-level bundle is shared.
      */
     gcn::GcnWorkload workload(const graph::DatasetSpec &spec,
                               const gcn::WorkloadConfig &config);
@@ -162,7 +150,7 @@ class WorkloadCache
 
     /**
      * One coherent picture of the cache: counters plus the current
-     * footprint and caps, all read under a single lock acquisition.
+     * footprint and cap, all read under a single lock acquisition.
      * A metrics loop that polls a serving cache must use this instead
      * of stitching stats()/memoryEntries()/memoryBytes() together --
      * between separate calls a concurrent lookup can evict, so the
@@ -172,9 +160,8 @@ class WorkloadCache
     {
         Stats counters;
         uint64_t entries = 0;  ///< bundles currently in memory
-        uint64_t bytes = 0;    ///< artefact payload bytes in memory
-        uint64_t entryCap = 0; ///< 0 = unbounded
-        uint64_t byteCap = 0;  ///< 0 = unbounded
+        uint64_t bytes = 0;   ///< artefact payload bytes in memory
+        uint64_t byteCap = 0; ///< 0 = unbounded
 
         /** Artefact lookups served without a from-scratch build. */
         uint64_t reuses() const
@@ -189,30 +176,18 @@ class WorkloadCache
     void clearMemory();
 
     /**
-     * Cap the in-memory map at @p max_entries bundles, evicting the
-     * least-recently-used key past the cap (0 = unbounded, the
-     * default). Long-lived serving processes sweep many (dataset, tier,
-     * plan) keys whose bundles are hundreds of MB at scale; the cap
-     * bounds that footprint. Only the memory layer is affected -- the
-     * disk layer keeps every file, so an evicted key reloads from disk
-     * instead of resynthesising. Bundles already handed out stay alive
-     * through their shared_ptr; eviction merely drops the cache's
-     * reference. Shrinking the cap below the current size evicts
-     * immediately.
-     */
-    void setMemoryEntryCap(uint64_t max_entries);
-
-    /** Current in-memory entry cap (0 = unbounded). */
-    uint64_t memoryEntryCap() const;
-
-    /**
      * Cap the in-memory map at @p max_bytes of artefact payload
      * (0 = unbounded, the default), measured by
      * artifactFootprintBytes(). Least-recently-used keys are evicted
      * past the budget, except the most recently inserted/used entry,
      * which is always retained: a single bundle larger than the budget
      * (the out-of-core case) still completes, it just shares with
-     * nothing. Composes with the entry cap -- both are enforced.
+     * nothing. Only the memory layer is affected -- the disk layer
+     * keeps every file, so an evicted key reloads from disk instead of
+     * resynthesising. Bundles already handed out stay alive through
+     * their shared_ptr; eviction merely drops the cache's reference.
+     * Shrinking the cap below the current footprint evicts
+     * immediately.
      */
     void setMemoryByteCap(uint64_t max_bytes);
 
@@ -253,14 +228,13 @@ class WorkloadCache
     };
 
     std::string pathFor(const ArtifactKey &key) const;
-    /** Evict past the entry and byte caps. Caller holds mu_. */
+    /** Evict past the byte cap. Caller holds mu_. */
     void enforceCapLocked();
 
     mutable std::mutex mu_;
     std::string dir_;
     std::map<ArtifactKey, MemEntry> mem_;
     std::list<ArtifactKey> lru_;
-    uint64_t entryCap_ = 0;
     uint64_t byteCap_ = 0;
     uint64_t totalBytes_ = 0;
     uint32_t buildThreads_ = 1;

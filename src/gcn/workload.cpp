@@ -105,48 +105,9 @@ defaultClusterSize(const graph::GcnShape &shape, uint32_t hdn_top_n)
 }
 
 std::shared_ptr<const GraphArtifacts>
-extendWithSampling(std::shared_ptr<const GraphArtifacts> base,
-                   uint32_t fanout)
-{
-    GROW_ASSERT(base != nullptr && !base->hasSampling && fanout >= 1,
-                "sampling extension needs an unsampled base and a "
-                "positive fanout");
-    auto a = std::make_shared<GraphArtifacts>();
-    // Cheap identity fields are mirrored; the expensive graph-level
-    // payload stays in the base and is reached through the accessors.
-    a->spec = base->spec;
-    a->tier = base->tier;
-    a->plan = base->plan;
-    a->plan.sampleFanout = fanout;
-    a->hasPartitioning = base->hasPartitioning;
-    a->maxClusterNodes = base->maxClusterNodes;
-    a->base = std::move(base);
-    // SAGEConv's fanout-k operand (Sec. VIII): depth-independent,
-    // deterministic per (spec, tier, plan) like every other artefact
-    // -- the seed derives from the dataset spec, not the per-workload
-    // feature seed.
-    a->sampleSeed = a->spec->seed * 131 + 17;
-    a->adjacencySampled = graph::sampleNeighborAdjacency(
-        a->graphView(), fanout, a->sampleSeed);
-    if (a->hasPartitioning)
-        a->adjacencySampledPartitioned =
-            a->adjacencySampled.permutedSymmetric(a->relabel().newToOld);
-    a->hasSampling = true;
-    return a;
-}
-
-std::shared_ptr<const GraphArtifacts>
 buildGraphArtifacts(const graph::DatasetSpec &spec, graph::ScaleTier tier,
                     const PartitionPlan &plan, uint32_t threads)
 {
-    if (plan.sampleFanout > 0) {
-        PartitionPlan basePlan = plan;
-        basePlan.sampleFanout = 0;
-        return extendWithSampling(
-            buildGraphArtifacts(spec, tier, basePlan, threads),
-            plan.sampleFanout);
-    }
-
     using Clock = std::chrono::steady_clock;
     auto msSince = [](Clock::time_point &mark) {
         const auto now = Clock::now();
@@ -177,16 +138,16 @@ buildGraphArtifacts(const graph::DatasetSpec &spec, graph::ScaleTier tier,
                   graph::tierName(spec.sourceTier) + "; pass scale=" +
                   graph::tierName(spec.sourceTier) +
                   " to use " + spec.sourceFile);
-        a->own.mapped = graph::fileDatasetGraph(spec);
+        a->mapped = graph::fileDatasetGraph(spec);
     } else {
         auto inst = graph::buildDataset(spec, tier);
-        a->own.graph = std::move(inst.graph);
+        a->graph = std::move(inst.graph);
     }
     const graph::CsrView gv = a->graphView();
     prof.arcs = gv.numArcs();
     prof.synthMs = msSince(mark);
 
-    a->own.adjacency =
+    a->adjacency =
         graph::normalizedAdjacency(gv, /*self_loops=*/true, threads);
     prof.normalizeMs = msSince(mark);
 
@@ -208,20 +169,20 @@ buildGraphArtifacts(const graph::DatasetSpec &spec, graph::ScaleTier tier,
         auto parts = partitioner.partition(gv);
         prof.partitionMs = msSince(mark);
 
-        a->own.relabel = partition::relabelByPartition(n, parts);
+        a->relabel = partition::relabelByPartition(n, parts);
         // The partitioner's balance bound is soft; make it hard so no
         // cluster exceeds the HDN cache capacity it was sized for.
-        a->own.relabel.clustering = partition::splitOversizedClusters(
-            a->own.relabel.clustering, clusterSize);
+        a->relabel.clustering = partition::splitOversizedClusters(
+            a->relabel.clustering, clusterSize);
         a->maxClusterNodes = clusterSize;
-        a->own.adjacencyPartitioned = a->own.adjacency.permutedSymmetric(
-            a->own.relabel.newToOld, threads);
+        a->adjacencyPartitioned = a->adjacency.permutedSymmetric(
+            a->relabel.newToOld, threads);
         prof.relabelMs = msSince(mark);
 
         // Intra-cluster ranking straight off the original view + the
         // permutation: the relabeled graph is never materialized.
-        a->own.hdnLists = partition::selectHdnPerCluster(
-            gv, a->own.relabel, plan.hdnTopN, threads);
+        a->hdnLists = partition::selectHdnPerCluster(
+            gv, a->relabel, plan.hdnTopN, threads);
         prof.hdnMs = msSince(mark);
         a->hasPartitioning = true;
     }
@@ -241,12 +202,8 @@ buildLayerData(std::shared_ptr<const GraphArtifacts> artifacts,
     GROW_ASSERT(artifacts != nullptr, "workload needs graph artefacts");
     GROW_ASSERT(artifacts->tier == config.tier,
                 "workload tier does not match its graph artefacts");
-    GROW_ASSERT(artifacts->hasPartitioning == config.buildPartitioning,
+    GROW_ASSERT(artifacts->hasPartitioning == config.plan.buildPartitioning,
                 "workload partitioning does not match its artefacts");
-    GROW_ASSERT(!modelUsesSampling(config.model) ||
-                    (artifacts->hasSampling &&
-                     artifacts->plan.sampleFanout == config.sageFanout),
-                "sampling model needs artefacts built with its fanout");
 
     GcnWorkload w;
     w.artifacts = std::move(artifacts);
@@ -299,6 +256,18 @@ buildLayerData(std::shared_ptr<const GraphArtifacts> artifacts,
                 w.adjacencyGin.permutedSymmetric(w.relabel().newToOld);
     }
 
+    if (modelUsesSampling(config.model)) {
+        // SAGEConv's fanout-k operand (Sec. VIII), on its own rng: the
+        // seed derives from the dataset spec, not the feature seed, so
+        // every depth and seed of a dataset aggregates over one sample.
+        w.sageFanout = config.sageFanout;
+        w.sampledAdjacency = graph::sampleNeighborAdjacency(
+            w.graphView(), config.sageFanout, spec.seed * 131 + 17);
+        if (w.hasPartitioning())
+            w.sampledAdjacencyPartitioned =
+                w.sampledAdjacency.permutedSymmetric(w.relabel().newToOld);
+    }
+
     if (w.hasPartitioning()) {
         w.featuresPartitioned.reserve(w.features.size());
         for (const auto &x : w.features)
@@ -329,7 +298,7 @@ GcnWorkload
 buildWorkload(const graph::DatasetSpec &spec, const WorkloadConfig &config)
 {
     return buildLayerData(
-        buildGraphArtifacts(spec, config.tier, config.partitionPlan()),
+        buildGraphArtifacts(spec, config.tier, config.plan),
         config);
 }
 

@@ -16,17 +16,19 @@
  *    trained model -- see DESIGN.md substitutions). The engines read
  *    only its structure, so it carries values only under
  *    WorkloadConfig::functionalData and is structure-only otherwise;
+ *  - the model operands of Sec. VIII: SAGEConv's fanout-k sampled
+ *    adjacency and GIN's A + (1+eps)I, each in both labellings;
  *  - optional dense per-layer weight matrices for functional
  *    verification.
  *
  * Construction is split in two so sweeps don't redo graph work per
  * depth (DESIGN.md "Shared graph artefacts"):
  *
- *  - buildGraphArtifacts() produces the depth-independent bundle
- *    (graph, normalized adjacency, partitioning, relabeling, HDN
- *    lists), immutable and shared between workloads;
- *  - buildLayerData() layers the cheap per-depth data (features,
- *    weights) on top of a shared bundle.
+ *  - buildGraphArtifacts() produces the depth- and model-independent
+ *    bundle (graph, normalized adjacency, partitioning, relabeling,
+ *    HDN lists), immutable and shared between workloads;
+ *  - buildLayerData() layers the per-workload data (features, model
+ *    operands, weights) on top of a shared bundle.
  *
  * buildWorkload() remains the one-shot convenience composition.
  */
@@ -49,8 +51,8 @@ namespace grow::gcn {
 
 /**
  * The graph-level slice of workload construction: everything that is
- * independent of model depth and feature synthesis. Two workloads with
- * equal partition plans (and dataset + tier) can share one artefact
+ * independent of model, depth and feature synthesis. Two workloads
+ * with equal partition plans (and dataset + tier) share one artefact
  * bundle.
  */
 struct PartitionPlan
@@ -61,29 +63,18 @@ struct PartitionPlan
     uint32_t targetClusterSize = 0;
     /** HDN IDs stored per cluster (CAM capacity, Sec. V-C). */
     uint32_t hdnTopN = 4096;
-    /**
-     * Neighbour-sampling fanout (SAGEConv's fanout-k operand,
-     * Sec. VIII); 0 skips the sampled-adjacency artefact. The sampling
-     * seed is derived from the dataset spec, so the artefact stays
-     * deterministic per (dataset, tier, plan).
-     */
-    uint32_t sampleFanout = 0;
 };
 
 /** Knobs of workload construction. */
 struct WorkloadConfig
 {
     graph::ScaleTier tier = graph::ScaleTier::Mini;
+    /** The graph-level slice: selects the shared artefact bundle. */
+    PartitionPlan plan;
     /** GNN layer type the workload will be lowered as. */
     ModelKind model = ModelKind::Gcn;
     /** Model depth k >= 1 (number of graph-convolution layers). */
     uint32_t numLayers = 2;
-    /** Build partitioning artefacts (clustering + HDN lists). */
-    bool buildPartitioning = true;
-    /** Target nodes per cluster (0 = library default of the cache size). */
-    uint32_t targetClusterSize = 0;
-    /** HDN IDs stored per cluster (CAM capacity, Sec. V-C). */
-    uint32_t hdnTopN = 4096;
     /** Neighbours sampled per node for the SAGEConv models. */
     uint32_t sageFanout = 10;
     /**
@@ -99,13 +90,6 @@ struct WorkloadConfig
      */
     bool functionalData = false;
     uint64_t seed = 7;
-
-    /** The graph-level slice of this config. */
-    PartitionPlan partitionPlan() const
-    {
-        return {buildPartitioning, targetClusterSize, hdnTopN,
-                modelUsesSampling(model) ? sageFanout : 0};
-    }
 };
 
 /**
@@ -130,17 +114,11 @@ std::vector<uint32_t> layerDims(const graph::GcnShape &shape,
                                 uint32_t numLayers);
 
 /**
- * Immutable depth-independent artefacts of one (dataset, tier,
- * partition plan): the synthetic graph, its normalized adjacency, and
- * GROW's preprocessing outputs. Shared (by shared_ptr) between every
- * workload built on top of it -- never mutated after construction.
- *
- * A *sampled* bundle (plan.sampleFanout > 0) owns only the cheap
- * sampled-adjacency extension and holds its unsampled base bundle by
- * shared_ptr: the expensive graph-level payload exists once in memory
- * no matter how many fanouts extend it, and the disk cache serializes
- * only the extension (see driver::saveArtifacts). Consumers go through
- * the accessor methods, which forward to the base transparently.
+ * Immutable depth- and model-independent artefacts of one (dataset,
+ * tier, partition plan): the synthetic graph, its normalized
+ * adjacency, and GROW's preprocessing outputs. Shared (by shared_ptr)
+ * between every workload built on top of it -- never mutated after
+ * construction.
  */
 struct GraphArtifacts
 {
@@ -148,47 +126,29 @@ struct GraphArtifacts
     graph::ScaleTier tier = graph::ScaleTier::Mini;
     PartitionPlan plan;
 
-    /** Partitioning artefacts built (mirrors the base for extensions). */
+    /** Partitioning artefacts built. */
     bool hasPartitioning = false;
     /** Hard per-cluster node bound the clustering honours (0 = none). */
     uint32_t maxClusterNodes = 0;
 
     /**
-     * The expensive graph-level payload. Populated on base bundles
-     * only; a sampled extension leaves it empty and forwards to
-     * *base. Use the accessors below, not the members.
+     * The heap graph, original labelling. EMPTY on file-backed bundles
+     * (the graph stays on disk) -- use graphView() unless you
+     * specifically need the heap object.
      */
-    struct Payload
-    {
-        graph::Graph graph; ///< original labelling (heap bundles)
-        /**
-         * The mmap-backed graph of a file-backed bundle
-         * (dataset=file:<path>); null for synthesized bundles, whose
-         * graph lives in `graph`. Exactly one of the two is populated
-         * -- consumers stream either through graphView().
-         */
-        std::shared_ptr<const graph::MappedCsrGraph> mapped;
-        /** Normalized adjacency, original labelling (baselines). */
-        sparse::CsrMatrix adjacency;
-        sparse::CsrMatrix adjacencyPartitioned; ///< relabeled
-        partition::RelabelResult relabel;
-        std::vector<std::vector<NodeId>> hdnLists; ///< relabeled IDs
-    } own;
-
-    /** Unsampled base this bundle extends (null on base bundles). */
-    std::shared_ptr<const GraphArtifacts> base;
-
-    /** Sampled-adjacency artefacts (empty unless plan.sampleFanout,
-     *  which also records the fanout they were drawn with). */
-    bool hasSampling = false;
-    uint64_t sampleSeed = 0; ///< derived from the dataset spec
-    /** Mean-normalized fanout-k sampled adjacency, original labelling. */
-    sparse::CsrMatrix adjacencySampled;
-    /** Relabeled copy (empty unless also hasPartitioning). */
-    sparse::CsrMatrix adjacencySampledPartitioned;
-
-    /** Graph-level payload (the base's for a sampled extension). */
-    const Payload &payload() const { return base ? base->own : own; }
+    graph::Graph graph;
+    /**
+     * The mmap-backed graph of a file-backed bundle
+     * (dataset=file:<path>); null for synthesized bundles, whose graph
+     * lives in `graph`. Exactly one of the two is populated --
+     * consumers stream either through graphView().
+     */
+    std::shared_ptr<const graph::MappedCsrGraph> mapped;
+    /** Normalized adjacency, original labelling (baselines). */
+    sparse::CsrMatrix adjacency;
+    sparse::CsrMatrix adjacencyPartitioned; ///< relabeled
+    partition::RelabelResult relabel;
+    std::vector<std::vector<NodeId>> hdnLists; ///< relabeled IDs
 
     /**
      * CSR view of the graph -- the heap copy or the mmap-backed file.
@@ -196,35 +156,11 @@ struct GraphArtifacts
      */
     graph::CsrView graphView() const
     {
-        const Payload &p = payload();
-        return p.mapped ? p.mapped->view() : p.graph.view();
+        return mapped ? mapped->view() : graph.view();
     }
 
     /** Whether the graph streams from a mmap-backed .growcsr file. */
-    bool fileBacked() const { return payload().mapped != nullptr; }
-
-    /**
-     * The heap graph. EMPTY on file-backed bundles (the graph stays on
-     * disk) -- use graphView() unless you specifically need the heap
-     * object.
-     */
-    const graph::Graph &graph() const { return payload().graph; }
-    const sparse::CsrMatrix &adjacency() const
-    {
-        return payload().adjacency;
-    }
-    const sparse::CsrMatrix &adjacencyPartitioned() const
-    {
-        return payload().adjacencyPartitioned;
-    }
-    const partition::RelabelResult &relabel() const
-    {
-        return payload().relabel;
-    }
-    const std::vector<std::vector<NodeId>> &hdnLists() const
-    {
-        return payload().hdnLists;
-    }
+    bool fileBacked() const { return mapped != nullptr; }
 
     uint32_t nodes() const { return graphView().numNodes(); }
 
@@ -279,17 +215,6 @@ std::shared_ptr<const GraphArtifacts>
 buildGraphArtifacts(const graph::DatasetSpec &spec, graph::ScaleTier tier,
                     const PartitionPlan &plan = {}, uint32_t threads = 1);
 
-/**
- * Extend @p base (built without sampling) with the sampled-adjacency
- * artefact for @p fanout. The returned bundle *shares* the base by
- * shared_ptr -- no graph-level payload is copied or rebuilt -- and is
- * bit-identical (through the accessors) to building the sampled plan
- * from scratch.
- */
-std::shared_ptr<const GraphArtifacts>
-extendWithSampling(std::shared_ptr<const GraphArtifacts> base,
-                   uint32_t fanout);
-
 /** A fully constructed per-dataset workload. */
 struct GcnWorkload
 {
@@ -332,6 +257,17 @@ struct GcnWorkload
     std::vector<sparse::CsrMatrix> mlpFeaturesPartitioned;
     std::vector<sparse::DenseMatrix> mlpWeights;
 
+    /**
+     * SAGEConv-only operands: the fanout-k sampled, mean-normalized
+     * adjacency (graph::sampleNeighborAdjacency) the aggregation
+     * streams, in both labellings. Built per workload like A_gin -- the
+     * fanout is a model knob, not a graph artefact. sageFanout is 0 on
+     * models that do not sample.
+     */
+    uint32_t sageFanout = 0;
+    sparse::CsrMatrix sampledAdjacency;
+    sparse::CsrMatrix sampledAdjacencyPartitioned;
+
     /** Dataset the workload was built from (null only if default-
      *  constructed; every built workload has one). */
     const graph::DatasetSpec *spec() const
@@ -344,43 +280,43 @@ struct GcnWorkload
 
     /** The synthetic graph, original labelling. EMPTY on file-backed
      *  workloads -- stream through graphView() instead. */
-    const graph::Graph &graph() const { return artifacts->graph(); }
+    const graph::Graph &graph() const { return artifacts->graph; }
     /** CSR view of the graph (heap or mmap-backed). */
     graph::CsrView graphView() const { return artifacts->graphView(); }
     /** Normalized adjacency, original labelling. */
     const sparse::CsrMatrix &adjacency() const
     {
-        return artifacts->adjacency();
+        return artifacts->adjacency;
     }
     /** Whether partitioning artefacts were built. */
     bool hasPartitioning() const { return artifacts->hasPartitioning; }
     /** Normalized adjacency in the cluster-contiguous labelling. */
     const sparse::CsrMatrix &adjacencyPartitioned() const
     {
-        return artifacts->adjacencyPartitioned();
+        return artifacts->adjacencyPartitioned;
     }
     /** Relabeling permutation + cluster layout. */
     const partition::RelabelResult &relabel() const
     {
-        return artifacts->relabel();
+        return artifacts->relabel;
     }
     /** Per-cluster HDN ID lists (relabeled IDs). */
     const std::vector<std::vector<NodeId>> &hdnLists() const
     {
-        return artifacts->hdnLists();
+        return artifacts->hdnLists;
     }
 
-    /** Whether the sampled-adjacency artefact was built. */
-    bool hasSampling() const { return artifacts->hasSampling; }
+    /** Whether the sampled adjacency was built (SAGEConv models). */
+    bool hasSampling() const { return sageFanout > 0; }
     /** Sampled adjacency (SAGEConv operand), original labelling. */
     const sparse::CsrMatrix &adjacencySampled() const
     {
-        return artifacts->adjacencySampled;
+        return sampledAdjacency;
     }
     /** Sampled adjacency in the cluster-contiguous labelling. */
     const sparse::CsrMatrix &adjacencySampledPartitioned() const
     {
-        return artifacts->adjacencySampledPartitioned;
+        return sampledAdjacencyPartitioned;
     }
 
     uint32_t nodes() const { return artifacts->nodes(); }
@@ -421,11 +357,12 @@ struct GcnWorkload
 };
 
 /**
- * Layer the per-depth data (synthetic features, optional weights) of
- * @p config on top of shared @p artifacts. The expensive graph-level
- * state is borrowed, not rebuilt: any number of depths/seeds can reuse
- * one bundle. config.tier and the partition knobs must match the ones
- * the artefacts were built with.
+ * Layer the per-workload data (synthetic features, the model's
+ * operands, optional weights) of @p config on top of shared
+ * @p artifacts. The expensive graph-level state is borrowed, not
+ * rebuilt: any number of models/depths/seeds can reuse one bundle.
+ * config.tier and config.plan must match the ones the artefacts were
+ * built with.
  */
 GcnWorkload buildLayerData(std::shared_ptr<const GraphArtifacts> artifacts,
                            const WorkloadConfig &config);

@@ -10,10 +10,10 @@
  * dataflow (the Sec. VIII argument for SAGEConv mapping onto the MAC
  * array as-is).
  *
- * Sampling is deterministic per (graph, fanout, seed), so the sampled
- * adjacency is a depth-independent preprocessing artefact: it is built
- * once in gcn::buildGraphArtifacts and cached (memory + disk) through
- * driver::WorkloadCache exactly like the partitioning outputs.
+ * Sampling is deterministic per (graph, fanout, seed). The fanout is a
+ * model knob, so gcn::buildLayerData draws the sample per SAGEConv
+ * workload, next to GIN's A + (1+eps)I; the seed derives from the
+ * dataset spec, so every depth of a dataset streams the same sample.
  */
 #pragma once
 

@@ -199,7 +199,6 @@ ServeMetrics::fillReport(report::Report &rep,
         t.col("builds", "builds", "count")
             .col("memory_hits", "memory hits", "count")
             .col("disk_loads", "disk loads", "count")
-            .col("evictions", "evictions", "count")
             .col("evictions_bytes", "evictions (bytes cap)", "count")
             .col("entries", "entries", "count")
             .col("footprint", "footprint", "bytes");
@@ -207,7 +206,6 @@ ServeMetrics::fillReport(report::Report &rep,
             .add(report::count(cache->counters.builds))
             .add(report::count(cache->counters.memoryHits))
             .add(report::count(cache->counters.diskLoads))
-            .add(report::count(cache->counters.evictions))
             .add(report::count(cache->counters.evictionsByBytes))
             .add(report::count(cache->entries))
             .add(report::bytesValue(cache->bytes));

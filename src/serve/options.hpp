@@ -25,8 +25,12 @@ namespace grow::serve {
  */
 const std::vector<std::string> &scheduleKeys();
 
-/** Build a ScheduleConfig from parsed flags (defaults per field);
- *  fatal() on a malformed tenants= mix. */
+/**
+ * Build a ScheduleConfig from parsed flags (defaults per field).
+ * fatal() on a malformed tenants= mix or an out-of-range number:
+ * requests= in [1, 10^6], mean_gap_us= in [2, 3.6e9] (one hour),
+ * depth= in [1, kMaxServeDepth], deadline_ms= in [0, 3.6e6].
+ */
 ScheduleConfig scheduleFromArgs(const CliArgs &args);
 
 /** The admission-control flags: queue_depth=, bytebudget=,
@@ -35,8 +39,8 @@ const std::vector<std::string> &admissionKeys();
 
 /**
  * Build an AdmissionConfig from parsed flags: queue_depth= (default
- * 64), bytebudget= (grow::parseByteSize grammar, default off) and
- * default_deadline_ms= (default 0 = none).
+ * 64, in [1, 10^6]), bytebudget= (grow::parseByteSize grammar, default
+ * off) and default_deadline_ms= (default 0 = none, at most one hour).
  */
 AdmissionConfig admissionFromArgs(const CliArgs &args);
 

@@ -1,7 +1,12 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <exception>
+#include <filesystem>
+#include <iostream>
 
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
@@ -38,12 +43,22 @@ CliArgs::get(const std::string &key, const std::string &def) const
 }
 
 int64_t
-CliArgs::getInt(const std::string &key, int64_t def) const
+CliArgs::getInt(const std::string &key, int64_t def, int64_t lo,
+                int64_t hi) const
 {
     auto it = kv_.find(key);
     if (it == kv_.end())
         return def;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE)
+        fatal(key + "= takes an integer, got '" + it->second + "'");
+    if (v < lo || v > hi)
+        fatal(key + "=" + it->second + " is out of range [" +
+              std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    return v;
 }
 
 double
@@ -52,7 +67,14 @@ CliArgs::getDouble(const std::string &key, double def) const
     auto it = kv_.find(key);
     if (it == kv_.end())
         return def;
-    return std::strtod(it->second.c_str(), nullptr);
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v))
+        fatal(key + "= takes a finite number, got '" + it->second + "'");
+    return v;
 }
 
 bool
@@ -152,6 +174,20 @@ CliArgs::getList(const std::string &key,
         if (!trim(piece).empty())
             out.push_back(trim(piece));
     return out;
+}
+
+int
+runMain(int argc, char **argv, int (*body)(int, char **), int error_exit)
+{
+    const std::string binary =
+        argc > 0 ? std::filesystem::path(argv[0]).filename().string()
+                 : "grow";
+    try {
+        return body(argc, argv);
+    } catch (const std::exception &e) {
+        std::cerr << binary << ": " << e.what() << "\n";
+        return error_exit;
+    }
 }
 
 } // namespace grow

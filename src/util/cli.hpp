@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,10 +32,17 @@ class CliArgs
     /** String option with default. */
     std::string get(const std::string &key, const std::string &def) const;
 
-    /** Integer option with default. */
-    int64_t getInt(const std::string &key, int64_t def) const;
+    /**
+     * Integer option with default. fatal(), naming @p key, unless the
+     * whole value is a base-10 integer in [@p lo, @p hi]: `threads=abc`
+     * or `requests=-1` must stop the run, not read as 0 or wrap.
+     */
+    int64_t getInt(const std::string &key, int64_t def,
+                   int64_t lo = std::numeric_limits<int64_t>::min(),
+                   int64_t hi = std::numeric_limits<int64_t>::max()) const;
 
-    /** Double option with default. */
+    /** Double option with default; fatal(), naming @p key, unless the
+     *  whole value is a finite number. */
     double getDouble(const std::string &key, double def) const;
 
     /** Boolean option with default (accepts 0/1/true/false/yes/no). */
@@ -74,5 +82,15 @@ class CliArgs
  * one grammar behind every byte-budget flag (`memcap=`, `bytebudget=`).
  */
 uint64_t parseByteSize(const std::string &key, const std::string &value);
+
+/**
+ * The main() of every tool and example: return @p body(argc, argv),
+ * but turn an escaping exception -- fatal() on a user error, panic()
+ * on a simulator bug -- into one `<binary>: <message>` line on stderr
+ * and exit code @p error_exit instead of a SIGABRT from
+ * std::terminate. Benches have the same guard in bench::runBench.
+ */
+int runMain(int argc, char **argv, int (*body)(int, char **),
+            int error_exit = 1);
 
 } // namespace grow

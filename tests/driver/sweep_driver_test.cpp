@@ -192,26 +192,6 @@ TEST(SweepDriver, AllErrorsAggregatedInJobOrder)
     }
 }
 
-TEST(SweepDriver, OwnedWorkloadJobKeepsWorkloadAlive)
-{
-    std::vector<SweepJob> jobs;
-    {
-        // The shared_ptr goes out of scope before runAll: the job's
-        // co-ownership must keep the workload alive.
-        auto w = std::make_shared<const gcn::GcnWorkload>(
-            unitWorkload("cora"));
-        jobs.push_back(makeEngineJob("grow", w));
-        jobs.push_back(makeEngineJob("gcnax", std::move(w)));
-    }
-    SweepDriver pool(2);
-    auto outcomes = pool.runAll(jobs);
-    ASSERT_EQ(outcomes.size(), 2u);
-    EXPECT_EQ(outcomes[0].label, "cora/grow");
-    EXPECT_EQ(outcomes[1].label, "cora/gcnax");
-    EXPECT_GT(outcomes[0].inference.totalCycles, 0u);
-    EXPECT_GT(outcomes[1].inference.totalCycles, 0u);
-}
-
 TEST(SweepDriver, EmptySweepIsANoOp)
 {
     SweepDriver pool(2);

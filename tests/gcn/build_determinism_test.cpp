@@ -36,18 +36,15 @@ TEST(BuildDeterminism, ArtifactsBitIdenticalAcrossThreadCounts)
     for (uint32_t threads : {2u, 8u}) {
         auto parallel = buildGraphArtifacts(
             spec, graph::ScaleTier::Unit, {}, threads);
-        ASSERT_EQ(serial->graph().offsets(),
-                  parallel->graph().offsets());
-        ASSERT_EQ(serial->graph().adjacency(),
-                  parallel->graph().adjacency());
-        expectSameCsr(serial->adjacency(), parallel->adjacency());
-        expectSameCsr(serial->adjacencyPartitioned(),
-                      parallel->adjacencyPartitioned());
-        ASSERT_EQ(serial->relabel().newToOld,
-                  parallel->relabel().newToOld);
-        ASSERT_EQ(serial->relabel().clustering.clusterStart,
-                  parallel->relabel().clustering.clusterStart);
-        ASSERT_EQ(serial->hdnLists(), parallel->hdnLists());
+        ASSERT_EQ(serial->graph.offsets(), parallel->graph.offsets());
+        ASSERT_EQ(serial->graph.adjacency(), parallel->graph.adjacency());
+        expectSameCsr(serial->adjacency, parallel->adjacency);
+        expectSameCsr(serial->adjacencyPartitioned,
+                      parallel->adjacencyPartitioned);
+        ASSERT_EQ(serial->relabel.newToOld, parallel->relabel.newToOld);
+        ASSERT_EQ(serial->relabel.clustering.clusterStart,
+                  parallel->relabel.clustering.clusterStart);
+        ASSERT_EQ(serial->hdnLists, parallel->hdnLists);
         EXPECT_TRUE(parallel->buildProfile.valid);
         EXPECT_EQ(parallel->buildProfile.threads, threads);
     }

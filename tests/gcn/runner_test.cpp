@@ -93,7 +93,7 @@ TEST(Runner, PartitioningRequiredWhenRequested)
 {
     WorkloadConfig c;
     c.tier = graph::ScaleTier::Unit;
-    c.buildPartitioning = false;
+    c.plan.buildPartitioning = false;
     auto w = buildWorkload(graph::datasetByName("cora"), c);
     core::GrowSim grow((core::GrowConfig()));
     RunOptions opt;

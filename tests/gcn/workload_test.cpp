@@ -147,7 +147,7 @@ TEST(Workload, FeatureStructureIndependentOfFunctionalData)
     for (const char *name : {"cora", "citeseer", "pubmed"}) {
         WorkloadConfig c = unitConfig();
         auto artifacts = buildGraphArtifacts(graph::datasetByName(name),
-                                             c.tier, c.partitionPlan());
+                                             c.tier, c.plan);
         for (ModelKind model : {ModelKind::Gcn, ModelKind::Gin}) {
             for (uint32_t depth : {2u, 3u}) {
                 c.model = model;
@@ -190,7 +190,7 @@ TEST(Workload, DeterministicForSeed)
 TEST(Workload, NoPartitioningOnRequest)
 {
     WorkloadConfig c = unitConfig();
-    c.buildPartitioning = false;
+    c.plan.buildPartitioning = false;
     auto w = buildWorkload(graph::datasetByName("cora"), c);
     EXPECT_FALSE(w.hasPartitioning());
     EXPECT_EQ(w.adjacencyPartitioned().rows(), 0u);
@@ -203,7 +203,7 @@ TEST(Workload, ClusterSizeNeverExceedsTarget)
     // the HDN cache the target was sized against by 33%. Ceiling
     // division plus the hard split bound must cap every cluster.
     WorkloadConfig c = unitConfig();
-    c.targetClusterSize = 600; // unit-tier cora has 800 nodes
+    c.plan.targetClusterSize = 600; // unit-tier cora has 800 nodes
     auto w = buildWorkload(graph::datasetByName("cora"), c);
     ASSERT_EQ(w.nodes(), 800u);
     const auto &clustering = w.relabel().clustering;
@@ -218,7 +218,7 @@ TEST(Workload, ClusterBoundHoldsAcrossTargets)
 {
     for (uint32_t target : {64u, 100u, 299u, 750u}) {
         WorkloadConfig c = unitConfig();
-        c.targetClusterSize = target;
+        c.plan.targetClusterSize = target;
         auto w = buildWorkload(graph::datasetByName("flickr"), c);
         const auto &clustering = w.relabel().clustering;
         uint32_t covered = 0;
@@ -255,7 +255,7 @@ TEST(Workload, SplitBuildMatchesOneShotBuild)
     c.numLayers = 3;
     auto oneShot = buildWorkload(graph::datasetByName("pubmed"), c);
     auto artifacts = buildGraphArtifacts(graph::datasetByName("pubmed"),
-                                         c.tier, c.partitionPlan());
+                                         c.tier, c.plan);
     auto split = buildLayerData(artifacts, c);
     EXPECT_EQ(oneShot.adjacency().colIdx(), split.adjacency().colIdx());
     EXPECT_EQ(oneShot.relabel().newToOld, split.relabel().newToOld);
@@ -268,6 +268,41 @@ TEST(Workload, SplitBuildMatchesOneShotBuild)
     ASSERT_EQ(oneShot.weights.size(), split.weights.size());
 }
 
+TEST(Workload, SampledAdjacencyIsOneDrawPerDatasetAndFanout)
+{
+    // The sample is layer data, but its seed derives from the dataset
+    // spec: every depth and feature seed of a sage workload aggregates
+    // over the same operand, and GCN workloads carry none.
+    auto artifacts = buildGraphArtifacts(graph::datasetByName("citeseer"),
+                                         graph::ScaleTier::Unit);
+    WorkloadConfig c = unitConfig();
+    c.model = ModelKind::SageMean;
+    c.sageFanout = 4;
+    const auto first = buildLayerData(artifacts, c);
+    c.numLayers = 3;
+    c.seed = 99;
+    c.model = ModelKind::SagePool;
+    const auto second = buildLayerData(artifacts, c);
+    ASSERT_TRUE(first.hasSampling());
+    EXPECT_EQ(first.sageFanout, 4u);
+    for (const auto *m : {&first.adjacencySampled(),
+                          &first.adjacencySampledPartitioned()}) {
+        EXPECT_EQ(m->rows(), first.nodes());
+        EXPECT_TRUE(m->validate());
+    }
+    EXPECT_EQ(first.adjacencySampled().colIdx(),
+              second.adjacencySampled().colIdx());
+    EXPECT_EQ(first.adjacencySampled().values(),
+              second.adjacencySampled().values());
+    EXPECT_EQ(first.adjacencySampledPartitioned().colIdx(),
+              second.adjacencySampledPartitioned().colIdx());
+
+    c.model = ModelKind::Gcn;
+    const auto gcn = buildLayerData(artifacts, c);
+    EXPECT_FALSE(gcn.hasSampling());
+    EXPECT_EQ(gcn.adjacencySampled().nnz(), 0u);
+}
+
 TEST(Workload, LayerDataRejectsMismatchedArtifacts)
 {
     auto artifacts = buildGraphArtifacts(graph::datasetByName("cora"),
@@ -276,7 +311,7 @@ TEST(Workload, LayerDataRejectsMismatchedArtifacts)
     wrongTier.tier = graph::ScaleTier::Tiny;
     EXPECT_ANY_THROW(buildLayerData(artifacts, wrongTier));
     WorkloadConfig wrongPart = unitConfig();
-    wrongPart.buildPartitioning = false;
+    wrongPart.plan.buildPartitioning = false;
     EXPECT_ANY_THROW(buildLayerData(artifacts, wrongPart));
     EXPECT_ANY_THROW(buildLayerData(nullptr, unitConfig()));
 }

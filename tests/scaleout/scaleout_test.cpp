@@ -29,7 +29,7 @@ workloadOf(const std::string &name)
     if (it == cache.end()) {
         gcn::WorkloadConfig c;
         c.tier = graph::ScaleTier::Unit;
-        c.targetClusterSize = 64;
+        c.plan.targetClusterSize = 64;
         it = cache
                  .emplace(name,
                           gcn::buildWorkload(graph::datasetByName(name),
@@ -115,7 +115,7 @@ TEST(Scaleout, StructureOnlyOperandsShardLikeValuedOnes)
     ASSERT_FALSE(bare.x(0).hasValues());
     gcn::WorkloadConfig c;
     c.tier = graph::ScaleTier::Unit;
-    c.targetClusterSize = 64;
+    c.plan.targetClusterSize = 64;
     c.functionalData = true;
     const auto valued =
         gcn::buildWorkload(graph::datasetByName("citeseer"), c);

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "serve/options.hpp"
 #include "serve/request.hpp"
 #include "serve/schedule.hpp"
 
@@ -77,6 +78,57 @@ TEST(Schedule, TenantMixParsing)
     EXPECT_FALSE(parseTenantMix(":2", mix, &error));
     EXPECT_FALSE(parseTenantMix("a:0", mix, &error));
     EXPECT_FALSE(parseTenantMix("a:x", mix, &error));
+}
+
+/** Parsed key=value flags, as grow_serve's command line would give. */
+CliArgs
+flags(std::vector<std::string> items)
+{
+    static std::vector<std::string> storage;
+    storage = std::move(items);
+    std::vector<char *> argv = {const_cast<char *>("grow_serve")};
+    for (auto &s : storage)
+        argv.push_back(s.data());
+    return CliArgs(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(ServeOptions, OutOfRangeScheduleValuesAreRejectedBeforeScheduling)
+{
+    // requests=-1 used to wrap to 4294967295 and reach reserve(); a
+    // sub-2 mean gap tripped a GROW_ASSERT panic inside buildSchedule.
+    for (const char *bad :
+         {"requests=-1", "requests=0", "requests=1000001", "requests=abc",
+          "mean_gap_us=1", "mean_gap_us=-5", "mean_gap_us=3600000001",
+          "depth=0", "depth=17", "deadline_ms=-1"}) {
+        try {
+            scheduleFromArgs(flags({bad}));
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            const std::string key =
+                std::string(bad).substr(0, std::string(bad).find('='));
+            EXPECT_NE(std::string(e.what()).find(key + "="),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const ScheduleConfig ok = scheduleFromArgs(
+        flags({"requests=1000000", "mean_gap_us=2", "depth=16"}));
+    EXPECT_EQ(ok.count, 1000000u);
+    EXPECT_EQ(ok.meanGapUs, 2);
+    EXPECT_EQ(ok.depth, 16u);
+}
+
+TEST(ServeOptions, OutOfRangeAdmissionValuesAreRejected)
+{
+    for (const char *bad : {"queue_depth=0", "queue_depth=-1",
+                            "queue_depth=1000001", "queue_depth=x",
+                            "default_deadline_ms=-1"})
+        EXPECT_THROW(admissionFromArgs(flags({bad})), std::runtime_error)
+            << bad;
+    const AdmissionConfig ok =
+        admissionFromArgs(flags({"queue_depth=1", "default_deadline_ms=5"}));
+    EXPECT_EQ(ok.maxDepth, 1u);
+    EXPECT_EQ(ok.defaultDeadlineUs, 5000);
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/cli.hpp"
 
 namespace grow {
@@ -69,6 +71,93 @@ TEST(CliArgs, RejectsBadBoolean)
 {
     auto args = makeArgs({"b=maybe"});
     EXPECT_ANY_THROW(args.getBool("b", false));
+}
+
+/** The fatal() message of @p fn, or "" when it does not throw. */
+template <typename Fn>
+std::string
+errorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CliArgs, GetIntRejectsNonNumericValuesNamingTheKey)
+{
+    // strtoll without an end pointer read `threads=abc` as 0.
+    for (const char *bad : {"threads=abc", "threads=4x", "threads=",
+                            "threads=1e3", "threads=2.5",
+                            "threads=99999999999999999999"}) {
+        auto args = makeArgs({bad});
+        const std::string msg =
+            errorOf([&] { args.getInt("threads", 1); });
+        EXPECT_NE(msg.find("threads="), std::string::npos) << bad;
+        EXPECT_NE(msg.find("integer"), std::string::npos) << msg;
+    }
+    auto ok = makeArgs({"a=-12", "b=+7", "c=0"});
+    EXPECT_EQ(ok.getInt("a", 0), -12);
+    EXPECT_EQ(ok.getInt("b", 0), 7);
+    EXPECT_EQ(ok.getInt("c", 5), 0);
+}
+
+TEST(CliArgs, GetIntEnforcesTheRangeOnSuppliedValuesOnly)
+{
+    auto args = makeArgs({"requests=-1", "slots=0", "depth=16"});
+    const std::string msg =
+        errorOf([&] { args.getInt("requests", 32, 1, 1000); });
+    EXPECT_NE(msg.find("requests=-1 is out of range [1, 1000]"),
+              std::string::npos)
+        << msg;
+    EXPECT_ANY_THROW(args.getInt("slots", 1, 1, 1024));
+    EXPECT_EQ(args.getInt("depth", 2, 1, 16), 16);
+    EXPECT_ANY_THROW(args.getInt("depth", 2, 1, 15));
+    // A default outside the range is the caller's business.
+    EXPECT_EQ(args.getInt("absent", -3, 0, 1), -3);
+}
+
+TEST(CliArgs, GetDoubleRejectsNonNumericAndNonFiniteValues)
+{
+    for (const char *bad : {"tol=abc", "tol=0.5x", "tol=", "tol=nan",
+                            "tol=inf", "tol=1e999"}) {
+        auto args = makeArgs({bad});
+        const std::string msg = errorOf([&] { args.getDouble("tol", 0); });
+        EXPECT_NE(msg.find("tol="), std::string::npos) << bad;
+    }
+    auto ok = makeArgs({"a=0.25", "b=-3", "c=1e-3"});
+    EXPECT_DOUBLE_EQ(ok.getDouble("a", 0), 0.25);
+    EXPECT_DOUBLE_EQ(ok.getDouble("b", 0), -3.0);
+    EXPECT_DOUBLE_EQ(ok.getDouble("c", 0), 1e-3);
+}
+
+int
+failingBody(int, char **)
+{
+    makeArgs({"threads=abc"}).getInt("threads", 1);
+    return 0;
+}
+
+int
+passingBody(int argc, char **)
+{
+    return argc + 40;
+}
+
+TEST(RunMain, PrintsBinaryAndMessageAndReturnsTheErrorExit)
+{
+    std::string arg0 = "/some/dir/grow_serve";
+    char *argv[] = {arg0.data(), nullptr};
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(runMain(1, argv, failingBody), 1);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err,
+              "grow_serve: fatal: threads= takes an integer, got 'abc'\n");
+    EXPECT_EQ(runMain(1, argv, failingBody, 2), 2);
+    // A body that returns normally keeps its exit code.
+    EXPECT_EQ(runMain(1, argv, passingBody), 41);
 }
 
 TEST(CliArgs, RequireKnownRejectsTyposWithAcceptedKeyList)

@@ -113,28 +113,26 @@ convertText(const CliArgs &args)
     return 0;
 }
 
+int
+run(int argc, char **argv)
+{
+    CliArgs args(argc, argv);
+    args.requireKnown(
+        {"in", "out", "name", "nodes", "dataset", "scale", "verify"});
+    if (args.has("verify"))
+        return verifyFile(args.get("verify", ""));
+    if (args.has("dataset"))
+        return exportDataset(args);
+    if (args.has("in"))
+        return convertText(args);
+    fatal("pass in=<edges.txt> out=<file.growcsr>, dataset=<name> "
+          "scale=<tier> out=<file.growcsr>, or verify=<file.growcsr>");
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    try {
-        CliArgs args(argc, argv);
-        args.requireKnown(
-            {"in", "out", "name", "nodes", "dataset", "scale",
-             "verify"});
-        if (args.has("verify"))
-            return verifyFile(args.get("verify", ""));
-        if (args.has("dataset"))
-            return exportDataset(args);
-        if (args.has("in"))
-            return convertText(args);
-        fatal("pass in=<edges.txt> out=<file.growcsr>, dataset=<name> "
-              "scale=<tier> out=<file.growcsr>, or "
-              "verify=<file.growcsr>");
-    } catch (const std::exception &e) {
-        std::cerr << "graph_convert: " << e.what() << "\n";
-        return 1;
-    }
-    return 0;
+    return runMain(argc, argv, run);
 }

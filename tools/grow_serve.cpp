@@ -37,6 +37,7 @@
 #include "serve/virtual_serve.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
+#include "util/work_pool.hpp"
 
 namespace {
 
@@ -76,10 +77,8 @@ writeDigestRecords(const std::string &path,
         out << grow::serve::digestLine(r->request, r->digest) << "\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace grow;
 
@@ -93,14 +92,20 @@ main(int argc, char **argv)
         known.push_back(k);
     args.requireKnown(known);
 
+    // Every option is checked before anything is built or scheduled.
+    const uint32_t threads =
+        util::checkedThreadCount(args.getInt("threads", 1));
+    const serve::ScheduleConfig scheduleConfig = serve::scheduleFromArgs(args);
+    serve::VirtualServeConfig config;
+    config.admission = serve::admissionFromArgs(args);
+    config.slots = static_cast<uint32_t>(args.getInt("slots", 1, 1, 1024));
+
     driver::WorkloadCache cache(args.get("cachedir", ""));
     if (args.has("memcap"))
         cache.setMemoryByteCap(
             parseByteSize("memcap", args.get("memcap", "")));
 
     const auto specs = resolveDatasets(args.getList("datasets", {"cora"}));
-    const uint32_t threads =
-        static_cast<uint32_t>(args.getInt("threads", 1));
     serve::Executor executor(cache, specs, threads);
     serve::ServeMetrics metrics;
 
@@ -112,10 +117,7 @@ main(int argc, char **argv)
     meta.model = args.get("model", "gcn");
     report::Report rep(meta);
 
-    const auto schedule = serve::buildSchedule(serve::scheduleFromArgs(args));
-    serve::VirtualServeConfig config;
-    config.admission = serve::admissionFromArgs(args);
-    config.slots = static_cast<uint32_t>(args.getInt("slots", 1));
+    const auto schedule = serve::buildSchedule(scheduleConfig);
     const serve::VirtualServeResult result =
         serve::runVirtualServe(schedule, &executor, config, &metrics);
     rep.note("grow_serve: " + std::to_string(schedule.size()) +
@@ -130,4 +132,12 @@ main(int argc, char **argv)
     if (args.has("records_out"))
         writeDigestRecords(args.get("records_out", ""), result.records);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return grow::runMain(argc, argv, run);
 }

@@ -22,8 +22,10 @@
 
 using namespace grow;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     args.requireKnown({"in", "min_records"});
@@ -67,4 +69,12 @@ main(int argc, char **argv)
               << " records, bench '" << root.find("bench")->str
               << "')\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, run);
 }

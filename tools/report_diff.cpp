@@ -92,81 +92,78 @@ newestHistoryFile(const std::string &dir)
     return best;
 }
 
+int
+run(int argc, char **argv)
+{
+    CliArgs args(argc, argv);
+    args.requireKnown(
+        {"base", "current", "history", "tol", "gate", "max_lines"},
+        {"tol."});
+    std::string basePath = args.get("base", "");
+    const std::string currPath = args.get("current", "");
+    const std::string historyDir = args.get("history", "");
+    if (currPath.empty() || (basePath.empty() && historyDir.empty())) {
+        std::cerr << "usage: report_diff base=<old.json> "
+                     "current=<new.json> [history=<dir>] [tol=0.0] "
+                     "[gate=cycles,bytes] [tol.<metric>=pct ...] "
+                     "[max_lines=40]\n";
+        return 2;
+    }
+    if (basePath.empty()) {
+        basePath = newestHistoryFile(historyDir);
+        if (basePath.empty()) {
+            std::cout << "report_diff: no baseline in " << historyDir
+                      << "; gate skipped (first run)\n";
+            return 0;
+        }
+        std::cout << "report_diff: baseline from committed history: "
+                  << basePath << "\n";
+    }
+
+    report::DiffOptions options;
+    options.relTolerance = args.getDouble("tol", 0.0);
+    if (options.relTolerance < 0) {
+        std::cerr << "report_diff: tol must be >= 0\n";
+        return 2;
+    }
+    options.gateUnits = args.getList("gate", {"cycles", "bytes"});
+    for (const auto &[name, text] : args.withPrefix("tol.")) {
+        char *end = nullptr;
+        const double tol = std::strtod(text.c_str(), &end);
+        if (end == text.c_str() || *end != '\0' || tol < 0) {
+            std::cerr << "report_diff: tol." << name
+                      << " must be a fraction >= 0, got '" << text
+                      << "'\n";
+            return 2;
+        }
+        options.tolOverrides[name] = tol;
+    }
+    const int64_t maxLines = args.getInt("max_lines", 40, 0);
+
+    report::JsonValue base, current;
+    if (int rc = loadReport(basePath, base))
+        return rc;
+    if (int rc = loadReport(currPath, current))
+        return rc;
+
+    auto result = report::diffReports(base, current, options);
+    std::cout << report::formatDiff(result, options,
+                                    static_cast<size_t>(maxLines));
+    if (result.joined == 0) {
+        // Nothing joined means the gate compared nothing -- that
+        // is a configuration problem (wrong files), not a pass.
+        std::cerr << "report_diff: no records joined between "
+                  << basePath << " and " << currPath << "\n";
+        return 2;
+    }
+    return result.regressions > 0 ? 1 : 0;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    try {
-        CliArgs args(argc, argv);
-        args.requireKnown(
-            {"base", "current", "history", "tol", "gate", "max_lines"},
-            {"tol."});
-        std::string basePath = args.get("base", "");
-        const std::string currPath = args.get("current", "");
-        const std::string historyDir = args.get("history", "");
-        if (currPath.empty() ||
-            (basePath.empty() && historyDir.empty())) {
-            std::cerr << "usage: report_diff base=<old.json> "
-                         "current=<new.json> [history=<dir>] [tol=0.0] "
-                         "[gate=cycles,bytes] [tol.<metric>=pct ...] "
-                         "[max_lines=40]\n";
-            return 2;
-        }
-        if (basePath.empty()) {
-            basePath = newestHistoryFile(historyDir);
-            if (basePath.empty()) {
-                std::cout << "report_diff: no baseline in " << historyDir
-                          << "; gate skipped (first run)\n";
-                return 0;
-            }
-            std::cout << "report_diff: baseline from committed history: "
-                      << basePath << "\n";
-        }
-
-        report::DiffOptions options;
-        options.relTolerance = args.getDouble("tol", 0.0);
-        if (options.relTolerance < 0) {
-            std::cerr << "report_diff: tol must be >= 0\n";
-            return 2;
-        }
-        options.gateUnits = args.getList("gate", {"cycles", "bytes"});
-        for (const auto &[name, text] : args.withPrefix("tol.")) {
-            char *end = nullptr;
-            const double tol = std::strtod(text.c_str(), &end);
-            if (end == text.c_str() || *end != '\0' || tol < 0) {
-                std::cerr << "report_diff: tol." << name
-                          << " must be a fraction >= 0, got '" << text
-                          << "'\n";
-                return 2;
-            }
-            options.tolOverrides[name] = tol;
-        }
-        const int64_t maxLines = args.getInt("max_lines", 40);
-        if (maxLines < 0) {
-            std::cerr << "report_diff: max_lines must be >= 0\n";
-            return 2;
-        }
-
-        report::JsonValue base, current;
-        if (int rc = loadReport(basePath, base))
-            return rc;
-        if (int rc = loadReport(currPath, current))
-            return rc;
-
-        auto result = report::diffReports(base, current, options);
-        std::cout << report::formatDiff(result, options,
-                                        static_cast<size_t>(maxLines));
-        if (result.joined == 0) {
-            // Nothing joined means the gate compared nothing -- that
-            // is a configuration problem (wrong files), not a pass.
-            std::cerr << "report_diff: no records joined between "
-                      << basePath << " and " << currPath << "\n";
-            return 2;
-        }
-        return result.regressions > 0 ? 1 : 0;
-    } catch (const std::exception &e) {
-        std::cerr << "report_diff: " << e.what() << "\n";
-        return 2;
-    }
+    // Usage errors, fatal() included, exit 2: 1 means a regression.
+    return runMain(argc, argv, run, 2);
 }
