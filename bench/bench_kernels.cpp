@@ -58,18 +58,6 @@ BM_ReferenceSpMM(benchmark::State &state)
 BENCHMARK(BM_ReferenceSpMM)->Arg(1024)->Arg(4096);
 
 void
-BM_CsrToCsc(benchmark::State &state)
-{
-    auto m = fixtureCsr(static_cast<uint32_t>(state.range(0)), 0.01);
-    for (auto _ : state) {
-        auto c = sparse::toCsc(m);
-        benchmark::DoNotOptimize(c);
-    }
-    state.SetItemsProcessed(state.iterations() * m.nnz());
-}
-BENCHMARK(BM_CsrToCsc)->Arg(4096)->Arg(16384);
-
-void
 BM_TileCensus(benchmark::State &state)
 {
     auto m = fixtureCsr(8192, 0.002);

@@ -14,8 +14,16 @@
  *                           paths at chips=1 and requires bytewise
  *                           identical table and JSON output.
  *
- * Extra keys on top of the universal set (chips=, link_gbps=,
- * link_ns= included there):
+ * Extra keys on top of the universal set:
+ *   chips=1                chip counts to evaluate, in order (e.g.
+ *                          chips=1,2,4,8; each in [1, 64]): values > 1
+ *                          shard the workload's partition clusters
+ *                          across that many chips joined by inter-chip
+ *                          links
+ *   link_gbps=64           inter-chip link bandwidth per direction
+ *                          (GB/s); needs a chips= value > 1
+ *   link_ns=500            inter-chip link latency (ns); needs a
+ *                          chips= value > 1
  *   engine=grow            engine configuration key (must consume the
  *                          partitioning for chips > 1)
  *   path=sharded|single    see above
@@ -32,6 +40,8 @@
  */
 #include "common.hpp"
 
+#include <algorithm>
+
 #include "driver/engine_factory.hpp"
 #include "scaleout/runner.hpp"
 
@@ -41,7 +51,31 @@ using namespace grow::bench;
 GROW_BENCH_MAIN("scaleout")
 {
     BenchContext ctx(argc, argv, "mini", "all",
-                     {"engine", "path", "cluster_nodes"});
+                     {"chips", "link_gbps", "link_ns", "engine", "path",
+                      "cluster_nodes"});
+    std::vector<uint32_t> chipCounts;
+    for (const auto &c : ctx.args().getList("chips", {"1"})) {
+        if (c.empty() || c.find_first_not_of("0123456789") != std::string::npos)
+            fatal("chips= takes positive chip counts, got '" + c + "'");
+        const uint64_t n = std::stoull(c);
+        if (n < 1 || n > scaleout::kMaxChips)
+            fatal("chips= must be in [1, " +
+                  std::to_string(scaleout::kMaxChips) + "], got " + c);
+        chipCounts.push_back(static_cast<uint32_t>(n));
+    }
+    const bool anySharded =
+        std::any_of(chipCounts.begin(), chipCounts.end(),
+                    [](uint32_t n) { return n > 1; });
+    if ((ctx.args().has("link_gbps") || ctx.args().has("link_ns")) &&
+        !anySharded)
+        fatal("link_gbps=/link_ns= describe the inter-chip links of a "
+              "multi-chip topology; pass a chips= value > 1 (or drop "
+              "the link keys)");
+    scaleout::LinkSpec link;
+    link.bandwidthGBps =
+        ctx.args().getDouble("link_gbps", link.bandwidthGBps);
+    link.latencyNs = ctx.args().getDouble("link_ns", link.latencyNs);
+
     const std::string engineKey = ctx.args().get("engine", "grow");
     const std::string path = ctx.args().get("path", "sharded");
     if (path != "sharded" && path != "single")
@@ -52,7 +86,7 @@ GROW_BENCH_MAIN("scaleout")
         fatal("cluster_nodes must be >= 1, got " +
               std::to_string(clusterNodes));
     if (path == "single") {
-        for (uint32_t chips : ctx.chipCounts())
+        for (uint32_t chips : chipCounts)
             if (chips != 1)
                 fatal("path=single is the classic single-chip runner; "
                       "it cannot honour chips=" + std::to_string(chips));
@@ -93,7 +127,7 @@ GROW_BENCH_MAIN("scaleout")
         const auto &w = ctx.workload(spec, wc);
 
         Cycle baseCycles = 0;
-        for (uint32_t chips : ctx.chipCounts()) {
+        for (uint32_t chips : chipCounts) {
             gcn::InferenceResult merged;
             Cycle haloCycles = 0;
             Bytes haloBytes = 0;
@@ -105,7 +139,9 @@ GROW_BENCH_MAIN("scaleout")
                 auto engine = engSpec.make();
                 merged = gcn::runInference(*engine, w, opts);
             } else {
-                const auto topo = ctx.topology(engineKey, chips);
+                const auto topo = scaleout::EngineTopology(engineKey)
+                                      .withChips(chips)
+                                      .withLink(link);
                 auto sr =
                     scaleout::runInference(topo, w, ctx.runOptions());
                 haloCycles = sr.haloCycles;

@@ -67,8 +67,8 @@ BenchContext::BenchContext(int argc, char **argv,
     : args_(argc, argv), cache_(args_.get("cachedir", ""))
 {
     std::vector<std::string> known = {
-        "scale",   "datasets", "model",  "cachedir", "format",    "out",
-        "threads", "profile",  "memcap", "chips",    "link_gbps", "link_ns"};
+        "scale", "datasets", "model",   "cachedir", "format",
+        "out",   "threads",  "profile", "memcap"};
     known.insert(known.end(), extra_keys.begin(), extra_keys.end());
     args_.requireKnown(known);
 
@@ -81,25 +81,6 @@ BenchContext::BenchContext(int argc, char **argv,
                    ? util::checkedThreadCount(args_.getInt("threads", 1))
                    : std::max(1u, std::thread::hardware_concurrency());
     profile_ = args_.getBool("profile", false);
-    chipCounts_.clear();
-    for (const auto &c : args_.getList("chips", {"1"})) {
-        if (c.empty() || c.find_first_not_of("0123456789") != std::string::npos)
-            fatal("chips= takes positive chip counts, got '" + c + "'");
-        const uint64_t n = std::stoull(c);
-        if (n < 1 || n > scaleout::kMaxChips)
-            fatal("chips= must be in [1, " +
-                  std::to_string(scaleout::kMaxChips) + "], got " + c);
-        chipCounts_.push_back(static_cast<uint32_t>(n));
-    }
-    const bool anySharded =
-        std::any_of(chipCounts_.begin(), chipCounts_.end(),
-                    [](uint32_t n) { return n > 1; });
-    if ((args_.has("link_gbps") || args_.has("link_ns")) && !anySharded)
-        fatal("link_gbps=/link_ns= describe the inter-chip links of a "
-              "multi-chip topology; pass a chips= value > 1 (or drop "
-              "the link keys)");
-    link_.bandwidthGBps = args_.getDouble("link_gbps", link_.bandwidthGBps);
-    link_.latencyNs = args_.getDouble("link_ns", link_.latencyNs);
     if (args_.has("memcap"))
         cache_.setMemoryByteCap(
             parseByteSize("memcap", args_.get("memcap", "")));
@@ -349,17 +330,6 @@ BenchContext::runOptions() const
     gcn::RunOptions base;
     base.sim.threads = threads_;
     return base;
-}
-
-scaleout::EngineTopology
-BenchContext::topology(const std::string &engine_key, uint32_t chips) const
-{
-    auto topo = scaleout::EngineTopology{}
-                    .withEngine(engine_key)
-                    .withChips(chips)
-                    .withLink(link_);
-    topo.validate();
-    return topo;
 }
 
 gcn::InferenceResult

@@ -52,19 +52,10 @@
  *                               most recent one, so a single
  *                               over-budget graph still runs
  *                               (out-of-core via dataset=file:)
- *   chips=<n>[,<n>...]          chip counts to evaluate (default 1):
- *                               values > 1 shard the workload's
- *                               partition clusters across that many
- *                               chips joined by inter-chip links
- *                               (scaleout::runInference); benches that
- *                               evaluate a single topology use the
- *                               first element
- *   link_gbps=<GB/s>            inter-chip link bandwidth per
- *                               direction (default 64); only
- *                               meaningful with a chips= value > 1
- *   link_ns=<ns>                inter-chip link latency (default 500);
- *                               only meaningful with a chips= value
- *                               > 1
+ *
+ * Bench-specific knobs (bench_scaleout's chips=, link_gbps= and
+ * link_ns=, model_zoo's engines=, ...) are declared by the bench and
+ * documented in its file comment.
  *
  * A bench does not print: it *declares* its banner lines and tables
  * through the structured results API (src/report/) and the selected
@@ -97,7 +88,6 @@
 #include "graph/datasets.hpp"
 #include "report/report.hpp"
 #include "report/sinks.hpp"
-#include "scaleout/topology.hpp"
 #include "util/cli.hpp"
 #include "util/mathutil.hpp"
 #include "util/string_util.hpp"
@@ -167,29 +157,6 @@ class BenchContext
      *  (threads= applied; engine-specific layout still comes from
      *  makeEngineJob). */
     gcn::RunOptions runOptions() const;
-
-    /** Every `chips=` value, supplied order (default {1}). */
-    const std::vector<uint32_t> &chipCounts() const { return chipCounts_; }
-
-    /** First `chips=` value -- the topology single-topology benches
-     *  evaluate. */
-    uint32_t chips() const { return chipCounts_.front(); }
-
-    /** Inter-chip link spec assembled from `link_gbps=`/`link_ns=`. */
-    const scaleout::LinkSpec &linkSpec() const { return link_; }
-
-    /**
-     * The EngineTopology this bench's arguments describe for
-     * @p engine_key at @p chips chips (defaulting to chips()):
-     * link_gbps=/link_ns= applied, validated. Feed it to
-     * driver::engineForTopology / scaleout::runInference.
-     */
-    scaleout::EngineTopology topology(const std::string &engine_key,
-                                      uint32_t chips) const;
-    scaleout::EngineTopology topology(const std::string &engine_key) const
-    {
-        return topology(engine_key, chips());
-    }
 
     /** The report this bench declares its results into. */
     report::Report &report() { return report_; }
@@ -262,8 +229,6 @@ class BenchContext
     gcn::ModelKind model_ = gcn::ModelKind::Gcn;
     uint32_t threads_ = 1;
     bool profile_ = false;
-    std::vector<uint32_t> chipCounts_{1};
-    scaleout::LinkSpec link_;
     util::WallClock benchClock_;
     std::vector<graph::DatasetSpec> specs_;
     driver::WorkloadCache cache_;

@@ -10,7 +10,9 @@
  * latency, traffic and Fig. 22-style energy.
  *
  * Usage: social_network_inference [users=60000] [avgdeg=24]
- *        [circles=80] [hidden=64] [classes=32] [pes=4]
+ *        [circles=80] [features=128] [hidden=64] [classes=32] [pes=4]
+ *
+ * Every key is range-checked before the graph is built.
  */
 #include <iostream>
 
@@ -24,6 +26,7 @@
 #include "partition/multilevel.hpp"
 #include "sparse/convert.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
@@ -37,13 +40,21 @@ run(int argc, char **argv)
     CliArgs args(argc, argv);
     args.requireKnown({"users", "avgdeg", "circles", "features", "hidden",
                        "classes", "pes"});
-    const uint32_t users = static_cast<uint32_t>(args.getInt("users", 60000));
+    const auto users =
+        static_cast<uint32_t>(args.getInt("users", 60000, 2, 1 << 22));
     const double avgdeg = args.getDouble("avgdeg", 24.0);
-    const uint32_t circles = static_cast<uint32_t>(args.getInt("circles", 80));
-    const uint32_t features = static_cast<uint32_t>(args.getInt("features", 128));
-    const uint32_t hidden = static_cast<uint32_t>(args.getInt("hidden", 64));
-    const uint32_t classes = static_cast<uint32_t>(args.getInt("classes", 32));
-    const uint32_t pes = static_cast<uint32_t>(args.getInt("pes", 4));
+    if (!(avgdeg > 0.0 && avgdeg <= 1024.0))
+        fatal("avgdeg=" + args.get("avgdeg", "") +
+              " is out of range (0, 1024]");
+    const auto circles =
+        static_cast<uint32_t>(args.getInt("circles", 80, 1, users));
+    const auto features =
+        static_cast<uint32_t>(args.getInt("features", 128, 1, 8192));
+    const auto hidden =
+        static_cast<uint32_t>(args.getInt("hidden", 64, 1, 4096));
+    const auto classes =
+        static_cast<uint32_t>(args.getInt("classes", 32, 1, 4096));
+    const auto pes = static_cast<uint32_t>(args.getInt("pes", 4, 1, 64));
 
     // --- 1. The social graph: clustered, heavy-tailed. ---------------
     graph::DcSbmParams gp;

@@ -136,12 +136,12 @@ class AcceleratorSim
                             const SimOptions &options) = 0;
 
     /**
-     * The engine's declarative dataflow description (loop nest,
-     * stationarity, reuse categories, buffer levels) for both phase
-     * classes, derived from the current configuration. Pure data: the
-     * phase-plan lowering derives problem fields from it and the
-     * analytical cost model derives closed-form cycle/traffic
-     * estimates; run() never reads it.
+     * The engine's declarative dataflow description (reuse categories,
+     * operand formats, buffer levels, lane and concurrency scalars)
+     * for both phase classes, derived from the current configuration.
+     * Pure data: the phase-plan lowering derives problem fields from
+     * it and the analytical cost model derives closed-form
+     * cycle/traffic estimates; run() never reads it.
      */
     virtual mapping::EngineMapping mapping() const = 0;
 

@@ -18,8 +18,6 @@ GammaSim::mapping() const
 {
     using namespace grow::mapping;
     EngineMapping em;
-    em.engine = "gamma";
-    em.consumesPartitioning = false;
     em.dramBytesPerCycle = config_.dram.bytesPerCycle();
     em.dramAccessLatency = config_.dram.accessLatency;
 
@@ -27,13 +25,9 @@ GammaSim::mapping() const
     // fibers are demand-cached under LRU and partials pass a merge
     // network instead of accumulating in a dense output row.
     MappingSpec s;
-    s.stationarity = Stationarity::Row;
     s.rhsFormat = OperandFormat::CompressedFiber;
     s.outFormat = OperandFormat::CompressedFiber;
     s.denseReuse = DenseReuse::LruCache;
-    s.loops = {{Dim::M, MapKind::Temporal, 1},
-               {Dim::K, MapKind::Temporal, 1},
-               {Dim::N, MapKind::Spatial, config_.numMacs}};
     s.spatialLanes = config_.numMacs;
     s.reductionLanes = config_.mergeRadix;
     s.buffers = {{BufferRole::RowCache, config_.fiberCacheBytes}};

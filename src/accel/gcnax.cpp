@@ -32,23 +32,16 @@ GcnaxSim::mapping() const
 {
     using namespace grow::mapping;
     EngineMapping em;
-    em.engine = "gcnax";
-    em.consumesPartitioning = false;
     em.dramBytesPerCycle = config_.dram.bytesPerCycle();
     em.dramAccessLatency = config_.dram.accessLatency;
 
     // Outer-product loop fusion (Fig. 4): the output tile stays
     // resident across the K sweep; tile extents come from the runtime
-    // traffic search (tile = 0), bounded below by the hardware minima.
+    // traffic search, bounded below by the hardware minima.
     MappingSpec s;
-    s.stationarity = Stationarity::Output;
     s.rhsFormat = OperandFormat::DenseRows;
     s.outFormat = OperandFormat::DenseRows;
     s.denseReuse = DenseReuse::Tiled;
-    s.loops = {{Dim::N, MapKind::Temporal, 0},
-               {Dim::M, MapKind::Temporal, 0},
-               {Dim::K, MapKind::Temporal, 0},
-               {Dim::N, MapKind::Spatial, config_.numMacs}};
     s.spatialLanes = config_.numMacs;
     s.tileOverheadCycles = config_.tileOverheadCycles;
     s.minTileK = config_.minTileK;

@@ -19,8 +19,6 @@ MatRaptorSim::mapping() const
 {
     using namespace grow::mapping;
     EngineMapping em;
-    em.engine = "matraptor";
-    em.consumesPartitioning = false;
     em.dramBytesPerCycle = config_.dram.bytesPerCycle();
     em.dramAccessLatency = config_.dram.accessLatency;
 
@@ -29,13 +27,9 @@ MatRaptorSim::mapping() const
     // of a sparse-sparse engine) and partials drain through sorting
     // queues.
     MappingSpec s;
-    s.stationarity = Stationarity::None;
     s.rhsFormat = OperandFormat::CompressedFiber;
     s.outFormat = OperandFormat::CompressedFiber;
     s.denseReuse = DenseReuse::None;
-    s.loops = {{Dim::M, MapKind::Temporal, 1},
-               {Dim::K, MapKind::Temporal, 1},
-               {Dim::N, MapKind::Spatial, config_.numMacs}};
     s.spatialLanes = config_.numMacs;
     s.reductionLanes = config_.mergeLanes;
     s.buffers = {{BufferRole::MergeQueue, config_.queueBufBytes}};

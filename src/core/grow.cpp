@@ -16,26 +16,18 @@ GrowSim::mapping() const
 {
     using namespace grow::mapping;
     EngineMapping em;
-    em.engine = "grow";
-    em.consumesPartitioning = true;
     em.dramBytesPerCycle = config_.dram.bytesPerCycle();
     em.dramAccessLatency = config_.dram.accessLatency;
     em.numPes = config_.numPes;
 
-    // Row-stationary Gustavson nest (Fig. 8/15): a runahead window of
-    // LHS rows is temporally resident, each non-zero issues one
-    // RHS-row product, and the MAC array spatially spans the output
-    // row.
+    // Row-stationary Gustavson dataflow (Fig. 8/15): each LHS
+    // non-zero issues one RHS-row product, the MAC array spans the
+    // output row, and the LDN bounds the outstanding RHS-row misses.
     MappingSpec agg;
     agg.phaseClass = PhaseClass::SparseStreaming;
-    agg.stationarity = Stationarity::Row;
     agg.rhsFormat = OperandFormat::DenseRows;
     agg.outFormat = OperandFormat::DenseRows;
-    agg.loops = {{Dim::M, MapKind::Temporal, config_.runaheadDegree},
-                 {Dim::K, MapKind::Temporal, 1},
-                 {Dim::N, MapKind::Spatial, config_.numMacs}};
     agg.spatialLanes = config_.numMacs;
-    agg.rowWindow = config_.runaheadDegree;
     agg.missConcurrency = std::max(1u, config_.ldnEntries);
     agg.streamChunkBytes = config_.dmaChunkBytes;
     agg.denseReuse = !config_.hdnCacheEnabled ? DenseReuse::None
@@ -51,7 +43,8 @@ GrowSim::mapping() const
             {BufferRole::RowCache, config_.hdn.capacityBytes});
 
     // Combination keeps the whole weight matrix in the repurposed HDN
-    // data array (Sec. V-B): same nest, dense operand fully resident.
+    // data array (Sec. V-B): same dataflow, dense operand fully
+    // resident.
     MappingSpec comb = agg;
     comb.phaseClass = PhaseClass::DenseResident;
     comb.denseReuse = DenseReuse::Resident;

@@ -370,7 +370,9 @@ AnalyticalCostModel::estimate(const mapping::EngineMapping &em) const
     for (const auto &ph : *plan_) {
         if (ph.op == gcn::PhaseOp::HaloExchange)
             continue;
-        const MappingSpec &spec = em.spec(ph.mapping.phaseClass);
+        // The lowering set rhsOnChip from this phase's class.
+        const MappingSpec &spec =
+            ph.problem.rhsOnChip ? em.combination : em.aggregation;
         PhaseEstimate e =
             estimatePhase(spec, em, statsFor(ph), ph.problem.rhsCols);
         e.layer = ph.layer;

@@ -153,7 +153,6 @@ buildPhasePlan(const GcnWorkload &workload, const RunOptions &options)
     /** Derive the problem fields the spec dictates. */
     auto applySpec = [](PlannedPhase &ph,
                         const mapping::MappingSpec &spec) {
-        ph.mapping = spec;
         ph.problem.rhsOnChip = spec.rhsResident();
         ph.problem.phase = spec.rhsResident()
                                ? accel::Phase::Combination
@@ -183,8 +182,9 @@ buildPhasePlan(const GcnWorkload &workload, const RunOptions &options)
     // SDDMM-shaped attention-score pass over the same non-zeros. In
     // functional mode the dense RHS is the preceding combination
     // output, threaded in by executePlan. GROW's preprocessing
-    // artefacts apply to every step whose spec streams the sparse
-    // operand (i.e. does not hold the dense operand resident).
+    // artefacts apply to every such step: its spec is the streaming
+    // one, which validate() never lets hold the dense operand
+    // resident.
     auto pushAdjacencyStep = [&](uint32_t layer, PhaseOp op) {
         PlannedPhase ph;
         ph.layer = layer;
@@ -193,7 +193,7 @@ buildPhasePlan(const GcnWorkload &workload, const RunOptions &options)
         ph.problem.lhs = &A;
         ph.problem.rhsCols = workload.layer(layer).outDim;
         applySpec(ph, em.spec(mapping::PhaseClass::SparseStreaming));
-        if (part && !ph.mapping.rhsResident()) {
+        if (part) {
             ph.problem.clustering = &workload.relabel().clustering;
             ph.problem.hdnLists = &workload.hdnLists();
         }

@@ -91,14 +91,6 @@ struct PlannedPhase
     ModelKind model = ModelKind::Gcn;
     PhaseOp op = PhaseOp::Combination;
     accel::SpDeGemmProblem problem;
-    /**
-     * The dataflow spec this phase was lowered against (the engine
-     * mapping's spec for the phase class of `op`). Every engine-
-     * visible problem field above (rhsOnChip, phase, artefact
-     * attachment) is derived from it -- the lowering itself carries no
-     * per-engine knowledge.
-     */
-    mapping::MappingSpec mapping;
 };
 
 /**

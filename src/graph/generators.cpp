@@ -117,41 +117,6 @@ generateChungLu(uint32_t nodes, double avg_degree, double alpha,
 }
 
 Graph
-generateRmat(const RmatParams &params)
-{
-    const uint32_t n = 1u << params.scale;
-    const uint64_t target =
-        static_cast<uint64_t>(n * params.edgeFactor / 2.0);
-    const double d = 1.0 - params.a - params.b - params.c;
-    GROW_ASSERT(d >= 0.0, "R-MAT probabilities exceed 1");
-    Rng rng(params.seed);
-
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    edges.reserve(target);
-    for (uint64_t e = 0; e < target + target / 10; ++e) {
-        uint32_t u = 0, v = 0;
-        for (uint32_t bit = 0; bit < params.scale; ++bit) {
-            double r = rng.uniform();
-            u <<= 1;
-            v <<= 1;
-            if (r < params.a) {
-                // top-left: nothing set
-            } else if (r < params.a + params.b) {
-                v |= 1;
-            } else if (r < params.a + params.b + params.c) {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
-        }
-        if (u != v)
-            edges.emplace_back(u, v);
-    }
-    return Graph::fromEdges(n, std::move(edges));
-}
-
-Graph
 generateErdosRenyi(uint32_t nodes, uint64_t undirected_edges, uint64_t seed)
 {
     Rng rng(seed);

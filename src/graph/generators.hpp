@@ -15,7 +15,7 @@
  * (DC-SBM): nodes carry Pareto-distributed degree weights and belong to
  * planted communities; each edge keeps its endpoints inside one
  * community with probability `intraFraction`. Chung-Lu (no communities)
- * and R-MAT generators are provided for ablations and tests.
+ * and Erdos-Renyi generators are provided for ablations and tests.
  */
 #pragma once
 
@@ -60,18 +60,6 @@ Graph generateDcSbm(const DcSbmParams &params,
 /** Chung-Lu power-law graph (no community structure). */
 Graph generateChungLu(uint32_t nodes, double avg_degree, double alpha,
                       uint64_t seed);
-
-/** R-MAT parameters (defaults are the common Graph500 values). */
-struct RmatParams
-{
-    uint32_t scale = 10;       ///< nodes = 2^scale
-    double edgeFactor = 8.0;   ///< undirected edges = nodes * edgeFactor / 2
-    double a = 0.57, b = 0.19, c = 0.19; ///< d = 1 - a - b - c
-    uint64_t seed = 1;
-};
-
-/** Recursive-matrix (R-MAT) generator. */
-Graph generateRmat(const RmatParams &params);
 
 /** Uniform Erdos-Renyi G(n, m) graph (tests and non-power-law study). */
 Graph generateErdosRenyi(uint32_t nodes, uint64_t undirected_edges,

@@ -61,24 +61,4 @@ normalizedAdjacency(const Graph &g, bool self_loops)
     return normalizedAdjacency(g.view(), self_loops, 1);
 }
 
-sparse::CsrMatrix
-binaryAdjacency(const CsrView &g)
-{
-    std::vector<uint64_t> rowPtr(g.offsets.begin(), g.offsets.end());
-    if (rowPtr.empty())
-        rowPtr.push_back(0);
-    std::vector<NodeId> colIdx(g.adjacency.begin(), g.adjacency.end());
-    std::vector<double> values(colIdx.size(), 1.0);
-    return sparse::CsrMatrix::fromRaw(g.numNodes(), g.numNodes(),
-                                      std::move(rowPtr),
-                                      std::move(colIdx),
-                                      std::move(values));
-}
-
-sparse::CsrMatrix
-binaryAdjacency(const Graph &g)
-{
-    return binaryAdjacency(g.view());
-}
-
 } // namespace grow::graph

@@ -33,10 +33,4 @@ sparse::CsrMatrix normalizedAdjacency(const CsrView &g,
 sparse::CsrMatrix normalizedAdjacency(const Graph &g,
                                       bool self_loops = true);
 
-/** Unnormalized binary adjacency CSR (all values 1.0). */
-sparse::CsrMatrix binaryAdjacency(const CsrView &g);
-
-/** Convenience overload over a heap Graph. */
-sparse::CsrMatrix binaryAdjacency(const Graph &g);
-
 } // namespace grow::graph

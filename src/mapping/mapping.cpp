@@ -1,78 +1,8 @@
 #include "mapping/mapping.hpp"
 
-#include <sstream>
-
 #include "util/logging.hpp"
 
 namespace grow::mapping {
-
-const char *
-dimName(Dim dim)
-{
-    switch (dim) {
-      case Dim::M: return "M";
-      case Dim::K: return "K";
-      case Dim::N: return "N";
-    }
-    return "?";
-}
-
-const char *
-stationarityName(Stationarity s)
-{
-    switch (s) {
-      case Stationarity::Row: return "row-stationary";
-      case Stationarity::Output: return "output-stationary";
-      case Stationarity::None: return "streaming";
-    }
-    return "?";
-}
-
-const char *
-denseReuseName(DenseReuse r)
-{
-    switch (r) {
-      case DenseReuse::Resident: return "resident";
-      case DenseReuse::PinnedCache: return "pinned-cache";
-      case DenseReuse::LruCache: return "lru-cache";
-      case DenseReuse::Tiled: return "tiled";
-      case DenseReuse::None: return "none";
-    }
-    return "?";
-}
-
-const char *
-operandFormatName(OperandFormat f)
-{
-    switch (f) {
-      case OperandFormat::DenseRows: return "dense-rows";
-      case OperandFormat::CompressedFiber: return "compressed-fiber";
-    }
-    return "?";
-}
-
-const char *
-phaseClassName(PhaseClass c)
-{
-    switch (c) {
-      case PhaseClass::DenseResident: return "dense-resident";
-      case PhaseClass::SparseStreaming: return "sparse-streaming";
-    }
-    return "?";
-}
-
-const char *
-bufferRoleName(BufferRole r)
-{
-    switch (r) {
-      case BufferRole::SparseInput: return "sparse-input";
-      case BufferRole::DenseInput: return "dense-input";
-      case BufferRole::Output: return "output";
-      case BufferRole::RowCache: return "row-cache";
-      case BufferRole::MergeQueue: return "merge-queue";
-    }
-    return "?";
-}
 
 Bytes
 MappingSpec::bufferCapacity(BufferRole role) const
@@ -87,19 +17,7 @@ MappingSpec::bufferCapacity(BufferRole role) const
 void
 validate(const MappingSpec &spec)
 {
-    bool seen[3] = {false, false, false};
-    uint32_t spatial = 0;
-    for (const LoopLevel &l : spec.loops) {
-        seen[static_cast<size_t>(l.dim)] = true;
-        if (l.kind == MapKind::Spatial)
-            ++spatial;
-    }
-    GROW_ASSERT(seen[0] && seen[1] && seen[2],
-                "mapping loop nest must cover M, K and N");
-    GROW_ASSERT(spatial <= 1,
-                "at most one spatial level per mapping");
     GROW_ASSERT(spec.spatialLanes >= 1, "spatialLanes must be >= 1");
-    GROW_ASSERT(spec.rowWindow >= 1, "rowWindow must be >= 1");
     GROW_ASSERT(spec.missConcurrency >= 1,
                 "missConcurrency must be >= 1");
     if (spec.rhsResident()) {
@@ -114,7 +32,6 @@ validate(const MappingSpec &spec)
 void
 validate(const EngineMapping &mapping)
 {
-    GROW_ASSERT(!mapping.engine.empty(), "engine mapping needs a name");
     GROW_ASSERT(mapping.combination.phaseClass ==
                     PhaseClass::DenseResident,
                 "combination spec must be dense-resident");
@@ -128,40 +45,13 @@ validate(const EngineMapping &mapping)
     validate(mapping.aggregation);
 }
 
-std::string
-describe(const MappingSpec &spec)
-{
-    std::ostringstream os;
-    os << stationarityName(spec.stationarity) << " { ";
-    for (const LoopLevel &l : spec.loops) {
-        os << (l.kind == MapKind::Spatial ? "SpatialMap" : "TemporalMap");
-        if (l.tile == 0)
-            os << "(*,*) ";
-        else
-            os << "(" << l.tile << "," << l.tile << ") ";
-        os << dimName(l.dim) << "; ";
-    }
-    os << "} rhs=" << operandFormatName(spec.rhsFormat)
-       << " reuse=" << denseReuseName(spec.denseReuse);
-    return os.str();
-}
-
 const EngineMapping &
 genericMapping()
 {
     static const EngineMapping generic = [] {
         EngineMapping em;
-        em.engine = "generic";
-        em.consumesPartitioning = false;
-        MappingSpec s;
-        s.stationarity = Stationarity::Row;
-        s.loops = {{Dim::M, MapKind::Temporal, 0},
-                   {Dim::K, MapKind::Temporal, 1},
-                   {Dim::N, MapKind::Spatial, 0}};
-        em.combination = s;
         em.combination.phaseClass = PhaseClass::DenseResident;
         em.combination.denseReuse = DenseReuse::Resident;
-        em.aggregation = s;
         em.aggregation.phaseClass = PhaseClass::SparseStreaming;
         em.aggregation.denseReuse = DenseReuse::None;
         validate(em);

@@ -1,13 +1,11 @@
 /**
  * @file
- * Declarative dataflow mappings (MAESTRO-style) for the SpDeGEMM
- * engines.
+ * Declarative dataflow mappings for the SpDeGEMM engines.
  *
- * Every accelerator model publishes one EngineMapping: a small,
- * per-phase-class description of its loop nest (order, temporal vs
- * spatial mapping, tile sizes), operand stationarity, dense-operand
- * reuse category, operand formats and buffer levels. Two consumers
- * replace what used to be hardwired per-engine knowledge:
+ * Every accelerator model publishes one EngineMapping: per phase
+ * class, its dense-operand reuse category, operand formats, buffer
+ * levels and the lane, miss-concurrency and tiling scalars of its
+ * dataflow. A spec holds only what its two consumers read:
  *
  *  - gcn::buildPhasePlan derives every engine-visible problem field
  *    (rhsOnChip, accel::Phase, artefact attachment) from the spec of
@@ -17,50 +15,16 @@
  *    reuse statistics) into closed-form cycle/traffic estimates, the
  *    fast tier of the design-space-exploration driver.
  *
- * The vocabulary follows qmaestro's dataflow DSL (TemporalMap /
- * SpatialMap per dimension); describe() renders a spec in that style
- * for reports and debugging. The module is a leaf: it depends only on
- * sim/types.
+ * The module is a leaf: it depends only on sim/types.
  */
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/types.hpp"
 
 namespace grow::mapping {
-
-/** Loop dimensions of C[M x N] = S[M x K] * D[K x N]. */
-enum class Dim : uint8_t { M, K, N };
-
-const char *dimName(Dim dim);
-
-/** How one loop level distributes its dimension (MAESTRO directive). */
-enum class MapKind : uint8_t { Temporal, Spatial };
-
-/** One level of the loop nest, outermost first. */
-struct LoopLevel
-{
-    Dim dim = Dim::M;
-    MapKind kind = MapKind::Temporal;
-    /**
-     * Iteration-space tile mapped at this level; 0 means "full extent
-     * or chosen per problem at runtime" (e.g. GCNAX's traffic-driven
-     * tiling search).
-     */
-    uint32_t tile = 0;
-};
-
-/** Which operand the loop body holds stationary. */
-enum class Stationarity : uint8_t {
-    Row,    ///< one sparse LHS row's products stay resident (GROW)
-    Output, ///< output tile accumulates in place (GCNAX)
-    None    ///< partials stream through a merge network
-};
-
-const char *stationarityName(Stationarity s);
 
 /** Reuse category of the dense RHS operand. */
 enum class DenseReuse : uint8_t {
@@ -71,15 +35,11 @@ enum class DenseReuse : uint8_t {
     None         ///< every reference refetches (MatRaptor)
 };
 
-const char *denseReuseName(DenseReuse r);
-
 /** Storage format of an operand as it crosses the DRAM boundary. */
 enum class OperandFormat : uint8_t {
     DenseRows,      ///< N values per row, value bytes only
     CompressedFiber ///< value+index per element plus a segment pointer
 };
-
-const char *operandFormatName(OperandFormat f);
 
 /**
  * Which phase class of the GCN lowering a spec describes. The lowering
@@ -89,8 +49,6 @@ const char *operandFormatName(OperandFormat f);
  */
 enum class PhaseClass : uint8_t { DenseResident, SparseStreaming };
 
-const char *phaseClassName(PhaseClass c);
-
 /** Named on-chip buffer level of a mapping. */
 enum class BufferRole : uint8_t {
     SparseInput, ///< streamed sparse LHS staging
@@ -99,8 +57,6 @@ enum class BufferRole : uint8_t {
     RowCache,    ///< dense-row reuse cache (HDN / fiber cache)
     MergeQueue   ///< partial-result sorting or merge storage
 };
-
-const char *bufferRoleName(BufferRole r);
 
 struct BufferLevel
 {
@@ -116,20 +72,15 @@ struct BufferLevel
 struct MappingSpec
 {
     PhaseClass phaseClass = PhaseClass::SparseStreaming;
-    Stationarity stationarity = Stationarity::Row;
     DenseReuse denseReuse = DenseReuse::None;
     OperandFormat rhsFormat = OperandFormat::DenseRows;
     OperandFormat outFormat = OperandFormat::DenseRows;
 
-    /** Loop nest, outermost first. */
-    std::vector<LoopLevel> loops;
     /** On-chip buffer levels backing the mapping. */
     std::vector<BufferLevel> buffers;
 
-    /** MAC lanes the spatial level spreads one product over. */
+    /** MAC lanes one product's output row is spread over. */
     uint32_t spatialLanes = 1;
-    /** Rows held concurrently in the temporal M window (runahead). */
-    uint32_t rowWindow = 1;
     /** Outstanding distinct dense-row misses (LDN entries). */
     uint32_t missConcurrency = 1;
     /** Post-MAC merge throughput in elements/cycle (0 = accumulate
@@ -161,16 +112,6 @@ struct MappingSpec
  */
 struct EngineMapping
 {
-    /** Engine report name ("grow", "gcnax", ...). */
-    std::string engine;
-    /**
-     * Whether the engine can exploit GROW's preprocessing artefacts
-     * (cluster layout + per-cluster HDN lists). A run convention may
-     * still disable partitioning for such an engine ("grow w/o G.P"),
-     * which is why RunOptions::usePartitioning stays separate.
-     */
-    bool consumesPartitioning = false;
-
     MappingSpec combination;
     MappingSpec aggregation;
 
@@ -189,22 +130,14 @@ struct EngineMapping
 };
 
 /**
- * Asserts the structural invariants of @p spec: the loop nest covers
- * M, K and N, at most one spatial level, non-zero lane/window/
+ * Asserts the structural invariants of @p spec: non-zero lane and
  * concurrency counts, and a phase class consistent with the reuse
- * category (a DenseResident phase never carries a reuse cache).
+ * category (a DenseResident phase never carries a pinned reuse cache).
  */
 void validate(const MappingSpec &spec);
 
 /** validate() both specs plus the per-phase-class invariants. */
 void validate(const EngineMapping &mapping);
-
-/**
- * qmaestro-style rendering of one spec, e.g.
- *   "row-stationary { TemporalMap(16,16) M; TemporalMap(1,1) K;
- *    SpatialMap(16,16) N; } rhs=dense-rows reuse=pinned-cache"
- */
-std::string describe(const MappingSpec &spec);
 
 /**
  * The engine-neutral lowering contract: combination is DenseResident,

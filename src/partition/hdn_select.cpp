@@ -99,25 +99,4 @@ selectHdnPerCluster(const graph::CsrView &original,
     return lists;
 }
 
-std::vector<NodeId>
-selectGlobalHdn(const graph::Graph &g, uint32_t top_n)
-{
-    std::vector<std::pair<uint32_t, NodeId>> ranked;
-    ranked.reserve(g.numNodes());
-    for (NodeId v = 0; v < g.numNodes(); ++v)
-        ranked.emplace_back(g.degree(v), v);
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.first != b.first)
-                      return a.first > b.first;
-                  return a.second < b.second;
-              });
-    const size_t n = std::min<size_t>(top_n, ranked.size());
-    std::vector<NodeId> out;
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        out.push_back(ranked[i].second);
-    return out;
-}
-
 } // namespace grow::partition

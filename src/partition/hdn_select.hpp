@@ -44,10 +44,4 @@ selectHdnPerCluster(const graph::CsrView &original,
                     const RelabelResult &relabel, uint32_t top_n,
                     uint32_t threads = 1);
 
-/**
- * Global top-N by total degree: the HDN list GROW uses when graph
- * partitioning is disabled (Fig. 17's "GROW (w/o G.P)" configuration).
- */
-std::vector<NodeId> selectGlobalHdn(const graph::Graph &g, uint32_t top_n);
-
 } // namespace grow::partition

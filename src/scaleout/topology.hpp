@@ -9,8 +9,8 @@
  * inter-chip link specification. chips == 1 describes the classic
  * single-chip setup; driver::engineForTopology() and
  * scaleout::runInference() consume the descriptor directly, and
- * bench::BenchContext builds one from the `chips=` / `link_gbps=` /
- * `link_ns=` CLI keys. See DESIGN.md "Multi-chip scale-out".
+ * bench_scaleout builds one from its `chips=` / `link_gbps=` /
+ * `link_ns=` keys. See DESIGN.md "Multi-chip scale-out".
  */
 #pragma once
 

@@ -20,52 +20,6 @@ toDense(const CsrMatrix &m)
     return d;
 }
 
-DenseMatrix
-toDense(const CscMatrix &m)
-{
-    DenseMatrix d(m.rows(), m.cols());
-    for (uint32_t c = 0; c < m.cols(); ++c) {
-        auto rows = m.colRows(c);
-        auto vals = m.colVals(c);
-        for (size_t i = 0; i < rows.size(); ++i)
-            d.at(rows[i], c) = vals[i];
-    }
-    return d;
-}
-
-CsrMatrix
-toCsr(const DenseMatrix &m, double eps)
-{
-    CooMatrix coo(m.rows(), m.cols());
-    for (uint32_t r = 0; r < m.rows(); ++r)
-        for (uint32_t c = 0; c < m.cols(); ++c)
-            if (std::abs(m.at(r, c)) > eps)
-                coo.add(r, c, m.at(r, c));
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
-}
-
-CsrMatrix
-toCsr(const CscMatrix &m)
-{
-    CooMatrix coo(m.rows(), m.cols());
-    coo.reserve(m.nnz());
-    for (uint32_t c = 0; c < m.cols(); ++c) {
-        auto rows = m.colRows(c);
-        auto vals = m.colVals(c);
-        for (size_t i = 0; i < rows.size(); ++i)
-            coo.add(rows[i], c, vals[i]);
-    }
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
-}
-
-CscMatrix
-toCsc(const CsrMatrix &m)
-{
-    return CscMatrix::fromCsr(m);
-}
-
 CsrMatrix
 randomCsr(uint32_t rows, uint32_t cols, double density, Rng &rng,
           bool with_values)

@@ -1,15 +1,12 @@
 /**
  * @file
- * Conversions between sparse/dense matrix representations and random
- * matrix synthesis helpers.
+ * Densifying a CSR matrix and random matrix synthesis helpers.
  *
- * Densifying a CSR matrix and converting it to CSC read its values, so
- * both reject a structure-only matrix (CsrMatrix::hasValues()).
+ * Densifying reads a CSR matrix's values, so it rejects a
+ * structure-only matrix (CsrMatrix::hasValues()).
  */
 #pragma once
 
-#include "sparse/coo_matrix.hpp"
-#include "sparse/csc_matrix.hpp"
 #include "sparse/csr_matrix.hpp"
 #include "sparse/dense_matrix.hpp"
 #include "util/random.hpp"
@@ -18,16 +15,6 @@ namespace grow::sparse {
 
 /** Densify a CSR matrix. */
 DenseMatrix toDense(const CsrMatrix &m);
-
-/** Densify a CSC matrix. */
-DenseMatrix toDense(const CscMatrix &m);
-
-/** Sparsify a dense matrix (entries with |x| > eps become non-zeros). */
-CsrMatrix toCsr(const DenseMatrix &m, double eps = 0.0);
-
-/** CSC <-> CSR through structure transposition. */
-CsrMatrix toCsr(const CscMatrix &m);
-CscMatrix toCsc(const CsrMatrix &m);
 
 /**
  * Random CSR matrix with i.i.d. Bernoulli(@p density) non-zero pattern

@@ -2,8 +2,9 @@
  * @file
  * Coordinate-format sparse matrix: the mutable builder format.
  *
- * Graph generators emit COO triples which are then deduplicated, sorted
- * and converted to CSR/CSC for the accelerator models.
+ * Triples are deduplicated, sorted and converted to CSR
+ * (CsrMatrix::fromCoo). The simulator builds its CSR operands
+ * directly; COO serves tests that build small matrices by hand.
  */
 #pragma once
 

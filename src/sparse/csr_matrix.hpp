@@ -12,8 +12,8 @@
  * so synthetic feature matrices keep values only when a functional run
  * will read them (gcn::WorkloadConfig::functionalData). Structure
  * operations (rowCols, permutedSymmetric, streamBytes, validate) work
- * on either kind; value readers (rowVals, transposed, densify, CSC
- * conversion) reject a structure-only matrix that has non-zeros.
+ * on either kind; value readers (rowVals, transposed, densify) reject
+ * a structure-only matrix that has non-zeros.
  */
 #pragma once
 

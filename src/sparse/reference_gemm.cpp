@@ -1,9 +1,5 @@
 #include "sparse/reference_gemm.hpp"
 
-#include <algorithm>
-#include <vector>
-
-#include "sparse/coo_matrix.hpp"
 #include "util/logging.hpp"
 
 namespace grow::sparse {
@@ -45,54 +41,6 @@ referenceGemm(const DenseMatrix &a, const DenseMatrix &b)
         }
     }
     return c;
-}
-
-CsrMatrix
-referenceSpGemm(const CsrMatrix &a, const CsrMatrix &b)
-{
-    GROW_ASSERT(a.cols() == b.rows(), "SpGEMM shape mismatch");
-    // Gustavson: accumulate each output row in a sparse accumulator.
-    std::vector<double> acc(b.cols(), 0.0);
-    std::vector<NodeId> touched;
-    std::vector<uint8_t> seen(b.cols(), 0);
-
-    CooMatrix coo(a.rows(), b.cols());
-    for (uint32_t r = 0; r < a.rows(); ++r) {
-        touched.clear();
-        auto acols = a.rowCols(r);
-        auto avals = a.rowVals(r);
-        for (size_t i = 0; i < acols.size(); ++i) {
-            const double v = avals[i];
-            auto bcols = b.rowCols(acols[i]);
-            auto bvals = b.rowVals(acols[i]);
-            for (size_t j = 0; j < bcols.size(); ++j) {
-                NodeId c = bcols[j];
-                if (!seen[c]) {
-                    seen[c] = 1;
-                    touched.push_back(c);
-                    acc[c] = 0.0;
-                }
-                acc[c] += v * bvals[j];
-            }
-        }
-        std::sort(touched.begin(), touched.end());
-        for (NodeId c : touched) {
-            coo.add(r, c, acc[c]);
-            seen[c] = 0;
-        }
-    }
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
-}
-
-DenseMatrix
-relu(const DenseMatrix &m)
-{
-    DenseMatrix out(m.rows(), m.cols());
-    for (uint32_t r = 0; r < m.rows(); ++r)
-        for (uint32_t c = 0; c < m.cols(); ++c)
-            out.at(r, c) = std::max(0.0, m.at(r, c));
-    return out;
 }
 
 MacCounts

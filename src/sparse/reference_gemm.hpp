@@ -23,12 +23,6 @@ DenseMatrix referenceSpMM(const CsrMatrix &s, const DenseMatrix &d);
 /** C = A * B for dense A, B. */
 DenseMatrix referenceGemm(const DenseMatrix &a, const DenseMatrix &b);
 
-/** Sparse-sparse product as CSR (row-wise / Gustavson formulation). */
-CsrMatrix referenceSpGemm(const CsrMatrix &a, const CsrMatrix &b);
-
-/** Element-wise ReLU into a copy. */
-DenseMatrix relu(const DenseMatrix &m);
-
 /**
  * Multiply-accumulate counts for the two GCN execution orders of
  * A * X * W (Sec. II-B). Sparse operands contribute only effectual MACs.

@@ -30,26 +30,6 @@ TileGridStats::compute(const CsrMatrix &m, TileShape shape)
     return s;
 }
 
-TileGridStats
-TileGridStats::compute(const CscMatrix &m, TileShape shape)
-{
-    GROW_ASSERT(shape.rows > 0 && shape.cols > 0, "tile shape must be >0");
-    TileGridStats s;
-    s.shape_ = shape;
-    s.rowTiles_ = static_cast<uint32_t>(ceilDiv(m.rows(), shape.rows));
-    s.colTiles_ = static_cast<uint32_t>(ceilDiv(m.cols(), shape.cols));
-    uint64_t tiles = static_cast<uint64_t>(s.rowTiles_) * s.colTiles_;
-    GROW_ASSERT(tiles <= kMaxTiles, "tile grid too large");
-    s.nnz_.assign(tiles, 0);
-    for (uint32_t c = 0; c < m.cols(); ++c) {
-        uint32_t k = c / shape.cols;
-        for (NodeId r : m.colRows(c))
-            s.nnz_[static_cast<uint64_t>(r / shape.rows) * s.colTiles_ + k]
-                += 1;
-    }
-    return s;
-}
-
 uint32_t
 TileGridStats::nnzAt(uint32_t m, uint32_t k) const
 {

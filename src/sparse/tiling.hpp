@@ -3,8 +3,10 @@
  * 2-D tiling analysis for outer-product SpDeGEMM dataflows.
  *
  * GCNAX (the paper's baseline) fetches the sparse operand as 2-D tiles of
- * a CSC-compressed matrix (Fig. 4). The GROW paper's motivation rests on
- * two measurements over those tiles:
+ * a CSC-compressed matrix (Fig. 4). The census is taken on the CSR
+ * operand: the number of non-zeros per tile does not depend on storage
+ * order. The GROW paper's motivation rests on two measurements over
+ * those tiles:
  *  - Fig. 5: the number of non-zeros per fetched tile, and
  *  - Fig. 6: the effective DRAM bandwidth when fetching them with a
  *    64-byte minimum access granularity.
@@ -22,7 +24,6 @@
 
 #include "sim/histogram.hpp"
 #include "sim/types.hpp"
-#include "sparse/csc_matrix.hpp"
 #include "sparse/csr_matrix.hpp"
 
 namespace grow::sparse {
@@ -44,7 +45,6 @@ class TileGridStats
 
     /** Count tile occupancy of @p m under @p shape. */
     static TileGridStats compute(const CsrMatrix &m, TileShape shape);
-    static TileGridStats compute(const CscMatrix &m, TileShape shape);
 
     uint32_t rowTiles() const { return rowTiles_; }
     uint32_t colTiles() const { return colTiles_; }

@@ -3,9 +3,9 @@
  * Minimal key=value command-line parsing for bench/example binaries.
  *
  * Every harness accepts arguments of the form `key=value` (e.g.
- * `scale=mini datasets=cora,reddit seed=7`) so that the default
- * `for b in build/bench/*; do $b; done` sweep runs with sensible
- * defaults while still allowing focused re-runs.
+ * `scale=mini datasets=cora,reddit seed=7`), so running a binary with
+ * no arguments uses sensible defaults while focused re-runs stay one
+ * key away.
  */
 #pragma once
 

@@ -3,6 +3,7 @@
 #include "accel/accelerator.hpp"
 #include "core/grow.hpp"
 #include "sparse/convert.hpp"
+#include "sparse/coo_matrix.hpp"
 #include "util/bitutil.hpp"
 #include "util/random.hpp"
 
@@ -169,6 +170,10 @@ TEST(GrowEngine, TopReferencedColumnsRanksByFrequency)
     ASSERT_EQ(top.size(), 2u);
     EXPECT_EQ(top[0], 2u);
     EXPECT_EQ(top[1], 0u);
+    // top_n >= columns ranks every column; the unreferenced one last.
+    const std::vector<NodeId> all = {2, 0, 1, 3};
+    EXPECT_EQ(topReferencedColumns(m, 4), all);
+    EXPECT_EQ(topReferencedColumns(m, 100), all);
 }
 
 TEST(GrowEngine, LhsIdTableStallsUnderPressure)

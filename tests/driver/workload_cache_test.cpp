@@ -680,8 +680,9 @@ TEST(WorkloadCache, SnapshotSafeUnderConcurrentLookups)
             // the footprint only exists alongside entries.
             EXPECT_LE(snap.counters.builds + snap.reuses(),
                       lookups.load() + 3); // in-flight lookups slack
-            if (snap.entries == 0)
+            if (snap.entries == 0) {
                 EXPECT_EQ(snap.bytes, 0u);
+            }
             EXPECT_LE(snap.entries, 2u);
         }
     });

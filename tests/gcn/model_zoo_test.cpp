@@ -172,15 +172,17 @@ TEST(ModelZoo, SageAggregatesOverSampledAdjacency)
     opt.usePartitioning = true;
     auto plan = buildPhasePlan(w, opt);
     for (const auto &step : plan)
-        if (step.op == PhaseOp::Aggregation)
+        if (step.op == PhaseOp::Aggregation) {
             EXPECT_EQ(step.problem.lhs,
                       &w.adjacencySampledPartitioned());
+        }
     // The unpartitioned layout streams the original-labelling sample.
     RunOptions flat;
     auto flatPlan = buildPhasePlan(w, flat);
     for (const auto &step : flatPlan)
-        if (step.op == PhaseOp::Aggregation)
+        if (step.op == PhaseOp::Aggregation) {
             EXPECT_EQ(step.problem.lhs, &w.adjacencySampled());
+        }
 }
 
 TEST(ModelZoo, GatAttentionStreamsAdjacencyWithArtefacts)

@@ -66,8 +66,9 @@ TEST(Workload, DeepModelBuildsPerLayerArtefacts)
         EXPECT_EQ(w.xPartitioned(i).cols(), w.layer(i).inDim);
         EXPECT_EQ(w.weight(i).rows(), w.layer(i).inDim);
         EXPECT_EQ(w.weight(i).cols(), w.layer(i).outDim);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(w.layer(i).inDim, w.layer(i - 1).outDim);
+        }
     }
     EXPECT_EQ(w.layer(0).inDim, w.shape().inFeatures);
     EXPECT_EQ(w.layer(1).inDim, w.shape().hidden);

@@ -98,26 +98,6 @@ TEST(Generators, ChungLuPowerLawTail)
     EXPECT_GT(h.maxValue(), 10 * static_cast<uint64_t>(h.mean()));
 }
 
-TEST(Generators, RmatShape)
-{
-    RmatParams p;
-    p.scale = 10;
-    p.edgeFactor = 8.0;
-    auto g = generateRmat(p);
-    EXPECT_EQ(g.numNodes(), 1024u);
-    EXPECT_GT(g.numEdges(), 2000u);
-    EXPECT_TRUE(g.validate());
-}
-
-TEST(Generators, RmatSkewedDegrees)
-{
-    RmatParams p;
-    p.scale = 12;
-    p.edgeFactor = 8.0;
-    auto g = generateRmat(p);
-    EXPECT_GT(degreeGini(g), 0.3);
-}
-
 TEST(Generators, ErdosRenyiNearUniform)
 {
     auto g = generateErdosRenyi(5000, 25000, 5);

@@ -68,15 +68,6 @@ TEST(Normalize, SpectralRadiusBounded)
     }
 }
 
-TEST(Normalize, BinaryAdjacencyOnesOnly)
-{
-    auto g = Graph::fromEdges(3, {{0, 1}, {1, 2}});
-    auto a = binaryAdjacency(g);
-    EXPECT_EQ(a.nnz(), 4u);
-    for (double v : a.values())
-        EXPECT_DOUBLE_EQ(v, 1.0);
-}
-
 TEST(Normalize, NnzMatchesArcsPlusLoops)
 {
     auto g = generateGrid(6, 6);

@@ -7,23 +7,6 @@
 namespace grow::partition {
 namespace {
 
-TEST(HdnSelect, GlobalTopNByDegree)
-{
-    // Star graph: hub 0 has degree 4, leaves degree 1.
-    auto g = graph::Graph::fromEdges(
-        5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
-    auto top = selectGlobalHdn(g, 2);
-    ASSERT_EQ(top.size(), 2u);
-    EXPECT_EQ(top[0], 0u);
-}
-
-TEST(HdnSelect, GlobalListCappedBySize)
-{
-    auto g = graph::generateGrid(3, 3);
-    auto top = selectGlobalHdn(g, 100);
-    EXPECT_EQ(top.size(), 9u);
-}
-
 TEST(HdnSelect, PerClusterUsesIntraDegree)
 {
     // Two clusters {0,1,2} and {3,4,5}. Node 2 has many *inter*-cluster

@@ -79,14 +79,18 @@ TEST(ServeMetricsReport, TablesAndPercentiles)
     for (const report::MetricRecord &r : rep.records()) {
         if (r.table != "serve_tenants")
             continue;
-        if (r.metric == "p50_ms")
+        if (r.metric == "p50_ms") {
             EXPECT_DOUBLE_EQ(r.value, 50.0);
-        if (r.metric == "p95_ms")
+        }
+        if (r.metric == "p95_ms") {
             EXPECT_DOUBLE_EQ(r.value, 95.0);
-        if (r.metric == "p99_ms")
+        }
+        if (r.metric == "p99_ms") {
             EXPECT_DOUBLE_EQ(r.value, 99.0);
-        if (r.metric == "requests")
+        }
+        if (r.metric == "requests") {
             EXPECT_DOUBLE_EQ(r.value, 101.0);
+        }
     }
 }
 
@@ -141,14 +145,18 @@ TEST(ServedDatasetTable, HistoricalExampleShape)
             << metric;
 
     for (const report::MetricRecord &r : rep.records()) {
-        if (r.metric == "mean_cycles")
+        if (r.metric == "mean_cycles") {
             EXPECT_DOUBLE_EQ(r.value, 2000000.0);
-        if (r.metric == "hdn_hit_rate")
+        }
+        if (r.metric == "hdn_hit_rate") {
             EXPECT_DOUBLE_EQ(r.value, 0.75);
-        if (r.metric == "mean_latency_ms")
+        }
+        if (r.metric == "mean_latency_ms") {
             EXPECT_DOUBLE_EQ(r.value, 2.0);
-        if (r.metric == "nodes")
+        }
+        if (r.metric == "nodes") {
             EXPECT_EQ(r.dims.dataset, "cora");
+        }
     }
 }
 

@@ -97,8 +97,9 @@ TEST(VirtualServe, QueueOverflowRejects)
     // Rejected requests resolve instantly (reject-with-reason, no
     // queueing).
     for (const RequestRecord &r : result.records)
-        if (r.status == RequestStatus::RejectedQueueFull)
+        if (r.status == RequestStatus::RejectedQueueFull) {
             EXPECT_DOUBLE_EQ(r.totalMs(), 0.0);
+        }
 }
 
 TEST(VirtualServe, ByteBudgetSheds)

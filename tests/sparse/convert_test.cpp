@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "sparse/convert.hpp"
+#include "sparse/coo_matrix.hpp"
 #include "util/random.hpp"
 
 namespace grow::sparse {
@@ -17,15 +18,6 @@ TEST(Convert, ToDenseValuesMatch)
     EXPECT_DOUBLE_EQ(d.at(0, 2), 5.5);
     EXPECT_DOUBLE_EQ(d.at(1, 0), -1.25);
     EXPECT_DOUBLE_EQ(d.at(0, 0), 0.0);
-}
-
-TEST(Convert, ToCsrEpsilonFilters)
-{
-    DenseMatrix d(2, 2);
-    d.at(0, 0) = 1e-12;
-    d.at(1, 1) = 1.0;
-    auto m = toCsr(d, 1e-9);
-    EXPECT_EQ(m.nnz(), 1u);
 }
 
 TEST(Convert, RandomDenseInRange)

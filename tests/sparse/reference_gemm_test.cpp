@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "sparse/convert.hpp"
+#include "sparse/coo_matrix.hpp"
 #include "sparse/reference_gemm.hpp"
 #include "util/random.hpp"
 
@@ -43,28 +44,6 @@ TEST(ReferenceSpMM, ShapeMismatchRejected)
     auto s = randomCsr(4, 5, 0.5, rng);
     DenseMatrix d(4, 3); // wrong inner dim
     EXPECT_ANY_THROW(referenceSpMM(s, d));
-}
-
-TEST(ReferenceSpGemm, MatchesDensePath)
-{
-    Rng rng(13);
-    auto a = randomCsr(14, 21, 0.25, rng);
-    auto b = randomCsr(21, 11, 0.3, rng);
-    auto viaSparse = toDense(referenceSpGemm(a, b));
-    auto viaDense = referenceGemm(toDense(a), toDense(b));
-    EXPECT_LT(DenseMatrix::maxAbsDiff(viaSparse, viaDense), 1e-12);
-}
-
-TEST(Relu, ClampsNegatives)
-{
-    DenseMatrix d(1, 3);
-    d.at(0, 0) = -2.0;
-    d.at(0, 1) = 0.0;
-    d.at(0, 2) = 3.0;
-    auto r = relu(d);
-    EXPECT_DOUBLE_EQ(r.at(0, 0), 0.0);
-    EXPECT_DOUBLE_EQ(r.at(0, 1), 0.0);
-    EXPECT_DOUBLE_EQ(r.at(0, 2), 3.0);
 }
 
 TEST(MacCounts, DenseCase)
