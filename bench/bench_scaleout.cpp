@@ -40,8 +40,6 @@
  */
 #include "common.hpp"
 
-#include <algorithm>
-
 #include "driver/engine_factory.hpp"
 #include "scaleout/runner.hpp"
 
@@ -53,28 +51,7 @@ GROW_BENCH_MAIN("scaleout")
     BenchContext ctx(argc, argv, "mini", "all",
                      {"chips", "link_gbps", "link_ns", "engine", "path",
                       "cluster_nodes"});
-    std::vector<uint32_t> chipCounts;
-    for (const auto &c : ctx.args().getList("chips", {"1"})) {
-        if (c.empty() || c.find_first_not_of("0123456789") != std::string::npos)
-            fatal("chips= takes positive chip counts, got '" + c + "'");
-        const uint64_t n = std::stoull(c);
-        if (n < 1 || n > scaleout::kMaxChips)
-            fatal("chips= must be in [1, " +
-                  std::to_string(scaleout::kMaxChips) + "], got " + c);
-        chipCounts.push_back(static_cast<uint32_t>(n));
-    }
-    const bool anySharded =
-        std::any_of(chipCounts.begin(), chipCounts.end(),
-                    [](uint32_t n) { return n > 1; });
-    if ((ctx.args().has("link_gbps") || ctx.args().has("link_ns")) &&
-        !anySharded)
-        fatal("link_gbps=/link_ns= describe the inter-chip links of a "
-              "multi-chip topology; pass a chips= value > 1 (or drop "
-              "the link keys)");
-    scaleout::LinkSpec link;
-    link.bandwidthGBps =
-        ctx.args().getDouble("link_gbps", link.bandwidthGBps);
-    link.latencyNs = ctx.args().getDouble("link_ns", link.latencyNs);
+    const auto [chipCounts, link] = scaleout::parseChipKeys(ctx.args());
 
     const std::string engineKey = ctx.args().get("engine", "grow");
     const std::string path = ctx.args().get("path", "sharded");

@@ -31,7 +31,8 @@
  * With dse=1 a `chips=` list additionally sweeps multi-chip scale-out
  * points analytically: the shard plan's cut arcs price the per-layer
  * halo traffic through costmodel::estimateLinkTraffic under the
- * link_gbps=/link_ns= spec.
+ * link_gbps=/link_ns= spec. The three keys follow bench_scaleout's
+ * rules (scaleout::parseChipKeys) and are rejected without dse=1.
  *
  * Usage: design_space_sweep [datasets=pokec] [scale=tiny] [threads=0]
  *                           [dse=0] [pareto=8] [est=0]
@@ -39,7 +40,6 @@
  *                           [cachedir=] [model=gcn|sage-mean|sage-pool|
  *                           gin|gat] [format=table|json|csv] [out=path]
  */
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -107,6 +107,11 @@ run(int argc, char **argv)
     const int64_t dseArg = args.getInt("dse", 0, 0, 1);
     const int64_t paretoArg = args.getInt("pareto", 8, 0);
     const int64_t estArg = args.getInt("est", 0, 0, 1);
+    if (dseArg == 0 &&
+        (args.has("chips") || args.has("link_gbps") || args.has("link_ns")))
+        fatal("chips=, link_gbps= and link_ns= price the scale-out points "
+              "of the dse=1 explorer; pass dse=1 (or drop them)");
+    const scaleout::ChipKeys chipKeys = scaleout::parseChipKeys(args);
     const std::string format = args.get("format", "table");
     report::makeSink(format); // reject bad formats before simulating
     driver::SweepDriver pool(static_cast<uint32_t>(threadsArg));
@@ -431,22 +436,7 @@ run(int argc, char **argv)
         // shard plan's cut structure gives the exact halo bytes and
         // costmodel::estimateLinkTraffic the link-time roofline; chip
         // compute scales the analytical single-chip estimate.
-        std::vector<uint32_t> chipCounts;
-        for (const auto &c : args.getList("chips", {"1"})) {
-            if (c.empty() ||
-                c.find_first_not_of("0123456789") != std::string::npos)
-                fatal("chips= takes positive chip counts, got '" + c + "'");
-            chipCounts.push_back(
-                static_cast<uint32_t>(std::stoull(c)));
-        }
-        const bool anySharded =
-            std::any_of(chipCounts.begin(), chipCounts.end(),
-                        [](uint32_t n) { return n > 1; });
-        if (anySharded) {
-            scaleout::LinkSpec link;
-            link.bandwidthGBps = args.getDouble("link_gbps", 64.0);
-            link.latencyNs = args.getDouble("link_ns", 500.0);
-
+        if (chipKeys.sharded()) {
             gcn::RunOptions estOpt;
             estOpt.usePartitioning = true;
             const auto basePlan = gcn::buildPhasePlan(w, estOpt);
@@ -461,7 +451,7 @@ run(int argc, char **argv)
                 .col("halo_bytes", "halo bytes", "link-bytes")
                 .col("est_halo_cycles", "est halo cycles", "cycles")
                 .col("est_cycles", "est cycles", "cycles");
-            for (uint32_t chips : chipCounts) {
+            for (uint32_t chips : chipKeys.chips) {
                 const auto &adj = w.adjacencyPartitioned();
                 const auto &clustering = w.relabel().clustering;
                 const auto shard =
@@ -472,7 +462,7 @@ run(int argc, char **argv)
                 shardOpt.chips = chips;
                 const auto plan = gcn::buildPhasePlan(w, shardOpt);
                 const auto linkEst = costmodel::estimateLinkTraffic(
-                    plan, shard, haloPlan, link);
+                    plan, shard, haloPlan, chipKeys.link);
                 // First-order strong scaling: per-chip compute is the
                 // single-chip estimate over the chip count (balanced
                 // shards), plus the serialised halo steps.

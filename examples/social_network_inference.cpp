@@ -10,7 +10,9 @@
  * latency, traffic and Fig. 22-style energy.
  *
  * Usage: social_network_inference [users=60000] [avgdeg=24]
- *        [circles=80] [features=128] [hidden=64] [classes=32] [pes=4]
+ *        [circles=80] [features=128] [hidden=64] [pes=4]
+ *
+ * Only layer 1's phases are simulated, so the output width is hidden=.
  *
  * Every key is range-checked before the graph is built.
  */
@@ -38,8 +40,8 @@ int
 run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    args.requireKnown({"users", "avgdeg", "circles", "features", "hidden",
-                       "classes", "pes"});
+    args.requireKnown(
+        {"users", "avgdeg", "circles", "features", "hidden", "pes"});
     const auto users =
         static_cast<uint32_t>(args.getInt("users", 60000, 2, 1 << 22));
     const double avgdeg = args.getDouble("avgdeg", 24.0);
@@ -52,8 +54,6 @@ run(int argc, char **argv)
         static_cast<uint32_t>(args.getInt("features", 128, 1, 8192));
     const auto hidden =
         static_cast<uint32_t>(args.getInt("hidden", 64, 1, 4096));
-    const auto classes =
-        static_cast<uint32_t>(args.getInt("classes", 32, 1, 4096));
     const auto pes = static_cast<uint32_t>(args.getInt("pes", 4, 1, 64));
 
     // --- 1. The social graph: clustered, heavy-tailed. ---------------
@@ -124,7 +124,6 @@ run(int argc, char **argv)
     runPhase(gcnax, X, hidden, true, false, "gcnax: X*W (combination)");
     runPhase(gcnax, A, hidden, false, false,
              "gcnax: A*(XW) (aggregation)");
-    (void)classes;
 
     TextTable t("layer-1 phases, " + std::to_string(pes) + " PE GROW");
     t.setHeader({"phase", "cycles", "DRAM traffic", "energy (uJ)",

@@ -7,9 +7,9 @@
 
 namespace grow::core {
 
-void
-MacScheduler::addRun(Cycle ready, uint64_t row_token, Cycle dur,
-                     uint32_t count)
+MacScheduler::Run
+MacScheduler::makeRun(Cycle ready, uint64_t row_token, Cycle dur,
+                      uint32_t count)
 {
     GROW_ASSERT(dur > 0 && dur <= std::numeric_limits<uint32_t>::max(),
                 "product duration must be in [1, 2^32)");
@@ -20,16 +20,40 @@ MacScheduler::addRun(Cycle ready, uint64_t row_token, Cycle dur,
         multiProductRuns_ = true;
     }
     lastReady_ = std::max(lastReady_, ready + count - 1);
-    pending_.push(Run{ready, nextSeq_++, row_token,
-                      static_cast<uint32_t>(dur), count});
+    return Run{ready, nextSeq_++, row_token, static_cast<uint32_t>(dur),
+               count};
+}
+
+void
+MacScheduler::addRun(Cycle ready, uint64_t row_token, Cycle dur,
+                     uint32_t count)
+{
+    GROW_ASSERT(ready >= camNext_,
+                "CAM-ready run starts before an earlier CAM-ready "
+                "product");
+    cam_.push_back(makeRun(ready, row_token, dur, count));
+    camNext_ = ready + count;
+}
+
+void
+MacScheduler::addFill(Cycle ready, uint64_t row_token, Cycle dur)
+{
+    fills_.push(makeRun(ready, row_token, dur, 1));
 }
 
 MacCompletion
 MacScheduler::drainOne()
 {
-    GROW_ASSERT(!pending_.empty(), "drainOne() with no pending runs");
-    Run r = pending_.top();
-    pending_.pop();
+    GROW_ASSERT(!idle(), "drainOne() with no pending runs");
+    Run r;
+    if (fills_.empty() ||
+        (!cam_.empty() && Earlier{}(cam_.front(), fills_.top()))) {
+        r = cam_.front();
+        cam_.pop_front();
+    } else {
+        r = fills_.top();
+        fills_.pop();
+    }
     const Cycle work = static_cast<Cycle>(r.count) * r.dur;
     macFree_ = std::max(macFree_, r.ready) + work;
     busyCycles_ += work;

@@ -17,25 +17,38 @@
  *
  *     finish = max(macFree, ready) + count * dur
  *
- * Aggregation queues one run per product (count = 1: misses return out
- * of order). Combination queues one run per row: W is resident, so a
- * row's products are ready at its consecutive CAM cycles (see DESIGN.md
- * "Run-length combination issue").
+ * Products arrive from two sources, each kept sorted by (ready, seq)
+ * at O(1) per product (see DESIGN.md "Two-source MAC scheduler"):
+ *
+ *  - *CAM-ready* runs (addRun): HDN and LRU hits, one product each, and
+ *    combination's rows, one run each (DESIGN.md "Run-length
+ *    combination issue"). The CAM does one lookup per cycle, so every
+ *    run starts after the last CAM-ready product queued before it
+ *    (asserted); they queue in a plain FIFO.
+ *  - *fill-ready* products (addFill): misses, ready when their DRAM
+ *    fill returns, in any order. They queue in a util::SortedFifo,
+ *    which takes its FIFO path while fills complete in issue order
+ *    (SimpleDram) and its heap otherwise (BankedDram, LDN-shared
+ *    fills).
+ *
+ * One sequence counter spans both sources and drainOne() takes the
+ * smaller (ready, seq) head, so runs drain in per-product (ready, seq)
+ * order.
  *
  * Draining a multi-product run whole equals per-product (ready, seq)
- * order only if no other product is ready inside the run. addRun
- * asserts an O(1) sufficient condition: once a multi-product run has
- * been queued, every run (that one included) must start after the last
- * ready cycle of every run queued before it.
+ * order only if no other product is ready inside the run. Both entry
+ * points assert an O(1) sufficient condition: once a multi-product run
+ * has been queued, every run (that one included) must start after the
+ * last ready cycle of every product queued before it, from either
+ * source.
  */
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <queue>
-#include <vector>
 
 #include "sim/types.hpp"
+#include "util/sorted_fifo.hpp"
 
 namespace grow::core {
 
@@ -53,15 +66,24 @@ class MacScheduler
     MacScheduler() = default;
 
     /**
-     * Queue @p count products of row @p row_token, ready at @p ready,
-     * ready + 1, ..., ready + count - 1, each @p dur cycles long.
-     * @pre dur > 0, count > 0, and the run-length precondition above.
+     * Queue @p count CAM-ready products of row @p row_token, ready at
+     * @p ready, ready + 1, ..., ready + count - 1, each @p dur cycles
+     * long.
+     * @pre dur > 0, count > 0, @p ready is after the last CAM-ready
+     *      product queued so far, and the run-length precondition above.
      */
     void addRun(Cycle ready, uint64_t row_token, Cycle dur,
                 uint32_t count);
 
+    /**
+     * Queue one fill-ready product of row @p row_token, ready at
+     * @p ready (any order), @p dur cycles long.
+     * @pre dur > 0 and the run-length precondition above.
+     */
+    void addFill(Cycle ready, uint64_t row_token, Cycle dur);
+
     /** Whether any runs remain unexecuted. */
-    bool idle() const { return pending_.empty(); }
+    bool idle() const { return cam_.empty() && fills_.empty(); }
 
     /**
      * Execute the earliest-ready pending run.
@@ -85,22 +107,30 @@ class MacScheduler
         uint32_t count;
     };
 
-    struct Later
+    /** Per-product drain order: (ready, seq). */
+    struct Earlier
     {
         bool
         operator()(const Run &a, const Run &b) const
         {
             if (a.ready != b.ready)
-                return a.ready > b.ready;
-            return a.seq > b.seq;
+                return a.ready < b.ready;
+            return a.seq < b.seq;
         }
     };
 
-    std::priority_queue<Run, std::vector<Run>, Later> pending_;
+    /** Validate a run and stamp its sequence number. */
+    Run makeRun(Cycle ready, uint64_t row_token, Cycle dur,
+                uint32_t count);
+
+    util::Fifo<Run> cam_;
+    util::SortedFifo<Run, Earlier> fills_;
     uint64_t nextSeq_ = 0;
     Cycle macFree_ = 0;
     Cycle busyCycles_ = 0;
-    /** Latest ready cycle of any run queued so far. */
+    /** Earliest cycle the next CAM-ready run may start at. */
+    Cycle camNext_ = 0;
+    /** Latest ready cycle of any product queued so far. */
     Cycle lastReady_ = 0;
     /** A run of more than one product has been queued. */
     bool multiProductRuns_ = false;

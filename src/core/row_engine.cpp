@@ -190,26 +190,27 @@ RowEngine::ensureStreamed(Bytes up_to)
 void
 RowEngine::freeExpiredLdn()
 {
-    while (!ldnHeap_.empty() && ldnHeap_.top().first <= clock_) {
-        auto [when, node] = ldnHeap_.top();
-        ldnHeap_.pop();
-        const Cycle *entry = ldnMap_.find(node);
-        if (entry != nullptr && *entry == when) {
-            ldnMap_.erase(node);
-            GROW_ASSERT(ldnLive_ > 0, "LDN occupancy underflow");
-            --ldnLive_;
-        }
-    }
+    while (!ldnExpiry_.empty() && ldnExpiry_.top().first <= clock_)
+        popLdnExpiry();
+}
+
+Cycle
+RowEngine::popLdnExpiry()
+{
+    const auto [when, node] = ldnExpiry_.top();
+    ldnExpiry_.pop();
+    const Cycle *entry = ldnMap_.find(node);
+    GROW_ASSERT(entry != nullptr && *entry == when,
+                "LDN expiry without its table entry");
+    ldnMap_.erase(node);
+    return when;
 }
 
 void
 RowEngine::freeExpiredLhs()
 {
-    while (!lhsHeap_.empty() && lhsHeap_.top() <= clock_) {
-        lhsHeap_.pop();
-        GROW_ASSERT(lhsLive_ > 0, "LHS ID occupancy underflow");
-        --lhsLive_;
-    }
+    while (!lhsExpiry_.empty() && lhsExpiry_.top() <= clock_)
+        lhsExpiry_.pop();
 }
 
 Cycle
@@ -219,37 +220,25 @@ RowEngine::missFetch(NodeId k)
     freeExpiredLhs();
 
     // LHS ID table: one entry per parked product.
-    if (lhsLive_ >= config_.lhsIdEntries) {
-        GROW_ASSERT(!lhsHeap_.empty(), "full LHS ID table with no heap");
-        clock_ = std::max(clock_, lhsHeap_.top());
+    if (lhsExpiry_.size() >= config_.lhsIdEntries) {
+        clock_ = std::max(clock_, lhsExpiry_.top());
         stats_.lhsIdStalls += 1;
         freeExpiredLhs();
         freeExpiredLdn();
     }
 
     Cycle completion;
-    const Cycle *entry = ldnMap_.find(k);
-    if (entry != nullptr && *entry > clock_) {
+    if (const Cycle *entry = ldnMap_.find(k); entry != nullptr) {
         // Another product already fetches this row; share the fill.
+        // Every entry that returned by clock_ was reaped above.
+        GROW_ASSERT(*entry > clock_, "expired LDN entry not reaped");
         completion = *entry;
     } else {
-        if (entry != nullptr)
-            ldnMap_.erase(k); // expired entry not yet reaped
-        if (ldnLive_ >= config_.ldnEntries) {
+        if (ldnMap_.size() >= config_.ldnEntries) {
             stats_.ldnStalls += 1;
-            // Wait for the earliest live entry to return.
-            while (ldnLive_ >= config_.ldnEntries) {
-                GROW_ASSERT(!ldnHeap_.empty(),
-                            "full LDN table with empty heap");
-                auto [when, node] = ldnHeap_.top();
-                ldnHeap_.pop();
-                const Cycle *live = ldnMap_.find(node);
-                if (live != nullptr && *live == when) {
-                    clock_ = std::max(clock_, when);
-                    ldnMap_.erase(node);
-                    --ldnLive_;
-                }
-            }
+            // Wait for the earliest live entries to return.
+            while (ldnMap_.size() >= config_.ldnEntries)
+                clock_ = std::max(clock_, popLdnExpiry());
             freeExpiredLhs();
         }
         Bytes rowBytes =
@@ -257,11 +246,9 @@ RowEngine::missFetch(NodeId k)
         completion = dram_.read(clock_, rhsRowAddr(k), rowBytes,
                                 mem::TrafficClass::DenseRow);
         ldnMap_.insert(k, completion);
-        ldnHeap_.emplace(completion, k);
-        ++ldnLive_;
+        ldnExpiry_.push({completion, k});
     }
-    lhsHeap_.push(completion);
-    ++lhsLive_;
+    lhsExpiry_.push(completion);
     return completion;
 }
 
@@ -355,7 +342,7 @@ RowEngine::processNextRow()
             clock_ += 1; // HDN ID list CAM: one lookup per cycle
             stats_.camLookups += 1;
 
-            Cycle ready;
+            // A hit is CAM-ready, a miss waits for its fill.
             if (config_.hdnCacheEnabled &&
                 config_.hdnPolicy == HdnPolicy::Lru) {
                 // Sec. VIII alternative: demand-filled LRU over the
@@ -363,19 +350,18 @@ RowEngine::processNextRow()
                 if (lruCache_.lookup(k)) {
                     ++lruHits_;
                     hdnCache_.dataArray().read(rhsRowBytes);
-                    ready = clock_;
+                    mac_.addRun(clock_, token, durPerProduct_, 1);
                 } else {
                     ++lruMisses_;
-                    ready = missFetch(k);
+                    mac_.addFill(missFetch(k), token, durPerProduct_);
                     lruCache_.insert(k);
                     hdnCache_.dataArray().write(rhsRowBytes);
                 }
             } else if (config_.hdnCacheEnabled && hdnCache_.lookup(k)) {
-                ready = clock_;
+                mac_.addRun(clock_, token, durPerProduct_, 1);
             } else {
-                ready = missFetch(k);
+                mac_.addFill(missFetch(k), token, durPerProduct_);
             }
-            mac_.addRun(ready, token, durPerProduct_, 1);
             window_.back().pending += 1;
             oBufDense_.write(rhsRowBytes);
             stats_.products += 1;

@@ -27,7 +27,14 @@
  * n products are then ready at n consecutive cycles and issue as one
  * MAC run (mac_scheduler.hpp) with its clock, CAM, SRAM and product
  * counters advanced once per row; outside functional mode combination
- * does no per-non-zero work. Aggregation issues one product at a time.
+ * does no per-non-zero work.
+ *
+ * Aggregation issues one product per non-zero: a hit as a CAM-ready
+ * product, a miss as a fill-ready one (the MAC scheduler's two
+ * sources). The LDN and LHS ID tables free their entries in fill order
+ * through util::SortedFifo expiry queues, which cost O(1) per entry
+ * while fills complete in issue order (SimpleDram); every LDN expiry
+ * matches a live table entry, and the table's size is its occupancy.
  *
  * Hot-loop layout: the per-row bookkeeping (multi-row window, stream
  * chunk FIFO, LDN table) lives in fixed-capacity ring buffers and an
@@ -43,8 +50,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "core/grow_config.hpp"
@@ -59,6 +65,7 @@
 #include "sparse/dense_matrix.hpp"
 #include "util/arena.hpp"
 #include "util/flat_map.hpp"
+#include "util/sorted_fifo.hpp"
 
 namespace grow::core {
 
@@ -172,6 +179,9 @@ class RowEngine
     Cycle ensureStreamed(Bytes up_to);
     Cycle missFetch(NodeId k);
     void freeExpiredLdn();
+    /** Pop the earliest LDN expiry, erase its (asserted) table entry
+     *  and return its fill cycle. */
+    Cycle popLdnExpiry();
     void freeExpiredLhs();
     Slot &findSlot(uint64_t token);
 
@@ -216,17 +226,13 @@ class RowEngine
     util::RingBuffer<StreamChunk> streamChunks_;
 
     // LDN table (outstanding distinct RHS-row misses; occupancy is
-    // bounded by ldnEntries -- see missFetch).
+    // bounded by ldnEntries -- see missFetch): fill cycle per row, and
+    // the same (fill, row) entries in expiry order.
     util::FlatMap<NodeId, Cycle> ldnMap_;
-    std::priority_queue<std::pair<Cycle, NodeId>,
-                        std::vector<std::pair<Cycle, NodeId>>,
-                        std::greater<>> ldnHeap_;
-    uint32_t ldnLive_ = 0;
+    util::SortedFifo<std::pair<Cycle, NodeId>> ldnExpiry_;
 
-    // LHS ID table (outstanding parked products).
-    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<>>
-        lhsHeap_;
-    uint32_t lhsLive_ = 0;
+    // LHS ID table (outstanding parked products), in expiry order.
+    util::SortedFifo<Cycle> lhsExpiry_;
 
     mem::HdnCache hdnCache_;
     mem::LruRowCache lruCache_; ///< used when hdnPolicy == Lru

@@ -10,15 +10,18 @@
  * single-chip setup; driver::engineForTopology() and
  * scaleout::runInference() consume the descriptor directly, and
  * bench_scaleout builds one from its `chips=` / `link_gbps=` /
- * `link_ns=` keys. See DESIGN.md "Multi-chip scale-out".
+ * `link_ns=` keys, read by parseChipKeys() (as are design_space_sweep's
+ * dse=1 scale-out points). See DESIGN.md "Multi-chip scale-out".
  */
 #pragma once
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/grow_config.hpp"
 #include "sim/types.hpp"
+#include "util/cli.hpp"
 
 namespace grow::scaleout {
 
@@ -112,5 +115,26 @@ struct EngineTopology
 
 /** Upper bound on chips a topology may request. */
 inline constexpr uint32_t kMaxChips = 64;
+
+/** The scale-out keys of a command line: `chips=`, `link_gbps=`,
+ *  `link_ns=`. */
+struct ChipKeys
+{
+    /** Chip counts to evaluate, in order (`chips=`, default 1). */
+    std::vector<uint32_t> chips;
+    /** Link spec with `link_gbps=` / `link_ns=` applied. */
+    LinkSpec link;
+
+    /** Whether any chip count is above 1. */
+    bool sharded() const;
+};
+
+/**
+ * Read the scale-out keys of @p args. fatal() unless `chips=` lists
+ * at least one count, every count is an integer in [1, kMaxChips], and
+ * the link keys come with a count above 1 (they describe the links of
+ * a multi-chip topology). Call it before building anything.
+ */
+ChipKeys parseChipKeys(const CliArgs &args);
 
 } // namespace grow::scaleout

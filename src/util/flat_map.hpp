@@ -8,20 +8,21 @@
  * per-node allocation, no pointer chasing -- a lookup touches one cache
  * line in the common case instead of walking a bucket chain.
  *
- * Deletion uses tombstones: erase() marks the slot Dead so later probes
- * keep walking past it; insert() reuses the first tombstone on its
- * probe path. The table never rehashes -- capacity is fixed at
- * construction (rounded to a power of two, sized so the configured
- * load factor is never exceeded) and exceeding it asserts, mirroring
- * util/arena.hpp's growth-rejection contract: live occupancy is
- * hardware-bounded, so overflow is a sizing bug.
+ * The table never rehashes: capacity is fixed at construction (rounded
+ * to a power of two, two slots per live entry, so the load factor never
+ * exceeds 1/2) and exceeding it asserts, mirroring util/arena.hpp's
+ * growth-rejection contract: live occupancy is hardware-bounded, so
+ * overflow is a sizing bug.
  *
- * To stop tombstone accumulation from degrading probes in long runs,
- * the map rebuilds in place (compaction, not growth) when live + dead
- * slots would exceed 3/4 of the table. Live entries alone never exceed
- * 1/2, so at least slotCount/4 tombstones accrue between rebuilds and
- * compaction stays amortised O(1) per erase even under full-occupancy
- * churn.
+ * Deletion is backward-shift deletion, so there are no tombstones: after
+ * erase() every probe chain looks exactly as if the erased key had
+ * never been inserted. The LDN table churns at full occupancy (one
+ * erase per distinct miss), where tombstones would force a rebuild of
+ * the whole table about once every eight misses.
+ *
+ * Pointers returned by find() stay valid across insert() but not across
+ * erase(), which may move other entries: copy the value out before
+ * erasing.
  *
  * Key type K must be an unsigned integral; one key value must be
  * reserved as the empty sentinel (kInvalidNode for NodeId keys).
@@ -54,7 +55,7 @@ class FlatMap
           mask_(ceilPow2(
                     (max_live ? max_live : 1) * kSlotsPerEntry) -
                 1),
-          slots_(mask_ + 1, Slot{empty_key, V{}, State::Empty}),
+          slots_(mask_ + 1, Slot{empty_key, V{}}),
           maxLive_(max_live ? max_live : 1)
     {
     }
@@ -64,19 +65,28 @@ class FlatMap
     size_t capacity() const { return maxLive_; }
     size_t slotCount() const { return mask_ + 1; }
 
-    /** Pointer to the value of @p key, or nullptr. Never invalidated
-     *  by erase(); invalidated by insert() (potential compaction). */
+    /** Slot a probe for @p key starts at (tests build collision chains
+     *  with it). */
+    size_t
+    homeSlot(K key) const
+    {
+        // Fibonacci hashing spreads consecutive node ids; consecutive
+        // probes stay linear for cache friendliness.
+        uint64_t h = static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL;
+        return static_cast<size_t>(h >> 32) & mask_;
+    }
+
+    /** Pointer to the value of @p key, or nullptr. Invalidated by
+     *  erase(), not by insert(). */
     V *
     find(K key)
     {
-        size_t i = probeStart(key);
-        while (true) {
+        for (size_t i = homeSlot(key);; i = (i + 1) & mask_) {
             Slot &s = slots_[i];
-            if (s.state == State::Empty)
+            if (s.key == emptyKey_)
                 return nullptr;
-            if (s.state == State::Live && s.key == key)
+            if (s.key == key)
                 return &s.value;
-            i = (i + 1) & mask_;
         }
     }
 
@@ -92,38 +102,16 @@ class FlatMap
     insert(K key, const V &value)
     {
         GROW_ASSERT(key != emptyKey_, "FlatMap: reserved key inserted");
-        size_t i = probeStart(key);
-        size_t firstDead = kNone;
-        while (true) {
-            Slot &s = slots_[i];
-            if (s.state == State::Live && s.key == key) {
-                s.value = value;
+        size_t i = homeSlot(key);
+        for (; slots_[i].key != emptyKey_; i = (i + 1) & mask_) {
+            if (slots_[i].key == key) {
+                slots_[i].value = value;
                 return;
             }
-            if (s.state == State::Dead && firstDead == kNone)
-                firstDead = i;
-            if (s.state == State::Empty)
-                break;
-            i = (i + 1) & mask_;
         }
         GROW_ASSERT(live_ < maxLive_,
                     "FlatMap full: fixed capacity, growth rejected");
-        if (firstDead != kNone) {
-            i = firstDead;
-            --dead_;
-        } else if ((live_ + dead_ + 1) * 4 > slotCount() * 3) {
-            // Tombstones are crowding the table: rebuild in place and
-            // redo the probe. The 3/4 threshold (live alone never
-            // exceeds 1/2) lets ~slotCount/4 tombstones accumulate
-            // between rebuilds, so compaction is amortised O(1) per
-            // erase even when the table churns at full occupancy --
-            // while probes still terminate fast on the >= 1/4 of slots
-            // that stay Empty.
-            compact();
-            insert(key, value);
-            return;
-        }
-        slots_[i] = Slot{key, value, State::Live};
+        slots_[i] = Slot{key, value};
         ++live_;
     }
 
@@ -131,74 +119,53 @@ class FlatMap
     bool
     erase(K key)
     {
-        size_t i = probeStart(key);
-        while (true) {
-            Slot &s = slots_[i];
-            if (s.state == State::Empty)
+        size_t hole = homeSlot(key);
+        for (;; hole = (hole + 1) & mask_) {
+            if (slots_[hole].key == emptyKey_)
                 return false;
-            if (s.state == State::Live && s.key == key) {
-                s.state = State::Dead;
-                s.key = emptyKey_;
-                --live_;
-                ++dead_;
-                return true;
-            }
-            i = (i + 1) & mask_;
+            if (slots_[hole].key == key)
+                break;
         }
+        // Backward shift: walk the rest of the probe cluster and move
+        // into the hole every entry whose probe path crosses it (its
+        // displacement from its home slot reaches back to the hole).
+        for (size_t j = (hole + 1) & mask_; slots_[j].key != emptyKey_;
+             j = (j + 1) & mask_) {
+            const size_t home = homeSlot(slots_[j].key);
+            if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+                slots_[hole] = slots_[j];
+                hole = j;
+            }
+        }
+        slots_[hole] = Slot{emptyKey_, V{}};
+        --live_;
+        return true;
     }
 
     void
     clear()
     {
         for (Slot &s : slots_)
-            s = Slot{emptyKey_, V{}, State::Empty};
-        live_ = dead_ = 0;
+            s = Slot{emptyKey_, V{}};
+        live_ = 0;
     }
 
-    /** Tombstoned slots (observability for tests). */
-    size_t tombstones() const { return dead_; }
-
   private:
-    enum class State : uint8_t { Empty, Dead, Live };
-
     struct Slot
     {
-        K key;
+        K key; ///< emptyKey_ marks a free slot
         V value;
-        State state;
     };
 
     /** Slot array head-room: 2 slots per live entry caps the load
-     *  factor at 0.5 before tombstones force a compaction. */
+     *  factor at 1/2, so probe clusters stay short. */
     static constexpr size_t kSlotsPerEntry = 2;
-    static constexpr size_t kNone = static_cast<size_t>(-1);
-
-    size_t
-    probeStart(K key) const
-    {
-        // Fibonacci hashing spreads consecutive node ids; consecutive
-        // probes stay linear for cache friendliness.
-        uint64_t h = static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL;
-        return static_cast<size_t>(h >> 32) & mask_;
-    }
-
-    void
-    compact()
-    {
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(old.size(), Slot{emptyKey_, V{}, State::Empty});
-        live_ = dead_ = 0;
-        for (const Slot &s : old)
-            if (s.state == State::Live)
-                insert(s.key, s.value);
-    }
 
     K emptyKey_;
     size_t mask_;
     std::vector<Slot> slots_;
     size_t maxLive_;
     size_t live_ = 0;
-    size_t dead_ = 0;
 };
 
 } // namespace grow::util

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <queue>
 #include <string>
+#include <vector>
 
 #include "core/mac_scheduler.hpp"
 #include "util/random.hpp"
@@ -13,8 +15,8 @@ namespace {
 TEST(MacScheduler, BackToBackProducts)
 {
     MacScheduler m;
-    m.addRun(0, 1, 4, 1);
-    m.addRun(0, 2, 4, 1);
+    m.addFill(0, 1, 4);
+    m.addFill(0, 2, 4);
     auto a = m.drainOne();
     auto b = m.drainOne();
     EXPECT_EQ(a.rowToken, 1u);
@@ -27,7 +29,7 @@ TEST(MacScheduler, BackToBackProducts)
 TEST(MacScheduler, ReadyOrderNotInsertionOrder)
 {
     MacScheduler m;
-    m.addRun(100, 1, 4, 1); // a late miss product
+    m.addFill(100, 1, 4);   // a late miss product
     m.addRun(0, 2, 4, 1);   // an early hit product
     auto first = m.drainOne();
     EXPECT_EQ(first.rowToken, 2u); // the hit goes first
@@ -50,10 +52,11 @@ TEST(MacScheduler, IdleGapsNotBilled)
 
 TEST(MacScheduler, TieBreakDeterministic)
 {
+    // Products sharing one LDN fill are ready together.
     MacScheduler m;
-    m.addRun(5, 10, 1, 1);
-    m.addRun(5, 20, 1, 1);
-    m.addRun(5, 30, 1, 1);
+    m.addFill(5, 10, 1);
+    m.addFill(5, 20, 1);
+    m.addFill(5, 30, 1);
     EXPECT_EQ(m.drainOne().rowToken, 10u);
     EXPECT_EQ(m.drainOne().rowToken, 20u);
     EXPECT_EQ(m.drainOne().rowToken, 30u);
@@ -64,7 +67,7 @@ TEST(MacScheduler, IdleUntilEveryRunDrains)
     MacScheduler m;
     EXPECT_TRUE(m.idle());
     m.addRun(0, 1, 1, 1);
-    m.addRun(0, 1, 1, 1);
+    m.addFill(0, 1, 1);
     m.drainOne();
     EXPECT_FALSE(m.idle());
     m.drainOne();
@@ -81,6 +84,7 @@ TEST(MacScheduler, ZeroDurationRejected)
 {
     MacScheduler m;
     EXPECT_ANY_THROW(m.addRun(0, 1, 0, 1));
+    EXPECT_ANY_THROW(m.addFill(0, 1, 0));
 }
 
 TEST(MacScheduler, EmptyRunRejected)
@@ -188,18 +192,152 @@ TEST(MacScheduler, InterleavingEnqueueAfterRunIsRejected)
     m.addRun(10, 1, 2, 4); // ready 10..13
     EXPECT_ANY_THROW(m.addRun(12, 2, 2, 1));
     EXPECT_ANY_THROW(m.addRun(13, 2, 2, 3));
+    EXPECT_ANY_THROW(m.addFill(13, 2, 2)); // from either source
     EXPECT_NO_THROW(m.addRun(14, 2, 2, 1));
+    EXPECT_NO_THROW(m.addFill(15, 2, 2));
+}
+
+TEST(MacScheduler, CamReadyRunsMustArriveInCamOrder)
+{
+    // The CAM does one lookup per cycle: a CAM-ready product ready at
+    // or before an earlier CAM-ready product is a caller bug.
+    MacScheduler m;
+    m.addRun(7, 1, 1, 1);
+    EXPECT_ANY_THROW(m.addRun(7, 1, 1, 1));
+    EXPECT_ANY_THROW(m.addRun(3, 1, 1, 1));
+    EXPECT_NO_THROW(m.addFill(3, 1, 1)); // fills may come in any order
+    EXPECT_NO_THROW(m.addRun(8, 1, 1, 1));
 }
 
 TEST(MacScheduler, RunMustFollowEveryEarlierProduct)
 {
-    // Single-product runs may arrive out of ready order (aggregation
+    // Fill-ready products may arrive out of ready order (aggregation
     // misses), but a multi-product run must start after all of them.
     MacScheduler m;
-    m.addRun(51, 1, 1, 1);
-    m.addRun(10, 2, 1, 1);
+    m.addFill(51, 1, 1);
+    m.addFill(10, 2, 1);
     EXPECT_ANY_THROW(m.addRun(50, 3, 1, 3)); // 50..52 straddles 51
     EXPECT_NO_THROW(m.addRun(52, 3, 1, 3));
+}
+
+TEST(MacScheduler, MixedStreamsDrainLikeAPerProductHeap)
+{
+    // Seeded property over both sources, as aggregation and combination
+    // feed them: CAM-ready products and multi-product runs at strictly
+    // increasing CAM cycles, and fill-ready products at any cycle --
+    // behind the CAM clock, ahead of it, tied with an earlier fill (a
+    // shared LDN fill) or with a CAM cycle -- with drains interleaved
+    // at random. Once a multi-product run is queued, every later
+    // product starts after all earlier ones (the run-length
+    // precondition). The oracle is a per-product (ready, seq) heap:
+    // every completion's rowToken, count and finish, and macFree and
+    // busyCycles, must match it.
+    struct Product
+    {
+        Cycle ready;
+        uint64_t seq;
+        uint64_t token;
+        Cycle dur;
+        uint64_t run;
+        uint32_t index; ///< position within its run
+        uint32_t count; ///< products in its run
+    };
+    struct Later
+    {
+        bool
+        operator()(const Product &a, const Product &b) const
+        {
+            return a.ready != b.ready ? a.ready > b.ready : a.seq > b.seq;
+        }
+    };
+    for (uint64_t seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        MacScheduler m;
+        std::priority_queue<Product, std::vector<Product>, Later> oracle;
+        uint64_t seq = 0, runs = 0;
+        Cycle oracleFree = 0, oracleBusy = 0;
+        Cycle lastReady = 0; // latest ready of any product queued
+        auto drainAndCompare = [&] {
+            const MacCompletion c = m.drainOne();
+            const Product first = oracle.top();
+            ASSERT_EQ(first.index, 0u);
+            ASSERT_EQ(c.rowToken, first.token);
+            ASSERT_EQ(c.count, first.count);
+            for (uint32_t j = 0; j < first.count; ++j) {
+                const Product p = oracle.top();
+                oracle.pop();
+                ASSERT_EQ(p.run, first.run);
+                ASSERT_EQ(p.index, j);
+                oracleFree = std::max(oracleFree, p.ready) + p.dur;
+                oracleBusy += p.dur;
+            }
+            ASSERT_EQ(c.finish, oracleFree);
+            ASSERT_EQ(m.macFree(), oracleFree);
+            ASSERT_EQ(m.busyCycles(), oracleBusy);
+        };
+        auto queue = [&](Cycle ready, uint32_t count, bool fill) {
+            const auto token = static_cast<uint64_t>(rng.range(0, 5));
+            const auto dur = static_cast<Cycle>(rng.range(1, 8));
+            if (fill)
+                m.addFill(ready, token, dur);
+            else
+                m.addRun(ready, token, dur, count);
+            for (uint32_t j = 0; j < count; ++j)
+                oracle.push(
+                    {ready + j, seq++, token, dur, runs, j, count});
+            ++runs;
+            lastReady = std::max(lastReady, ready + count - 1);
+        };
+
+        const auto ops = rng.range(1, 1500);
+        const int64_t multiFrom =
+            rng.bernoulli(0.3) ? ops : rng.range(0, ops - 1);
+        Cycle cam = static_cast<Cycle>(rng.range(0, 20)); // last CAM cycle
+        bool inOrder = false; // a multi-product run has been queued
+        std::vector<Cycle> fills;
+        for (int64_t op = 0; op < ops; ++op) {
+            if (!oracle.empty() && rng.bernoulli(0.4)) {
+                drainAndCompare();
+                continue;
+            }
+            const auto gap = static_cast<Cycle>(rng.range(0, 3));
+            const Cycle next =
+                inOrder ? std::max(cam, lastReady) + 1 + gap : cam + 1 + gap;
+            const int64_t kind = rng.range(0, 2);
+            if (kind == 0 || (kind == 1 && op < multiFrom)) {
+                queue(next, 1, false); // an HDN or LRU hit
+                cam = next;
+            } else if (kind == 1) {
+                // A combination row, after everything queued so far.
+                const Cycle start = std::max(cam, lastReady) + 1 + gap;
+                const auto n = static_cast<uint32_t>(rng.range(2, 30));
+                queue(start, n, false);
+                cam = start + n - 1;
+                inOrder = true;
+            } else {
+                Cycle ready = next;
+                if (!inOrder) {
+                    const int64_t how = rng.range(0, 3);
+                    if (how == 0 && !fills.empty())
+                        ready = fills[static_cast<size_t>(rng.range(
+                            0, static_cast<int64_t>(fills.size()) - 1))];
+                    else if (how == 1)
+                        ready = cam;
+                    else if (how == 2)
+                        ready = static_cast<Cycle>(rng.range(
+                            0, static_cast<int64_t>(cam)));
+                    else
+                        ready = cam + static_cast<Cycle>(rng.range(0, 200));
+                }
+                queue(ready, 1, true);
+                fills.push_back(ready);
+            }
+        }
+        while (!oracle.empty())
+            drainAndCompare();
+        EXPECT_TRUE(m.idle());
+    }
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "costmodel/link_model.hpp"
 #include "driver/engine_factory.hpp"
@@ -260,6 +261,35 @@ TEST(Scaleout, TopologyValidationRejectsNonsense)
         std::runtime_error);
     EXPECT_NO_THROW(
         EngineTopology("grow").withChips(8).withLinkGbps(32).validate());
+}
+
+TEST(Scaleout, ChipKeysFollowBenchScaleoutRules)
+{
+    auto parse = [](std::vector<std::string> items) {
+        std::vector<char *> argv{const_cast<char *>("prog")};
+        for (auto &s : items)
+            argv.push_back(s.data());
+        return parseChipKeys(
+            CliArgs(static_cast<int>(argv.size()), argv.data()));
+    };
+    const ChipKeys none = parse({});
+    EXPECT_EQ(none.chips, std::vector<uint32_t>{1});
+    EXPECT_FALSE(none.sharded());
+
+    const ChipKeys keys =
+        parse({"chips=1,4,64", "link_gbps=32", "link_ns=250"});
+    EXPECT_EQ(keys.chips, (std::vector<uint32_t>{1, 4, 64}));
+    EXPECT_TRUE(keys.sharded());
+    EXPECT_DOUBLE_EQ(keys.link.bandwidthGBps, 32.0);
+    EXPECT_DOUBLE_EQ(keys.link.latencyNs, 250.0);
+
+    for (const char *bad : {"chips=", "chips=0", "chips=65", "chips=-2",
+                            "chips=x", "chips=99999999999999999999"})
+        EXPECT_THROW(parse({bad}), std::runtime_error) << bad;
+    // Link keys describe multi-chip links.
+    EXPECT_THROW(parse({"link_gbps=8"}), std::runtime_error);
+    EXPECT_THROW(parse({"chips=1", "link_ns=8"}), std::runtime_error);
+    EXPECT_NO_THROW(parse({"chips=1,2", "link_ns=8"}));
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
  * Open-addressing FlatMap: round-trip semantics against the contract
- * std::unordered_map used to provide, tombstone reuse on the probe
- * path, the growth-rejection bound, and compaction staying amortised
- * under full-occupancy FIFO churn (the LDN-table pathology that once
- * rebuilt the table on nearly every insert).
+ * std::unordered_map used to provide, backward-shift deletion inside a
+ * probe cluster and across the slot array's wraparound, the
+ * growth-rejection bound, and full-occupancy churn (the LDN table's
+ * access pattern) against a std::unordered_map reference.
  */
 #include <gtest/gtest.h>
 
@@ -14,11 +14,44 @@
 #include <deque>
 #include <stdexcept>
 #include <unordered_map>
+#include <vector>
+
+#include "util/random.hpp"
 
 namespace grow::util {
 namespace {
 
 constexpr uint32_t kEmpty = UINT32_MAX;
+using Map = FlatMap<uint32_t, uint32_t>;
+
+/** The first @p n keys whose probe starts at slot @p home. */
+std::vector<uint32_t>
+keysHomedAt(const Map &map, size_t home, size_t n)
+{
+    std::vector<uint32_t> keys;
+    for (uint32_t k = 0; keys.size() < n; ++k)
+        if (map.homeSlot(k) == home)
+            keys.push_back(k);
+    return keys;
+}
+
+/** Insert @p keys in order, erase @p victim, and check the rest. */
+void
+eraseOneAndCheckTheRest(const std::vector<uint32_t> &keys, uint32_t victim)
+{
+    Map map(16, kEmpty);
+    for (uint32_t k : keys)
+        map.insert(k, k ^ 0xABCDu);
+    ASSERT_TRUE(map.erase(victim));
+    EXPECT_EQ(map.find(victim), nullptr);
+    EXPECT_EQ(map.size(), keys.size() - 1);
+    for (uint32_t k : keys) {
+        if (k == victim)
+            continue;
+        ASSERT_NE(map.find(k), nullptr) << "lost " << k;
+        EXPECT_EQ(*map.find(k), k ^ 0xABCDu);
+    }
+}
 
 TEST(FlatMap, InsertFindEraseRoundTrip)
 {
@@ -46,28 +79,45 @@ TEST(FlatMap, InsertFindEraseRoundTrip)
     EXPECT_EQ(*map.find(4), 40);
 }
 
-TEST(FlatMap, EraseLeavesATombstoneThatInsertReuses)
+TEST(FlatMap, EraseInsideAProbeClusterKeepsEveryOtherKey)
 {
-    FlatMap<uint32_t, int> map(8, kEmpty);
-    map.insert(5, 50);
-    EXPECT_EQ(map.tombstones(), 0u);
-    map.erase(5);
-    EXPECT_EQ(map.tombstones(), 1u);
+    // One cluster of six slots: three keys homed at h, two at h + 1
+    // (displaced behind them) and one at h + 3. Erasing any one of them
+    // must shift the displaced keys back without losing any.
+    const Map probe(16, kEmpty);
+    const size_t h = probe.slotCount() / 2;
+    std::vector<uint32_t> keys = keysHomedAt(probe, h, 3);
+    for (uint32_t k : keysHomedAt(probe, h + 1, 2))
+        keys.push_back(k);
+    keys.push_back(keysHomedAt(probe, h + 3, 1).front());
+    for (uint32_t victim : keys) {
+        SCOPED_TRACE("erase " + std::to_string(victim));
+        eraseOneAndCheckTheRest(keys, victim);
+    }
+}
 
-    // Re-inserting the same key probes over its own tombstone and
-    // reclaims it instead of consuming a fresh Empty slot.
-    map.insert(5, 55);
-    EXPECT_EQ(map.tombstones(), 0u);
-    EXPECT_EQ(*map.find(5), 55);
+TEST(FlatMap, EraseAcrossTheWraparoundKeepsEveryOtherKey)
+{
+    // Three keys homed at the last slot occupy it and slots 0 and 1;
+    // keys homed at 0 and 1 land behind them at slots 2 and 3.
+    const Map probe(16, kEmpty);
+    const size_t last = probe.slotCount() - 1;
+    std::vector<uint32_t> keys = keysHomedAt(probe, last, 3);
+    keys.push_back(keysHomedAt(probe, 0, 1).front());
+    keys.push_back(keysHomedAt(probe, 1, 1).front());
+    for (uint32_t victim : keys) {
+        SCOPED_TRACE("erase " + std::to_string(victim));
+        eraseOneAndCheckTheRest(keys, victim);
+    }
 }
 
 TEST(FlatMap, ErasedKeyOnProbePathDoesNotHideLaterEntries)
 {
     // Fill to the live bound so colliding keys chain past each other,
-    // then erase keys in the middle of chains: lookups must keep
-    // walking past Dead slots.
+    // then erase keys in the middle of chains: lookups must still find
+    // every survivor.
     constexpr size_t kLive = 64;
-    FlatMap<uint32_t, uint32_t> map(kLive, kEmpty);
+    Map map(kLive, kEmpty);
     for (uint32_t k = 0; k < kLive; ++k)
         map.insert(k, k * 2);
     for (uint32_t k = 0; k < kLive; k += 2)
@@ -97,9 +147,11 @@ TEST(FlatMap, ReservedEmptyKeyIsRejected)
 {
     FlatMap<uint32_t, int> map(4, kEmpty);
     EXPECT_THROW(map.insert(kEmpty, 1), std::logic_error);
+    EXPECT_EQ(map.find(kEmpty), nullptr);
+    EXPECT_FALSE(map.erase(kEmpty));
 }
 
-TEST(FlatMap, ClearResetsLiveAndTombstones)
+TEST(FlatMap, ClearRemovesEveryEntry)
 {
     FlatMap<uint32_t, int> map(8, kEmpty);
     map.insert(1, 10);
@@ -107,54 +159,62 @@ TEST(FlatMap, ClearResetsLiveAndTombstones)
     map.erase(1);
     map.clear();
     EXPECT_TRUE(map.empty());
-    EXPECT_EQ(map.tombstones(), 0u);
     EXPECT_EQ(map.find(2), nullptr);
     map.insert(2, 21);
     EXPECT_EQ(*map.find(2), 21);
 }
 
-TEST(FlatMap, FullOccupancyFifoChurnStaysBoundedAndCorrect)
+TEST(FlatMap, ChurnAtFullOccupancyMatchesAnUnorderedMap)
 {
     // The LDN-table pattern: the table sits at its live bound while a
-    // FIFO evicts the oldest entry to admit each new one. Tombstones
-    // must stay below the compaction ceiling (slots are never
-    // exhausted) and the map must agree with a reference map
-    // throughout -- this is the exact churn that degenerated into a
-    // rebuild per insert before the 3/4 threshold.
+    // FIFO evicts the oldest entry to admit each new one -- then the
+    // same with random victims. No slot is ever lost to an erase, so
+    // the table never fills up, and it agrees with a reference map
+    // throughout.
     constexpr size_t kLive = 256;
-    FlatMap<uint32_t, uint32_t> map(kLive, kEmpty);
-    std::unordered_map<uint32_t, uint32_t> ref;
-    std::deque<uint32_t> fifo;
+    for (const bool fifoVictims : {true, false}) {
+        SCOPED_TRACE(fifoVictims ? "FIFO victims" : "random victims");
+        Map map(kLive, kEmpty);
+        std::unordered_map<uint32_t, uint32_t> ref;
+        std::deque<uint32_t> live;
+        Rng rng(7);
 
-    uint32_t next = 0;
-    for (; next < kLive; ++next) {
-        map.insert(next, next ^ 0xABCDu);
-        ref.emplace(next, next ^ 0xABCDu);
-        fifo.push_back(next);
-    }
-    for (int churn = 0; churn < 20000; ++churn) {
-        const uint32_t victim = fifo.front();
-        fifo.pop_front();
-        EXPECT_TRUE(map.erase(victim));
-        ref.erase(victim);
-        map.insert(next, next ^ 0xABCDu);
-        ref.emplace(next, next ^ 0xABCDu);
-        fifo.push_back(next);
-        ++next;
+        uint32_t next = 0;
+        for (; next < kLive; ++next) {
+            map.insert(next, next ^ 0xABCDu);
+            ref.emplace(next, next ^ 0xABCDu);
+            live.push_back(next);
+        }
+        for (int churn = 0; churn < 20000; ++churn) {
+            const size_t at =
+                fifoVictims ? 0
+                            : static_cast<size_t>(rng.range(0, kLive - 1));
+            const uint32_t victim = live[at];
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+            ASSERT_TRUE(map.erase(victim));
+            ref.erase(victim);
+            ASSERT_EQ(map.find(victim), nullptr);
+            map.insert(next, next ^ 0xABCDu);
+            ref.emplace(next, next ^ 0xABCDu);
+            live.push_back(next);
+            ++next;
+            ASSERT_EQ(map.size(), ref.size());
 
-        EXPECT_EQ(map.size(), kLive);
-        // live + dead may touch 3/4 of the table right before a
-        // compaction fires but never exceed it after an insert.
-        EXPECT_LE((map.size() + map.tombstones()) * 4,
-                  map.slotCount() * 3);
+            if (churn % 1000 == 0) {
+                for (const auto &[k, v] : ref) {
+                    ASSERT_NE(map.find(k), nullptr) << k;
+                    ASSERT_EQ(*map.find(k), v);
+                }
+            }
+        }
+        for (const auto &[k, v] : ref) {
+            ASSERT_NE(map.find(k), nullptr) << k;
+            EXPECT_EQ(*map.find(k), v);
+        }
+        // Misses after heavy churn.
+        EXPECT_EQ(map.find(0), nullptr);
+        EXPECT_EQ(map.find(next + 1), nullptr);
     }
-    for (const auto &[k, v] : ref) {
-        ASSERT_NE(map.find(k), nullptr) << k;
-        EXPECT_EQ(*map.find(k), v);
-    }
-    // Spot-check misses after heavy churn.
-    EXPECT_EQ(map.find(0), nullptr);
-    EXPECT_EQ(map.find(next + 1), nullptr);
 }
 
 } // namespace

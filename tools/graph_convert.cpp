@@ -14,8 +14,9 @@
  *     name= copies the synthesis/shape metadata (feature densities,
  *     GCN shape) of a registry dataset into the file so benches can
  *     build full workloads on it; omitted, a neutral template named
- *     after the output file is used. nodes= forces at least that many
- *     nodes (trailing isolated nodes).
+ *     after the output file is used. nodes= (at most 2^32 - 1) forces
+ *     at least that many nodes (trailing isolated nodes); the other
+ *     two modes reject it.
  *
  *   Export a synthesized registry dataset to binary CSR:
  *     graph_convert dataset=<name> scale=<tier> out=<graph.growcsr>
@@ -84,6 +85,8 @@ exportDataset(const CliArgs &args)
 int
 convertText(const CliArgs &args)
 {
+    const auto hint =
+        static_cast<uint32_t>(args.getInt("nodes", 0, 0, kInvalidNode));
     const std::string in = args.get("in", "");
     const std::string out = args.get("out", "");
     if (out.empty())
@@ -101,8 +104,6 @@ convertText(const CliArgs &args)
     }
     const auto tier =
         graph::tierFromString(args.get("scale", "full"));
-    const auto hint =
-        static_cast<uint32_t>(args.getInt("nodes", 0));
     auto stats = graph::convertEdgeListFile(in, out, tmpl, tier, hint);
     std::cout << "wrote " << out << ": " << tmpl.name << " @ "
               << graph::tierName(tier) << "\n  nodes          "
@@ -119,6 +120,8 @@ run(int argc, char **argv)
     CliArgs args(argc, argv);
     args.requireKnown(
         {"in", "out", "name", "nodes", "dataset", "scale", "verify"});
+    if (args.has("nodes") && (args.has("verify") || args.has("dataset")))
+        fatal("nodes= applies to in= edge-list conversion only");
     if (args.has("verify"))
         return verifyFile(args.get("verify", ""));
     if (args.has("dataset"))
