@@ -4,7 +4,7 @@
  * SpMM, format conversions, tile census, graph generation, the
  * multilevel partitioner, feature synthesis (randomCsr) and the
  * workload-construction split, plus
- * the RowEngine hot-loop containers (ring buffer, flat map), GrowSim
+ * the RowEngine hot-loop containers (ring FIFO, flat map), GrowSim
  * runs of one combination and one aggregation phase, and the WorkPool
  * submit path. These quantify the host-side cost of the simulation
  * substrate itself (not simulated cycles).
@@ -26,10 +26,10 @@
 #include "sparse/convert.hpp"
 #include "sparse/reference_gemm.hpp"
 #include "sparse/tiling.hpp"
-#include "util/arena.hpp"
 #include "util/flat_map.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
+#include "util/sorted_fifo.hpp"
 #include "util/work_pool.hpp"
 
 using namespace grow;
@@ -364,9 +364,7 @@ constexpr size_t kWindowDepth = 16;
 void
 BM_RunaheadWindowRing(benchmark::State &state)
 {
-    util::Arena arena(util::ceilPow2(kWindowDepth) * sizeof(BenchSlot) +
-                      alignof(std::max_align_t));
-    util::RingBuffer<BenchSlot> win(arena, kWindowDepth);
+    util::Fifo<BenchSlot> win;
     uint64_t token = 0, sum = 0;
     for (auto _ : state) {
         if (win.size() == kWindowDepth) {

@@ -121,6 +121,11 @@ run(int argc, char **argv)
     wc.tier = tier;
     wc.model = gcn::modelKindFromString(args.get("model", "gcn"));
     auto w = cache.workload(spec, wc);
+    // Reject chip counts this workload cannot shard before any sweep.
+    if (chipKeys.sharded())
+        for (uint32_t chips : chipKeys.chips)
+            scaleout::requireChipsFitClusters(
+                chips, w.relabel().clustering.numClusters());
 
     report::Report rep;
     rep.meta().bench = "design_space_sweep";

@@ -2,16 +2,6 @@
 
 namespace grow::accel {
 
-const char *
-phaseName(Phase phase)
-{
-    switch (phase) {
-      case Phase::Combination: return "combination";
-      case Phase::Aggregation: return "aggregation";
-    }
-    return "?";
-}
-
 double
 PhaseResult::sparseBandwidthUtil() const
 {

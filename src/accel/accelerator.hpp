@@ -30,9 +30,6 @@ namespace grow::accel {
 /** Which GCN phase a SpDeGEMM belongs to. */
 enum class Phase { Combination, Aggregation };
 
-/** Phase name for reporting. */
-const char *phaseName(Phase phase);
-
 /** Global simulation options shared by all engines. */
 struct SimOptions
 {

@@ -55,17 +55,6 @@ RowEngine::streamChunkBound(const GrowConfig &config, Bytes max_row_bytes)
                                ceilDiv(span, kPtrBytes) + 4);
 }
 
-size_t
-RowEngine::arenaBytes(const GrowConfig &config, Bytes max_row_bytes)
-{
-    const size_t windowSlots =
-        util::ceilPow2(std::max<uint32_t>(1, config.runaheadDegree));
-    const size_t chunkSlots =
-        util::ceilPow2(streamChunkBound(config, max_row_bytes));
-    return windowSlots * sizeof(Slot) + chunkSlots * sizeof(StreamChunk) +
-           2 * alignof(std::max_align_t);
-}
-
 RowEngine::RowEngine(const GrowConfig &config,
                      const RowEngineProblem &problem, mem::DramModel &dram,
                      uint32_t pe_id, std::vector<uint32_t> cluster_ids,
@@ -79,10 +68,7 @@ RowEngine::RowEngine(const GrowConfig &config,
       durPerProduct_(std::max<Cycle>(
           1, ceilDiv(problem.rhsCols, config.numMacs))),
       extent_(streamExtent(problem, clusterIds_)),
-      arena_(arenaBytes(config, extent_.maxRowBytes)),
-      window_(arena_, std::max<uint32_t>(1, config.runaheadDegree)),
-      streamChunks_(arena_,
-                    streamChunkBound(config, extent_.maxRowBytes)),
+      chunkBound_(streamChunkBound(config, extent_.maxRowBytes)),
       ldnMap_(config.ldnEntries ? config.ldnEntries : 1, kInvalidNode),
       hdnCache_(cacheConfigFor(config, problem), problem.lhs->cols()),
       lruCache_(config.hdn.capacityBytes,
@@ -179,6 +165,8 @@ RowEngine::ensureStreamed(Bytes up_to)
         streamIssued_ += chunk;
         stats_.fetchedSparseBytes += roundUp(chunk, kDramLineBytes);
         streamChunks_.push_back(StreamChunk{streamIssued_, done});
+        GROW_ASSERT(streamChunks_.size() <= chunkBound_,
+                    "stream chunks exceed their hardware bound");
         iBufSparse_.write(chunk);
     }
     // Completion of the chunk containing byte up_to-1.
@@ -315,6 +303,8 @@ RowEngine::processNextRow()
     clock_ = std::max(clock_, rowReady);
 
     window_.push_back(Slot{row, nextToken_++, 0, clock_, false});
+    GROW_ASSERT(window_.size() <= config_.runaheadDegree,
+                "row window exceeds the runahead degree");
     const uint64_t token = window_.back().token;
 
     auto cols = problem_.lhs->rowCols(row);

@@ -17,10 +17,14 @@
  *     (runahead degree), retiring output rows in order through
  *     O-BUF_dense (Fig. 15's head/tail discipline).
  *
- * Control stalls only when a hardware table is exhausted: the LDN table
- * (outstanding distinct misses), the LHS ID table (outstanding parked
- * products) or the row window itself -- exactly the structural hazards
- * of Fig. 16.
+ * Control stalls when the LDN table (outstanding distinct misses) or
+ * the LHS ID table (outstanding parked products) is exhausted: the
+ * control clock waits for the earliest entry to free (Fig. 16's
+ * structural hazards). A full row window does not stall the clock:
+ * admission retires the head row (draining its MAC runs and posting
+ * its output write at its last MAC finish) and counts a windowStalls
+ * event, but the next row's CAM lookups and fetches may still issue
+ * before that finish. ROADMAP item 1 tracks making the clock wait.
  *
  * Combination (rhsOnChip) keeps W in the repurposed HDN data array, so
  * steps 3-4 collapse: every product is ready at its CAM cycle. A row's
@@ -36,15 +40,16 @@
  * while fills complete in issue order (SimpleDram); every LDN expiry
  * matches a live table entry, and the table's size is its occupancy.
  *
- * Hot-loop layout: the per-row bookkeeping (multi-row window, stream
- * chunk FIFO, LDN table) lives in fixed-capacity ring buffers and an
- * open-addressing flat map carved from one per-engine arena
- * (util/arena.hpp, util/flat_map.hpp). Their capacities are derived
- * from the hardware configuration, so they never grow. bench_kernels
- * times them on this engine's access patterns (BM_LdnTableFlatMap,
- * BM_RunaheadWindowRing), and times whole GrowSim runs of one
- * combination and one aggregation phase per product
- * (BM_RowEngineCombination, BM_RowEngineAggregation).
+ * Hot-loop layout: the multi-row window and the stream-chunk FIFO are
+ * util::Fifo rings (util/sorted_fifo.hpp) and the LDN table is an
+ * open-addressing util::FlatMap (util/flat_map.hpp). The rings reuse
+ * one allocation once warm; what they hold is bounded by the hardware
+ * configuration (the runahead degree, and streamChunkBound() for the
+ * chunks), and the engine asserts both bounds after every push.
+ * bench_kernels times the containers on this engine's access patterns
+ * (BM_LdnTableFlatMap, BM_RunaheadWindowRing), and times whole
+ * GrowSim runs of one combination and one aggregation phase per
+ * product (BM_RowEngineCombination, BM_RowEngineAggregation).
  */
 #pragma once
 
@@ -63,7 +68,6 @@
 #include "sim/types.hpp"
 #include "sparse/csr_matrix.hpp"
 #include "sparse/dense_matrix.hpp"
-#include "util/arena.hpp"
 #include "util/flat_map.hpp"
 #include "util/sorted_fifo.hpp"
 
@@ -170,10 +174,6 @@ class RowEngine
     static size_t streamChunkBound(const GrowConfig &config,
                                    Bytes max_row_bytes);
 
-    /** Arena capacity covering every table carved below. */
-    static size_t arenaBytes(const GrowConfig &config,
-                             Bytes max_row_bytes);
-
     void startNextCluster();
     void retireFront();
     Cycle ensureStreamed(Bytes up_to);
@@ -214,16 +214,15 @@ class RowEngine
     Bytes streamNeeded_ = 0;
     Bytes streamIssued_ = 0;
 
-    // Per-engine arena backing the hot-loop tables below.
-    util::Arena arena_;
-
-    // Multi-row stationary window (capacity = runahead degree).
-    util::RingBuffer<Slot> window_;
+    // Multi-row stationary window (at most runahead-degree rows).
+    util::Fifo<Slot> window_;
     uint64_t nextToken_ = 0;
     MacScheduler mac_;
 
-    // Stream chunk FIFO (capacity derived from I-BUF / DMA chunk).
-    util::RingBuffer<StreamChunk> streamChunks_;
+    // Stream chunk FIFO (at most chunkBound_ chunks, derived from
+    // I-BUF / DMA chunk).
+    util::Fifo<StreamChunk> streamChunks_;
+    size_t chunkBound_;
 
     // LDN table (outstanding distinct RHS-row misses; occupancy is
     // bounded by ldnEntries -- see missFetch): fill cycle per row, and

@@ -1,12 +1,11 @@
 #include "driver/workload_cache.hpp"
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "util/checksum.hpp"
+#include "util/binfile.hpp"
 #include "util/logging.hpp"
 
 namespace grow::driver {
@@ -18,139 +17,32 @@ namespace fs = std::filesystem;
 /** File magic: identifies a GROW artefact cache file. */
 constexpr char kMagic[8] = {'G', 'R', 'O', 'W', 'A', 'R', 'T', 'C'};
 
-/** FNV-1a 64-bit over a byte range; cheap and order-sensitive. */
-uint64_t
-checksum(const char *data, size_t size)
+void
+putCsr(util::BinWriter &w, const sparse::CsrMatrix &m)
 {
-    return util::fnv1a(data, size);
+    w.pod(m.rows());
+    w.pod(m.cols());
+    w.vec(m.rowPtr());
+    w.vec(m.colIdx());
+    w.vec(m.values());
 }
 
-/** Append-only little encoder over a byte buffer. */
-class Writer
+bool
+getCsr(util::BinReader &r, sparse::CsrMatrix &out)
 {
-  public:
-    template <typename T>
-    void
-    pod(T v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        const char *p = reinterpret_cast<const char *>(&v);
-        buf_.append(p, sizeof(T));
-    }
-
-    void
-    str(const std::string &s)
-    {
-        pod(static_cast<uint32_t>(s.size()));
-        buf_.append(s);
-    }
-
-    template <typename T>
-    void
-    vec(const std::vector<T> &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        pod(static_cast<uint64_t>(v.size()));
-        buf_.append(reinterpret_cast<const char *>(v.data()),
-                    v.size() * sizeof(T));
-    }
-
-    void
-    csr(const sparse::CsrMatrix &m)
-    {
-        pod(m.rows());
-        pod(m.cols());
-        vec(m.rowPtr());
-        vec(m.colIdx());
-        vec(m.values());
-    }
-
-    const std::string &bytes() const { return buf_; }
-
-  private:
-    std::string buf_;
-};
-
-/**
- * Bounds-checked decoder over a sub-range of a borrowed buffer (no
- * payload copy). Every accessor returns false on underrun so a
- * truncated file degrades to a failed load, never an out-of-bounds
- * read.
- */
-class Reader
-{
-  public:
-    Reader(const std::string &bytes, size_t begin, size_t end)
-        : buf_(bytes), pos_(begin), end_(end)
-    {
-    }
-
-    template <typename T>
-    bool
-    pod(T &out)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (pos_ + sizeof(T) > end_)
-            return false;
-        std::memcpy(&out, buf_.data() + pos_, sizeof(T));
-        pos_ += sizeof(T);
-        return true;
-    }
-
-    bool
-    str(std::string &out)
-    {
-        uint32_t len = 0;
-        if (!pod(len) || pos_ + len > end_)
-            return false;
-        out.assign(buf_.data() + pos_, len);
-        pos_ += len;
-        return true;
-    }
-
-    template <typename T>
-    bool
-    vec(std::vector<T> &out)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        uint64_t n = 0;
-        if (!pod(n))
-            return false;
-        // Reject sizes the remaining bytes cannot possibly hold before
-        // allocating (a corrupt length must not trigger a bad_alloc).
-        if (n > (end_ - pos_) / sizeof(T))
-            return false;
-        out.resize(n);
-        std::memcpy(out.data(), buf_.data() + pos_, n * sizeof(T));
-        pos_ += n * sizeof(T);
-        return true;
-    }
-
-    bool
-    csr(sparse::CsrMatrix &out)
-    {
-        uint32_t rows = 0, cols = 0;
-        std::vector<uint64_t> rowPtr;
-        std::vector<NodeId> colIdx;
-        std::vector<double> values;
-        if (!pod(rows) || !pod(cols) || !vec(rowPtr) || !vec(colIdx) ||
-            !vec(values))
-            return false;
-        // fromRaw validates structure and panics on inconsistency; the
-        // caller treats any throw as a failed load.
-        out = sparse::CsrMatrix::fromRaw(rows, cols, std::move(rowPtr),
-                                         std::move(colIdx),
-                                         std::move(values));
-        return true;
-    }
-
-    bool done() const { return pos_ == end_; }
-
-  private:
-    const std::string &buf_;
-    size_t pos_ = 0;
-    size_t end_ = 0;
-};
+    uint32_t rows = 0, cols = 0;
+    std::vector<uint64_t> rowPtr;
+    std::vector<NodeId> colIdx;
+    std::vector<double> values;
+    if (!r.pod(rows) || !r.pod(cols) || !r.vec(rowPtr) || !r.vec(colIdx) ||
+        !r.vec(values))
+        return false;
+    // fromRaw validates structure and panics on inconsistency; the
+    // caller treats any throw as a failed load.
+    out = sparse::CsrMatrix::fromRaw(rows, cols, std::move(rowPtr),
+                                     std::move(colIdx), std::move(values));
+    return true;
+}
 
 std::string
 tierToken(graph::ScaleTier tier)
@@ -168,29 +60,13 @@ tierToken(graph::ScaleTier tier)
 uint64_t
 specFingerprint(const graph::DatasetSpec &spec)
 {
-    Writer w;
-    w.str(spec.name);
-    w.pod(spec.paperNodes);
-    w.pod(spec.paperArcs);
-    w.pod(spec.paperAvgDegree);
-    w.pod(spec.paperDensityA);
-    w.pod(spec.x0Density);
-    w.pod(spec.x1Density);
-    w.pod(spec.gcn.inFeatures);
-    w.pod(spec.gcn.hidden);
-    w.pod(spec.gcn.classes);
-    w.pod(spec.powerLawAlpha);
-    w.pod(spec.intraFraction);
-    w.pod(spec.seed);
-    w.pod(spec.miniNodeDiv);
-    w.pod(spec.tinyNodeDiv);
-    w.pod(spec.miniDegreeDiv);
-    w.pod(spec.tinyDegreeDiv);
+    util::BinWriter w;
+    graph::encodeSpecFields(w, spec);
     // File-backed datasets: the payload checksum of the .growcsr the
     // spec was decoded from (0 for synthesized specs). Re-converting
     // the file invalidates artefacts just like a registry edit would.
     w.pod(spec.sourceChecksum);
-    return checksum(w.bytes().data(), w.bytes().size());
+    return util::fnv1a(w.bytes().data(), w.bytes().size());
 }
 
 } // namespace
@@ -235,7 +111,7 @@ bool
 saveArtifacts(const std::string &path, const gcn::GraphArtifacts &a)
 {
     GROW_ASSERT(a.spec != nullptr, "artefacts without a dataset spec");
-    Writer w;
+    util::BinWriter w;
     w.str(a.spec->name);
     w.pod(specFingerprint(*a.spec));
     w.pod(static_cast<uint32_t>(a.tier));
@@ -251,9 +127,9 @@ saveArtifacts(const std::string &path, const gcn::GraphArtifacts &a)
         w.vec(a.graph.offsets());
         w.vec(a.graph.adjacency());
     }
-    w.csr(a.adjacency);
+    putCsr(w, a.adjacency);
     if (a.hasPartitioning) {
-        w.csr(a.adjacencyPartitioned);
+        putCsr(w, a.adjacencyPartitioned);
         w.vec(a.relabel.newToOld);
         w.vec(a.relabel.clustering.clusterStart);
         w.pod(static_cast<uint64_t>(a.hdnLists.size()));
@@ -261,45 +137,20 @@ saveArtifacts(const std::string &path, const gcn::GraphArtifacts &a)
             w.vec(list);
     }
 
-    try {
-        fs::path target(path);
-        if (target.has_parent_path())
-            fs::create_directories(target.parent_path());
-        // Atomic publish: write a sibling temp file, then rename. A
-        // crashed or concurrent writer can never leave a torn file
-        // under the final name.
-        fs::path tmp = target;
-        tmp += ".tmp";
-        {
-            std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-            if (!out)
-                return false;
-            out.write(kMagic, sizeof(kMagic));
-            uint32_t version = kArtifactFormatVersion;
-            out.write(reinterpret_cast<const char *>(&version),
-                      sizeof(version));
-            out.write(w.bytes().data(),
-                      static_cast<std::streamsize>(w.bytes().size()));
-            uint64_t sum = checksum(w.bytes().data(), w.bytes().size());
-            out.write(reinterpret_cast<const char *>(&sum), sizeof(sum));
-            if (!out)
-                return false;
-        }
-        fs::rename(tmp, target);
-        return true;
-    } catch (const std::exception &e) {
-        logWarn("artifact cache store failed for " + path + ": " +
-                e.what());
-        return false;
-    }
+    return util::writeBinFile(path, kMagic, kArtifactFormatVersion, 0,
+                              [&](util::PayloadSink &out) {
+                                  out.put(w.bytes().data(),
+                                          w.bytes().size());
+                              });
 }
 
 std::shared_ptr<const gcn::GraphArtifacts>
 loadArtifacts(const std::string &path, const ArtifactKey &expected)
 {
-    // One sized read into one buffer; the checksum and the Reader both
-    // work on it in place (artefact files can be large, and tripling
-    // the footprint on the warm-start path would defeat the cache).
+    // One sized read into one buffer; the container check and the
+    // reader both work on it in place (artefact files can be large,
+    // and tripling the footprint on the warm-start path would defeat
+    // the cache).
     std::string raw;
     {
         std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -314,25 +165,13 @@ loadArtifacts(const std::string &path, const ArtifactKey &expected)
         if (!in)
             return nullptr;
     }
-    const size_t headerSize = sizeof(kMagic) + sizeof(uint32_t);
-    if (raw.size() < headerSize + sizeof(uint64_t))
-        return nullptr;
-    if (std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0)
-        return nullptr;
-    uint32_t version = 0;
-    std::memcpy(&version, raw.data() + sizeof(kMagic), sizeof(version));
-    if (version != kArtifactFormatVersion)
-        return nullptr; // stale format: rebuild, don't guess
-    uint64_t storedSum = 0;
-    std::memcpy(&storedSum, raw.data() + raw.size() - sizeof(storedSum),
-                sizeof(storedSum));
-    const size_t payloadEnd = raw.size() - sizeof(storedSum);
-    if (checksum(raw.data() + headerSize, payloadEnd - headerSize) !=
-        storedSum)
+    const auto payload = util::checkBinFile(
+        raw.data(), raw.size(), kMagic, kArtifactFormatVersion, 0);
+    if (!payload)
         return nullptr;
 
     try {
-        Reader r(raw, headerSize, payloadEnd);
+        util::BinReader r(raw.data(), payload->begin, payload->end);
         auto a = std::make_shared<gcn::GraphArtifacts>();
 
         std::string dataset;
@@ -386,11 +225,11 @@ loadArtifacts(const std::string &path, const ArtifactKey &expected)
             a->graph = graph::Graph::fromAdjacency(std::move(offsets),
                                                    std::move(neighbors));
         }
-        if (!r.csr(a->adjacency))
+        if (!getCsr(r, a->adjacency))
             return nullptr;
         if (a->hasPartitioning) {
             uint64_t numLists = 0;
-            if (!r.csr(a->adjacencyPartitioned) ||
+            if (!getCsr(r, a->adjacencyPartitioned) ||
                 !r.vec(a->relabel.newToOld) ||
                 !r.vec(a->relabel.clustering.clusterStart) ||
                 !r.pod(numLists))
@@ -560,15 +399,6 @@ WorkloadCache::buildLog() const
 }
 
 void
-WorkloadCache::clearMemory()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    mem_.clear();
-    lru_.clear();
-    totalBytes_ = 0;
-}
-
-void
 WorkloadCache::setMemoryByteCap(uint64_t max_bytes)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -576,32 +406,11 @@ WorkloadCache::setMemoryByteCap(uint64_t max_bytes)
     enforceCapLocked();
 }
 
-uint64_t
-WorkloadCache::memoryByteCap() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return byteCap_;
-}
-
-uint64_t
-WorkloadCache::memoryBytes() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return totalBytes_;
-}
-
 void
 WorkloadCache::setBuildThreads(uint32_t threads)
 {
     std::lock_guard<std::mutex> lock(mu_);
     buildThreads_ = threads == 0 ? 1 : threads;
-}
-
-size_t
-WorkloadCache::memoryEntries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return mem_.size();
 }
 
 void

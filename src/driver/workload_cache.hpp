@@ -12,11 +12,12 @@
  *    runs synthesis + partitioning exactly d times. Model operands
  *    (SAGEConv's sampled adjacency, GIN's A + (1+eps)I) are layer data,
  *    built per workload, and never cached.
- *  - On disk (optional): bundles are persisted as binary files with a
- *    format-version header and payload checksum, so repeated bench/CI
- *    invocations skip synthesis entirely. A corrupted, truncated or
- *    stale-version file is never trusted: load returns null and the
- *    cache transparently falls back to a rebuild.
+ *  - On disk (optional): bundles are persisted in the util/binfile.hpp
+ *    container (format-version header, payload checksum, atomic
+ *    publish), so repeated bench/CI invocations skip synthesis
+ *    entirely. A corrupted, truncated or stale-version file is never
+ *    trusted: load returns null and the cache transparently falls
+ *    back to a rebuild.
  *
  * Thread-safety: all public member functions are safe to call
  * concurrently; the returned bundles are immutable.
@@ -150,11 +151,9 @@ class WorkloadCache
 
     /**
      * One coherent picture of the cache: counters plus the current
-     * footprint and cap, all read under a single lock acquisition.
-     * A metrics loop that polls a serving cache must use this instead
-     * of stitching stats()/memoryEntries()/memoryBytes() together --
-     * between separate calls a concurrent lookup can evict, so the
-     * stitched numbers would describe no state the cache ever held.
+     * footprint and cap, all read under a single lock acquisition
+     * (between separate calls a concurrent lookup can evict, so
+     * stitched numbers would describe no state the cache ever held).
      */
     struct Snapshot
     {
@@ -172,9 +171,6 @@ class WorkloadCache
 
     Snapshot snapshot() const;
 
-    /** Drop the in-memory map (the disk layer is untouched). */
-    void clearMemory();
-
     /**
      * Cap the in-memory map at @p max_bytes of artefact payload
      * (0 = unbounded, the default), measured by
@@ -191,12 +187,6 @@ class WorkloadCache
      */
     void setMemoryByteCap(uint64_t max_bytes);
 
-    /** Current in-memory byte cap (0 = unbounded). */
-    uint64_t memoryByteCap() const;
-
-    /** Total artefact payload bytes currently held in memory. */
-    uint64_t memoryBytes() const;
-
     /**
      * Worker threads handed to buildGraphArtifacts() on a cache miss
      * (>= 1). Never part of any cache key: builds are bit-identical
@@ -204,15 +194,12 @@ class WorkloadCache
      */
     void setBuildThreads(uint32_t threads);
 
-    /** Number of bundles currently held in memory (for tests). */
-    size_t memoryEntries() const;
-
     /**
      * Per-dataset build profile of every bundle this process built
      * from scratch (disk loads and memory hits record nothing), in
-     * build order. Survives eviction and clearMemory(): the log feeds
-     * the profile=1 build_phase metric family, which must not lose
-     * rows just because the byte cap reclaimed the bundle itself.
+     * build order. Survives eviction: the log feeds the profile=1
+     * build_phase metric family, which must not lose rows just
+     * because the byte cap reclaimed the bundle itself.
      */
     std::vector<std::pair<std::string, gcn::GraphArtifacts::BuildProfile>>
     buildLog() const;

@@ -12,16 +12,6 @@ namespace grow::gcn {
 
 namespace {
 
-/** Element-wise accumulate classified traffic. */
-void
-mergeTraffic(mem::DramTraffic &into, const mem::DramTraffic &from)
-{
-    for (size_t i = 0; i < mem::kNumTrafficClasses; ++i) {
-        into.readBytes[i] += from.readBytes[i];
-        into.writeBytes[i] += from.writeBytes[i];
-    }
-}
-
 /** "gat attention-score layer 2": phase identity for diagnostics. */
 std::string
 describePhase(const PlannedPhase &step)
@@ -65,7 +55,7 @@ accumulatePhase(InferenceResult &res, const PlannedPhase &step,
         pm.energy.auxPj = energy::auxiliaryUnitPj(pm.energy, auxFraction);
     res.totalCycles += r.cycles;
     res.macOps += r.macOps;
-    mergeTraffic(res.traffic, r.traffic);
+    res.traffic += r.traffic;
     res.energy += pm.energy;
     switch (step.op) {
       case PhaseOp::Combination:

@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "graph/file_graph.hpp"
+#include "util/binfile.hpp"
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
 
@@ -65,6 +66,42 @@ tierName(ScaleTier tier)
       case ScaleTier::Unit: return "unit";
     }
     return "?";
+}
+
+void
+encodeSpecFields(util::BinWriter &w, const DatasetSpec &spec)
+{
+    w.str(spec.name);
+    w.pod(spec.paperNodes);
+    w.pod(spec.paperArcs);
+    w.pod(spec.paperAvgDegree);
+    w.pod(spec.paperDensityA);
+    w.pod(spec.x0Density);
+    w.pod(spec.x1Density);
+    w.pod(spec.gcn.inFeatures);
+    w.pod(spec.gcn.hidden);
+    w.pod(spec.gcn.classes);
+    w.pod(spec.powerLawAlpha);
+    w.pod(spec.intraFraction);
+    w.pod(spec.seed);
+    w.pod(spec.miniNodeDiv);
+    w.pod(spec.tinyNodeDiv);
+    w.pod(spec.miniDegreeDiv);
+    w.pod(spec.tinyDegreeDiv);
+}
+
+bool
+decodeSpecFields(util::BinReader &r, DatasetSpec &spec)
+{
+    return r.str(spec.name) && r.pod(spec.paperNodes) &&
+           r.pod(spec.paperArcs) && r.pod(spec.paperAvgDegree) &&
+           r.pod(spec.paperDensityA) && r.pod(spec.x0Density) &&
+           r.pod(spec.x1Density) && r.pod(spec.gcn.inFeatures) &&
+           r.pod(spec.gcn.hidden) && r.pod(spec.gcn.classes) &&
+           r.pod(spec.powerLawAlpha) && r.pod(spec.intraFraction) &&
+           r.pod(spec.seed) && r.pod(spec.miniNodeDiv) &&
+           r.pod(spec.tinyNodeDiv) && r.pod(spec.miniDegreeDiv) &&
+           r.pod(spec.tinyDegreeDiv);
 }
 
 const std::vector<DatasetSpec> &

@@ -28,6 +28,11 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 
+namespace grow::util {
+class BinReader;
+class BinWriter;
+} // namespace grow::util
+
 namespace grow::graph {
 
 /** Evaluation scale for a dataset instantiation. */
@@ -83,12 +88,22 @@ struct DatasetSpec
     uint64_t sourceChecksum = 0;
     ScaleTier sourceTier = ScaleTier::Full;
 
-    /** Whether this is one of the four large-scale datasets. */
-    bool isLargeScale() const { return miniNodeDiv > 1; }
-
     /** Whether the graph comes from a .growcsr file. */
     bool isFileBacked() const { return !sourceFile.empty(); }
 };
+
+/**
+ * The one on-disk encoding of a spec: the name and the 16 published
+ * structure, GCN shape, synthesis and scale-divisor fields, in
+ * declaration order. A .growcsr file stores it followed by the tier;
+ * the artefact cache's spec fingerprint hashes it followed by
+ * sourceChecksum. Changing it changes the bytes of both formats, so
+ * both format versions must be bumped with it.
+ */
+void encodeSpecFields(util::BinWriter &w, const DatasetSpec &spec);
+
+/** Decode encodeSpecFields()'s fields into @p spec; false on underrun. */
+bool decodeSpecFields(util::BinReader &r, DatasetSpec &spec);
 
 /** The eight datasets of Table I, ordered by node count. */
 const std::vector<DatasetSpec> &allDatasets();

@@ -8,12 +8,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
 
-#include "util/checksum.hpp"
+#include "util/binfile.hpp"
 #include "util/logging.hpp"
 
 namespace grow::graph {
@@ -23,181 +22,17 @@ namespace {
 namespace fs = std::filesystem;
 
 /**
- * .growcsr layout (all fields little-endian, host order -- the format
- * is an interchange format between runs on one machine, like the
- * WorkloadCache artefact files):
+ * .growcsr layout inside the util/binfile.hpp container (magic
+ * "GROWCSRF", kCsrFileFormatVersion, one reserved u32 of header pad):
  *
- *   [ 0] char[8]   magic "GROWCSRF"
- *   [ 8] u32       format version (kCsrFileFormatVersion)
- *   [12] u32       reserved (0)
- *   ---- checksummed payload ----
- *   [16] spec block: u32-length-prefixed name + synthesis PODs in
- *        the WorkloadCache specFingerprint field order + u32 tier
+ *   [16] spec block: graph::encodeSpecFields + u32 tier
  *   [..] u32       numNodes
  *   [..] u64       numArcs
  *   [..] zero pad to the next 8-byte-aligned *file* offset
  *   [..] u64[n+1]  offsets      (8-aligned, used in place via mmap)
  *   [..] u32[arcs] adjacency    (NodeId)
- *   ---- end of payload ----
- *   [..] u64       FNV-1a of the payload bytes (incl. the pad)
  */
-constexpr size_t kHeaderBytes = sizeof(kCsrFileMagic) + 2 * sizeof(uint32_t);
-
-/** Little append-only encoder for the (small) spec block. */
-class PodWriter
-{
-  public:
-    template <typename T>
-    void
-    pod(T v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        buf_.append(reinterpret_cast<const char *>(&v), sizeof(T));
-    }
-
-    void
-    str(const std::string &s)
-    {
-        pod(static_cast<uint32_t>(s.size()));
-        buf_.append(s);
-    }
-
-    const std::string &bytes() const { return buf_; }
-
-  private:
-    std::string buf_;
-};
-
-/** Bounds-checked decoder over the mapped payload. */
-class PodReader
-{
-  public:
-    PodReader(const char *data, size_t begin, size_t end)
-        : data_(data), pos_(begin), end_(end)
-    {
-    }
-
-    template <typename T>
-    bool
-    pod(T &out)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (pos_ + sizeof(T) > end_)
-            return false;
-        std::memcpy(&out, data_ + pos_, sizeof(T));
-        pos_ += sizeof(T);
-        return true;
-    }
-
-    bool
-    str(std::string &out)
-    {
-        uint32_t len = 0;
-        if (!pod(len) || len > end_ - pos_)
-            return false;
-        out.assign(data_ + pos_, len);
-        pos_ += len;
-        return true;
-    }
-
-    bool
-    skip(size_t n)
-    {
-        if (n > end_ - pos_)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    size_t pos() const { return pos_; }
-
-  private:
-    const char *data_;
-    size_t pos_ = 0;
-    size_t end_ = 0;
-};
-
-/**
- * Serialize the dataset identity carried inside the file. Field order
- * deliberately mirrors the WorkloadCache specFingerprint so the two
- * formats describe a spec the same way.
- */
-void
-encodeSpec(PodWriter &w, const DatasetSpec &spec, ScaleTier tier)
-{
-    w.str(spec.name);
-    w.pod(spec.paperNodes);
-    w.pod(spec.paperArcs);
-    w.pod(spec.paperAvgDegree);
-    w.pod(spec.paperDensityA);
-    w.pod(spec.x0Density);
-    w.pod(spec.x1Density);
-    w.pod(spec.gcn.inFeatures);
-    w.pod(spec.gcn.hidden);
-    w.pod(spec.gcn.classes);
-    w.pod(spec.powerLawAlpha);
-    w.pod(spec.intraFraction);
-    w.pod(spec.seed);
-    w.pod(spec.miniNodeDiv);
-    w.pod(spec.tinyNodeDiv);
-    w.pod(spec.miniDegreeDiv);
-    w.pod(spec.tinyDegreeDiv);
-    w.pod(static_cast<uint32_t>(tier));
-}
-
-bool
-decodeSpec(PodReader &r, DatasetSpec &spec, ScaleTier &tier)
-{
-    uint32_t tierRaw = 0;
-    if (!r.str(spec.name) || !r.pod(spec.paperNodes) ||
-        !r.pod(spec.paperArcs) || !r.pod(spec.paperAvgDegree) ||
-        !r.pod(spec.paperDensityA) || !r.pod(spec.x0Density) ||
-        !r.pod(spec.x1Density) || !r.pod(spec.gcn.inFeatures) ||
-        !r.pod(spec.gcn.hidden) || !r.pod(spec.gcn.classes) ||
-        !r.pod(spec.powerLawAlpha) || !r.pod(spec.intraFraction) ||
-        !r.pod(spec.seed) || !r.pod(spec.miniNodeDiv) ||
-        !r.pod(spec.tinyNodeDiv) || !r.pod(spec.miniDegreeDiv) ||
-        !r.pod(spec.tinyDegreeDiv) || !r.pod(tierRaw))
-        return false;
-    if (tierRaw > static_cast<uint32_t>(ScaleTier::Unit))
-        return false;
-    tier = static_cast<ScaleTier>(tierRaw);
-    return spec.name.size() > 0;
-}
-
-/** Checksumming pass-through onto an ofstream. */
-class ChecksummedOut
-{
-  public:
-    explicit ChecksummedOut(std::ofstream &out) : out_(out) {}
-
-    void
-    put(const void *data, size_t size)
-    {
-        out_.write(static_cast<const char *>(data),
-                   static_cast<std::streamsize>(size));
-        sum_.update(data, size);
-        written_ += size;
-    }
-
-    /** Zero-pad so the next byte lands on an 8-aligned file offset. */
-    void
-    padTo8(size_t file_offset_of_next_byte)
-    {
-        static const char zeros[8] = {};
-        size_t mis = file_offset_of_next_byte % 8;
-        if (mis != 0)
-            put(zeros, 8 - mis);
-    }
-
-    uint64_t digest() const { return sum_.digest(); }
-    uint64_t written() const { return written_; }
-
-  private:
-    std::ofstream &out_;
-    util::Fnv1a sum_;
-    uint64_t written_ = 0;
-};
+constexpr size_t kHeaderPad = sizeof(uint32_t);
 
 /** RAII mmap of a whole file (read-only or read-write). */
 struct FileMap
@@ -298,51 +133,20 @@ writeCsrFile(const std::string &path, const DatasetSpec &spec,
     GROW_ASSERT(g.offsets.size() ==
                     static_cast<size_t>(g.numNodes()) + 1,
                 "CSR view with inconsistent offsets");
-    PodWriter specBlock;
-    encodeSpec(specBlock, spec, tier);
-
-    try {
-        fs::path target(path);
-        if (target.has_parent_path())
-            fs::create_directories(target.parent_path());
-        // Atomic publish, same discipline as the artefact cache: a
-        // crashed writer can never leave a torn file under the final
-        // name.
-        fs::path tmp = target;
-        tmp += ".tmp";
-        {
-            std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-            if (!out)
-                return false;
-            out.write(kCsrFileMagic, sizeof(kCsrFileMagic));
-            uint32_t version = kCsrFileFormatVersion;
-            uint32_t reserved = 0;
-            out.write(reinterpret_cast<const char *>(&version),
-                      sizeof(version));
-            out.write(reinterpret_cast<const char *>(&reserved),
-                      sizeof(reserved));
-
-            ChecksummedOut co(out);
-            co.put(specBlock.bytes().data(), specBlock.bytes().size());
-            uint32_t nodes = g.numNodes();
-            uint64_t arcs = g.numArcs();
-            co.put(&nodes, sizeof(nodes));
-            co.put(&arcs, sizeof(arcs));
-            co.padTo8(kHeaderBytes + co.written());
-            co.put(g.offsets.data(), g.offsets.size() * sizeof(uint64_t));
-            co.put(g.adjacency.data(),
-                   g.adjacency.size() * sizeof(NodeId));
-            uint64_t sum = co.digest();
-            out.write(reinterpret_cast<const char *>(&sum), sizeof(sum));
-            if (!out)
-                return false;
-        }
-        fs::rename(tmp, target);
-        return true;
-    } catch (const std::exception &e) {
-        logWarn("csr file write failed for " + path + ": " + e.what());
-        return false;
-    }
+    util::BinWriter head;
+    encodeSpecFields(head, spec);
+    head.pod(static_cast<uint32_t>(tier));
+    head.pod(g.numNodes());
+    head.pod(g.numArcs());
+    return util::writeBinFile(
+        path, kCsrFileMagic, kCsrFileFormatVersion, kHeaderPad,
+        [&](util::PayloadSink &out) {
+            out.put(head.bytes().data(), head.bytes().size());
+            out.padTo8();
+            out.put(g.offsets.data(), g.offsets.size() * sizeof(uint64_t));
+            out.put(g.adjacency.data(),
+                    g.adjacency.size() * sizeof(NodeId));
+        });
 }
 
 ConvertStats
@@ -439,7 +243,9 @@ convertEdgeListFile(const std::string &text_path,
     }
 
     // ---- Per-row sort + dedup in place (matches Graph::fromEdges
-    // semantics exactly), computing the final offsets.
+    // semantics exactly), then move each row's kept prefix down to its
+    // final offset. finalOffset[v] <= rawOffset[v] and rows move in
+    // order, so a row only ever lands on bytes already consumed.
     std::vector<uint64_t> finalOffset(static_cast<size_t>(nodes) + 1, 0);
     for (uint32_t v = 0; v < nodes; ++v) {
         NodeId *begin = arcs + rawOffset[v];
@@ -447,80 +253,36 @@ convertEdgeListFile(const std::string &text_path,
         std::sort(begin, end);
         NodeId *kept = std::unique(begin, end);
         stats.duplicateArcs += static_cast<uint64_t>(end - kept);
+        NodeId *dest = arcs + finalOffset[v];
+        if (dest != begin)
+            std::copy(begin, kept, dest);
         finalOffset[v + 1] =
             finalOffset[v] + static_cast<uint64_t>(kept - begin);
     }
     stats.arcs = finalOffset[nodes];
 
-    // ---- Stream the final file with an incremental checksum.
-    PodWriter specBlock;
-    {
-        DatasetSpec spec = spec_template;
-        spec.sourceFile.clear();
-        spec.sourceChecksum = 0;
-        // Structural fields reflect the measured graph, not whatever
-        // the template claimed.
-        spec.paperNodes = nodes;
-        spec.paperArcs = stats.arcs;
-        spec.paperAvgDegree =
-            nodes == 0 ? 0.0
-                       : static_cast<double>(stats.arcs) /
-                             static_cast<double>(nodes);
-        spec.paperDensityA =
-            nodes == 0 ? 0.0
-                       : static_cast<double>(stats.arcs) /
-                             (static_cast<double>(nodes) *
-                              static_cast<double>(nodes));
-        encodeSpec(specBlock, spec, tier);
-    }
-
-    fs::path target(out_path);
-    {
-        std::error_code ec;
-        if (target.has_parent_path())
-            fs::create_directories(target.parent_path(), ec);
-    }
-    fs::path tmpOut = target;
-    tmpOut += ".tmp";
-    {
-        std::ofstream out(tmpOut, std::ios::binary | std::ios::trunc);
-        if (!out)
-            fatal("cannot create output file: " + tmpOut.string());
-        out.write(kCsrFileMagic, sizeof(kCsrFileMagic));
-        uint32_t version = kCsrFileFormatVersion;
-        uint32_t reserved = 0;
-        out.write(reinterpret_cast<const char *>(&version),
-                  sizeof(version));
-        out.write(reinterpret_cast<const char *>(&reserved),
-                  sizeof(reserved));
-
-        ChecksummedOut co(out);
-        co.put(specBlock.bytes().data(), specBlock.bytes().size());
-        co.put(&nodes, sizeof(nodes));
-        co.put(&stats.arcs, sizeof(stats.arcs));
-        co.padTo8(kHeaderBytes + co.written());
-        co.put(finalOffset.data(), finalOffset.size() * sizeof(uint64_t));
-        // Adjacency rows stream straight off the scatter mmap: only the
-        // deduplicated prefix of each raw row is live.
-        for (uint32_t v = 0; v < nodes; ++v) {
-            const uint64_t keep = finalOffset[v + 1] - finalOffset[v];
-            if (keep > 0)
-                co.put(arcs + rawOffset[v], keep * sizeof(NodeId));
-        }
-        uint64_t sum = co.digest();
-        out.write(reinterpret_cast<const char *>(&sum), sizeof(sum));
-        if (!out)
-            fatal("write failed for " + tmpOut.string());
-    }
+    DatasetSpec spec = spec_template;
+    // Structural fields reflect the measured graph, not whatever the
+    // template claimed.
+    spec.paperNodes = nodes;
+    spec.paperArcs = stats.arcs;
+    spec.paperAvgDegree =
+        nodes == 0 ? 0.0
+                   : static_cast<double>(stats.arcs) /
+                         static_cast<double>(nodes);
+    spec.paperDensityA =
+        nodes == 0 ? 0.0
+                   : static_cast<double>(stats.arcs) /
+                         (static_cast<double>(nodes) *
+                          static_cast<double>(nodes));
+    const CsrView compacted{{finalOffset.data(), finalOffset.size()},
+                            {arcs, stats.arcs}};
+    const bool written = writeCsrFile(out_path, spec, tier, compacted);
     arcMap.close();
-    {
-        std::error_code ec;
-        fs::remove(tmpArcs, ec);
-        fs::rename(tmpOut, target, ec);
-        if (ec)
-            fatal("cannot publish " + target.string() + ": " +
-                  ec.message());
-    }
+    std::error_code ec;
+    fs::remove(tmpArcs, ec);
+    if (!written)
+        fatal("cannot write " + out_path);
     return stats;
 }
 
@@ -531,38 +293,31 @@ MappedCsrGraph::open(const std::string &path)
     if (!map->open(path, /*writable=*/false))
         return nullptr;
     const char *base = static_cast<const char *>(map->addr);
-    const size_t size = map->bytes;
-    if (size < kHeaderBytes + sizeof(uint64_t))
-        return nullptr;
-    if (std::memcmp(base, kCsrFileMagic, sizeof(kCsrFileMagic)) != 0)
-        return nullptr;
-    uint32_t version = 0;
-    std::memcpy(&version, base + sizeof(kCsrFileMagic), sizeof(version));
-    if (version != kCsrFileFormatVersion)
-        return nullptr; // stale format: reconvert, don't guess
-
-    uint64_t storedSum = 0;
-    std::memcpy(&storedSum, base + size - sizeof(storedSum),
-                sizeof(storedSum));
-    const size_t payloadEnd = size - sizeof(storedSum);
-    if (util::fnv1a(base + kHeaderBytes, payloadEnd - kHeaderBytes) !=
-        storedSum)
+    const auto payload =
+        util::checkBinFile(base, map->bytes, kCsrFileMagic,
+                           kCsrFileFormatVersion, kHeaderPad);
+    if (!payload)
         return nullptr;
 
-    PodReader r(base, kHeaderBytes, payloadEnd);
+    util::BinReader r(base, payload->begin, payload->end);
     DatasetSpec spec;
-    ScaleTier tier = ScaleTier::Full;
+    uint32_t tierRaw = 0;
     uint32_t nodes = 0;
     uint64_t arcs = 0;
-    if (!decodeSpec(r, spec, tier) || !r.pod(nodes) || !r.pod(arcs))
+    if (!decodeSpecFields(r, spec) || !r.pod(tierRaw) || !r.pod(nodes) ||
+        !r.pod(arcs))
         return nullptr;
+    if (spec.name.empty() ||
+        tierRaw > static_cast<uint32_t>(ScaleTier::Unit))
+        return nullptr;
+    const auto tier = static_cast<ScaleTier>(tierRaw);
     if (r.pos() % 8 != 0 && !r.skip(8 - r.pos() % 8))
         return nullptr;
 
     const uint64_t offsetsBytes =
         (static_cast<uint64_t>(nodes) + 1) * sizeof(uint64_t);
     const uint64_t adjBytes = arcs * sizeof(NodeId);
-    if (payloadEnd - r.pos() != offsetsBytes + adjBytes)
+    if (payload->end - r.pos() != offsetsBytes + adjBytes)
         return nullptr; // truncated or trailing bytes: not ours
     const uint64_t *offsets =
         reinterpret_cast<const uint64_t *>(base + r.pos());
@@ -592,10 +347,10 @@ MappedCsrGraph::open(const std::string &path)
     g->adjacency_ = adjacency;
     g->numNodes_ = nodes;
     g->numArcs_ = arcs;
-    g->checksum_ = storedSum;
+    g->checksum_ = payload->checksum;
     g->tier_ = tier;
     spec.sourceFile = path;
-    spec.sourceChecksum = storedSum;
+    spec.sourceChecksum = payload->checksum;
     spec.sourceTier = tier;
     g->spec_ = std::move(spec);
     return g;

@@ -7,20 +7,20 @@
  * (the regime GROW targets, Sec. V) are far bigger than the synthetic
  * tiers. This file provides the ingestion path:
  *
- *  - A versioned, checksummed binary CSR file format following the
- *    same header discipline as the WorkloadCache artefact cache
- *    (magic, format version, payload, trailing FNV-1a checksum --
- *    util/checksum.hpp), carrying the full DatasetSpec so a converted
- *    graph replays the exact feature densities / GCN shape / seeds of
- *    its source dataset.
+ *  - A versioned, checksummed binary CSR file format in the same
+ *    container as the WorkloadCache artefact cache (magic, format
+ *    version, payload, trailing FNV-1a checksum -- util/binfile.hpp),
+ *    carrying the DatasetSpec fields graph::encodeSpecFields() writes,
+ *    so a converted graph replays the exact feature densities / GCN
+ *    shape / seeds of its source dataset.
  *  - writeCsrFile(): streaming writer (atomic temp+rename) from any
- *    CsrView.
+ *    CsrView; the one writer of the format.
  *  - convertEdgeListFile(): two-pass out-of-core text converter.
  *    Edge-list / COO text is scanned once to count degrees, scattered
  *    through a temporary mmap-backed arc file (the OS pages it, not
- *    the heap), per-row sorted and deduplicated in place, then
- *    streamed into the final file. Host RAM stays O(nodes), never
- *    O(edges).
+ *    the heap), per-row sorted and deduplicated in place, compacted
+ *    to the final offsets, then handed to writeCsrFile() as a view of
+ *    the mapping. Host RAM stays O(nodes), never O(edges).
  *  - MappedCsrGraph: read-only mmap of a .growcsr file exposing the
  *    graph::CsrView accessor surface, so partitioning and simulation
  *    stream graphs larger than RAM straight off the page cache.
@@ -82,7 +82,7 @@ struct ConvertStats
  *
  * Out-of-core by construction: the text is streamed twice, arcs are
  * scattered through a temporary mmap-backed file next to @p out_path,
- * and the result is streamed out with an incremental checksum. Host
+ * and the compacted mapping is written out by writeCsrFile(). Host
  * heap usage is O(nodes), never O(edges).
  *
  * @p spec_template supplies the dataset identity (name, GCN shape,
@@ -90,7 +90,7 @@ struct ConvertStats
  * (node/arc counts, degrees) are overwritten with the measured values.
  * @p nodes_hint forces at least that many nodes (isolated tail nodes
  * included); the maximum endpoint + 1 is used when larger. fatal() on
- * unparsable text.
+ * unparsable text or when the output cannot be written.
  */
 ConvertStats convertEdgeListFile(const std::string &text_path,
                                  const std::string &out_path,
@@ -144,9 +144,6 @@ class MappedCsrGraph
     uint64_t checksum() const { return checksum_; }
 
     const std::string &path() const { return path_; }
-
-    /** Total bytes mapped (for footprint accounting). */
-    uint64_t mappedBytes() const { return mapBytes_; }
 
     /**
      * Full structural validation (sorted rows, symmetry, no self

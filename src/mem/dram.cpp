@@ -27,6 +27,16 @@ DramTraffic::totalWrite() const
     return total;
 }
 
+DramTraffic &
+DramTraffic::operator+=(const DramTraffic &o)
+{
+    for (size_t i = 0; i < kNumTrafficClasses; ++i) {
+        readBytes[i] += o.readBytes[i];
+        writeBytes[i] += o.writeBytes[i];
+    }
+    return *this;
+}
+
 Bytes
 DramModel::lineAligned(Bytes bytes) const
 {

@@ -55,6 +55,9 @@ struct DramTraffic
     Bytes totalRead() const;
     Bytes totalWrite() const;
     Bytes total() const { return totalRead() + totalWrite(); }
+
+    /** Element-wise accumulate @p o's classified traffic. */
+    DramTraffic &operator+=(const DramTraffic &o);
 };
 
 /**

@@ -30,41 +30,12 @@ LruRowCache::insert(NodeId id)
     if (map_.count(id))
         return;
     while (map_.size() >= maxRows_) {
-        if (pinnedRows_ >= maxRows_)
-            return; // fully pinned; nothing to evict
-        evictOne();
+        map_.erase(lru_.back());
+        lru_.pop_back();
+        ++evictions_;
     }
-    lru_.push_front(Entry{id, false});
+    lru_.push_front(id);
     map_[id] = lru_.begin();
-}
-
-void
-LruRowCache::pin(NodeId id)
-{
-    auto it = map_.find(id);
-    if (it == map_.end()) {
-        insert(id);
-        it = map_.find(id);
-        if (it == map_.end())
-            return;
-    }
-    if (!it->second->pinned) {
-        it->second->pinned = true;
-        ++pinnedRows_;
-    }
-}
-
-void
-LruRowCache::evictOne()
-{
-    for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-        if (!rit->pinned) {
-            map_.erase(rit->id);
-            lru_.erase(std::next(rit).base());
-            ++evictions_;
-            return;
-        }
-    }
 }
 
 double
@@ -81,7 +52,6 @@ LruRowCache::clear()
 {
     lru_.clear();
     map_.clear();
-    pinnedRows_ = 0;
     hits_ = misses_ = evictions_ = 0;
 }
 

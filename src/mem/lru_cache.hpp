@@ -36,9 +36,6 @@ class LruRowCache
     /** Insert @p id, evicting LRU rows as needed. */
     void insert(NodeId id);
 
-    /** Pin @p id so it is never evicted (hybrid policies). */
-    void pin(NodeId id);
-
     uint32_t residentRows() const
     {
         return static_cast<uint32_t>(map_.size());
@@ -53,18 +50,9 @@ class LruRowCache
     void clear();
 
   private:
-    struct Entry
-    {
-        NodeId id;
-        bool pinned;
-    };
-
-    void evictOne();
-
     uint32_t maxRows_;
-    std::list<Entry> lru_; ///< front = most recent
-    std::unordered_map<NodeId, std::list<Entry>::iterator> map_;
-    uint32_t pinnedRows_ = 0;
+    std::list<NodeId> lru_; ///< front = most recent
+    std::unordered_map<NodeId, std::list<NodeId>::iterator> map_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;

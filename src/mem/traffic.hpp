@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace grow::mem {
 
@@ -26,8 +25,5 @@ enum class TrafficClass : uint8_t {
 
 inline constexpr size_t kNumTrafficClasses =
     static_cast<size_t>(TrafficClass::NumClasses);
-
-/** Human-readable class name. */
-const char *trafficClassName(TrafficClass cls);
 
 } // namespace grow::mem

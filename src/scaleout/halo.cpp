@@ -6,16 +6,6 @@
 
 namespace grow::scaleout {
 
-uint64_t
-HaloPlan::totalBoundaryVertices() const
-{
-    uint64_t total = 0;
-    for (const auto &perSrc : boundary)
-        for (const auto &verts : perSrc)
-            total += verts.size();
-    return total;
-}
-
 HaloPlan
 buildHaloPlan(const sparse::CsrMatrix &adjacency,
               const ChipShardPlan &shard)

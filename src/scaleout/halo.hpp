@@ -40,22 +40,12 @@ struct HaloPlan
         return boundary[dst][src].size();
     }
 
-    /** Total boundary vertices across all directed chip pairs. */
-    uint64_t totalBoundaryVertices() const;
-
     /** Bytes link src -> dst carries for one layer of @p rhs_cols
      *  features. */
     Bytes pairPhaseBytes(uint32_t dst, uint32_t src,
                          uint32_t rhs_cols) const
     {
         return boundaryVertices(dst, src) *
-               static_cast<Bytes>(rhs_cols) * kValueBytes;
-    }
-
-    /** Bytes all links carry for one layer of @p rhs_cols features. */
-    Bytes phaseBytes(uint32_t rhs_cols) const
-    {
-        return totalBoundaryVertices() *
                static_cast<Bytes>(rhs_cols) * kValueBytes;
     }
 };

@@ -98,16 +98,6 @@ struct ChipSlice
     }
 };
 
-/** Element-wise accumulate classified traffic. */
-void
-mergeTraffic(mem::DramTraffic &into, const mem::DramTraffic &from)
-{
-    for (size_t i = 0; i < mem::kNumTrafficClasses; ++i) {
-        into.readBytes[i] += from.readBytes[i];
-        into.writeBytes[i] += from.writeBytes[i];
-    }
-}
-
 /** One chunked link transfer of a halo step. */
 struct LinkTransfer
 {
@@ -404,7 +394,7 @@ runInference(const EngineTopology &topology,
                 pm.result.macOps += cpm.result.macOps;
                 pm.result.cacheHits += cpm.result.cacheHits;
                 pm.result.cacheMisses += cpm.result.cacheMisses;
-                mergeTraffic(pm.result.traffic, cpm.result.traffic);
+                pm.result.traffic += cpm.result.traffic;
                 pm.energy += cpm.energy;
                 pm.hostMillis += cpm.hostMillis;
             }
@@ -418,7 +408,7 @@ runInference(const EngineTopology &topology,
             merged.macOps += pm.result.macOps;
             merged.cacheHits += pm.result.cacheHits;
             merged.cacheMisses += pm.result.cacheMisses;
-            mergeTraffic(merged.traffic, pm.result.traffic);
+            merged.traffic += pm.result.traffic;
             merged.energy += pm.energy;
             switch (ph.op) {
               case gcn::PhaseOp::Combination:

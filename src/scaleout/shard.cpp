@@ -24,6 +24,16 @@ nodeClusters(const partition::Clustering &clustering, uint32_t nodes)
 
 } // namespace
 
+void
+requireChipsFitClusters(uint32_t chips, uint32_t num_clusters)
+{
+    if (chips > num_clusters)
+        fatal("chips=" + std::to_string(chips) + " exceeds the " +
+              std::to_string(num_clusters) +
+              " partition clusters of this workload (a cluster is "
+              "never split across chips)");
+}
+
 ChipShardPlan
 buildShardPlan(const sparse::CsrMatrix &adjacency,
                const partition::Clustering &clustering, uint32_t chips)
@@ -34,11 +44,7 @@ buildShardPlan(const sparse::CsrMatrix &adjacency,
     GROW_ASSERT(numClusters >= 1, "shard plan needs a clustering");
     GROW_ASSERT(clustering.clusterStart.back() == nodes,
                 "clustering does not cover the adjacency rows");
-    if (chips > numClusters)
-        fatal("chips=" + std::to_string(chips) + " exceeds the " +
-              std::to_string(numClusters) +
-              " partition clusters of this workload (a cluster is "
-              "never split across chips)");
+    requireChipsFitClusters(chips, numClusters);
 
     ChipShardPlan plan;
     plan.chips = chips;

@@ -42,9 +42,6 @@ struct ChipShardPlan
     std::vector<uint32_t> nodeToChip;
     /** Adjacency non-zeros whose row and column chips differ. */
     uint64_t cutArcs = 0;
-
-    /** Chip owning (relabeled) node @p v. */
-    uint32_t chipOf(NodeId v) const { return nodeToChip[v]; }
 };
 
 /**
@@ -58,5 +55,12 @@ struct ChipShardPlan
 ChipShardPlan buildShardPlan(const sparse::CsrMatrix &adjacency,
                              const partition::Clustering &clustering,
                              uint32_t chips);
+
+/**
+ * fatal() when @p chips exceeds @p num_clusters: a cluster is never
+ * split across chips. buildShardPlan() checks it; a caller that knows
+ * its chip counts before costly work checks them up front.
+ */
+void requireChipsFitClusters(uint32_t chips, uint32_t num_clusters);
 
 } // namespace grow::scaleout

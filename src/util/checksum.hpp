@@ -1,13 +1,9 @@
 /**
  * @file
- * FNV-1a content checksums shared by every on-disk format.
- *
- * Both binary interchange formats (the WorkloadCache artefact files and
- * the graph_convert CSR files) follow one header discipline: magic,
- * format version, payload, trailing FNV-1a 64-bit checksum over the
- * payload bytes. The hash lives here so the two formats cannot drift
- * apart, and so out-of-core writers can checksum incrementally while
- * streaming the payload instead of buffering it.
+ * FNV-1a content checksums: the payload trailer of both on-disk
+ * formats (util/binfile.hpp), and the digests the pin tests fold
+ * modelled outputs into. The streaming form lets a writer checksum a
+ * payload piece by piece instead of buffering it.
  */
 #pragma once
 
@@ -40,8 +36,8 @@ fnv1a(const void *data, size_t size, uint64_t seed = kFnv1aSeed)
 
 /**
  * Streaming FNV-1a accumulator for writers that produce their payload
- * in pieces (graph_convert streams multi-GB neighbor arrays without
- * ever holding them in one buffer).
+ * in pieces (a .growcsr export streams multi-GB neighbor arrays
+ * without ever holding them in one buffer).
  */
 class Fnv1a
 {

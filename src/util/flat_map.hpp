@@ -10,9 +10,8 @@
  *
  * The table never rehashes: capacity is fixed at construction (rounded
  * to a power of two, two slots per live entry, so the load factor never
- * exceeds 1/2) and exceeding it asserts, mirroring util/arena.hpp's
- * growth-rejection contract: live occupancy is hardware-bounded, so
- * overflow is a sizing bug.
+ * exceeds 1/2) and exceeding it asserts: live occupancy is
+ * hardware-bounded, so overflow is a sizing bug.
  *
  * Deletion is backward-shift deletion, so there are no tombstones: after
  * erase() every probe chain looks exactly as if the erased key had
@@ -34,7 +33,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "util/arena.hpp"
+#include "util/bitutil.hpp"
 #include "util/logging.hpp"
 
 namespace grow::util {
@@ -52,9 +51,7 @@ class FlatMap
      */
     FlatMap(size_t max_live, K empty_key)
         : emptyKey_(empty_key),
-          mask_(ceilPow2(
-                    (max_live ? max_live : 1) * kSlotsPerEntry) -
-                1),
+          mask_(nextPow2((max_live ? max_live : 1) * kSlotsPerEntry) - 1),
           slots_(mask_ + 1, Slot{empty_key, V{}}),
           maxLive_(max_live ? max_live : 1)
     {

@@ -1,7 +1,13 @@
 /**
  * @file
- * Queues for the row engine's per-product path: a growable FIFO, and a
- * min-queue that is a FIFO for as long as pushes arrive in order.
+ * Queues for the row engine: a growable ring FIFO, and a min-queue
+ * that is a FIFO for as long as pushes arrive in order.
+ *
+ * Fifo<T> is the simulator's one ring buffer. RowEngine keeps its
+ * multi-row window and its stream-chunk FIFO in one each, and the
+ * queues below sit on it. It doubles when full, so a steady stream
+ * reuses one allocation; the engine bounds what it holds by the
+ * hardware configuration and asserts those bounds itself.
  *
  * Aggregation's ready times are mostly monotone. The HDN ID CAM does
  * one lookup per cycle, so CAM-ready products arrive in ready order;
@@ -33,9 +39,9 @@
 namespace grow::util {
 
 /**
- * Unbounded FIFO over a power-of-two ring that doubles when full, so a
- * steady stream reuses one allocation (util::RingBuffer is the
- * fixed-capacity variant for hardware-bounded tables).
+ * Unbounded FIFO over a power-of-two ring that doubles when full.
+ * Elements are indexed from the front (0 = oldest); every access is
+ * asserted in range.
  */
 template <typename T>
 class Fifo
@@ -44,26 +50,32 @@ class Fifo
     bool empty() const { return size_ == 0; }
     size_t size() const { return size_; }
 
-    const T &
-    front() const
+    T &front() { return (*this)[0]; }
+    const T &front() const { return (*this)[0]; }
+    T &back() { return (*this)[size_ - 1]; }
+    const T &back() const { return (*this)[size_ - 1]; }
+
+    /** @p i counted from the front (0 = oldest). */
+    T &
+    operator[](size_t i)
     {
-        GROW_ASSERT(size_ > 0, "front() of an empty FIFO");
-        return buf_[head_];
+        GROW_ASSERT(i < size_, "FIFO index out of range");
+        return buf_[(head_ + i) & (capacity_ - 1)];
     }
 
     const T &
-    back() const
+    operator[](size_t i) const
     {
-        GROW_ASSERT(size_ > 0, "back() of an empty FIFO");
-        return buf_[(head_ + size_ - 1) & (buf_.size() - 1)];
+        GROW_ASSERT(i < size_, "FIFO index out of range");
+        return buf_[(head_ + i) & (capacity_ - 1)];
     }
 
     void
     push_back(const T &v)
     {
-        if (size_ == buf_.size())
+        if (size_ == capacity_)
             grow();
-        buf_[(head_ + size_) & (buf_.size() - 1)] = v;
+        buf_[(head_ + size_) & (capacity_ - 1)] = v;
         ++size_;
     }
 
@@ -71,7 +83,7 @@ class Fifo
     pop_front()
     {
         GROW_ASSERT(size_ > 0, "pop_front() of an empty FIFO");
-        head_ = (head_ + 1) & (buf_.size() - 1);
+        head_ = (head_ + 1) & (capacity_ - 1);
         --size_;
     }
 
@@ -79,14 +91,18 @@ class Fifo
     void
     grow()
     {
-        std::vector<T> bigger(std::max<size_t>(16, 2 * buf_.size()));
+        std::vector<T> bigger(std::max<size_t>(16, 2 * capacity_));
         for (size_t i = 0; i < size_; ++i)
-            bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+            bigger[i] = (*this)[i];
         buf_.swap(bigger);
+        capacity_ = buf_.size();
         head_ = 0;
     }
 
     std::vector<T> buf_;
+    /** buf_.size(), kept apart so indexing never divides by
+     *  sizeof(T). */
+    size_t capacity_ = 0;
     size_t head_ = 0;
     size_t size_ = 0;
 };

@@ -27,10 +27,7 @@ class WallClock
   public:
     WallClock() : start_(std::chrono::steady_clock::now()) {}
 
-    /** Restart the stopwatch. */
-    void restart() { start_ = std::chrono::steady_clock::now(); }
-
-    /** Elapsed host milliseconds since construction/restart. */
+    /** Elapsed host milliseconds since construction. */
     double
     elapsedMs() const
     {

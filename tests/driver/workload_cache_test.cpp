@@ -373,7 +373,7 @@ TEST(WorkloadCache, EveryModelSharesOneBundlePerPlan)
     }
     EXPECT_EQ(cache.stats().builds, 1u);
     EXPECT_EQ(cache.stats().diskStores, 1u);
-    EXPECT_EQ(cache.memoryEntries(), 1u);
+    EXPECT_EQ(cache.snapshot().entries, 1u);
     for (const auto &w : workloads)
         EXPECT_EQ(w.artifacts.get(), workloads.front().artifacts.get());
     size_t files = 0;
@@ -410,14 +410,14 @@ TEST(WorkloadCache, ByteCapEvictsLeastRecentlyUsed)
     WorkloadCache cache;
     auto a = cache.artifacts(cora, graph::ScaleTier::Unit, {});
     auto b = cache.artifacts(cite, graph::ScaleTier::Unit, {});
-    cache.setMemoryByteCap(cache.memoryBytes() + third - 1);
-    EXPECT_EQ(cache.memoryEntries(), 2u);
+    cache.setMemoryByteCap(cache.snapshot().bytes + third - 1);
+    EXPECT_EQ(cache.snapshot().entries, 2u);
 
     // Touch cora so citeseer becomes least recently used, then insert
     // a third key: citeseer must be the one evicted.
     cache.artifacts(cora, graph::ScaleTier::Unit, {});
     cache.artifacts(cora, graph::ScaleTier::Unit, smaller);
-    EXPECT_EQ(cache.memoryEntries(), 2u);
+    EXPECT_EQ(cache.snapshot().entries, 2u);
     EXPECT_EQ(cache.stats().evictionsByBytes, 1u);
 
     // cora stayed resident (memory hit); citeseer rebuilds from
@@ -445,7 +445,7 @@ TEST(WorkloadCache, ByteEvictedKeyReloadsFromDiskInsteadOfRebuilding)
     auto a = cache.artifacts(cora, graph::ScaleTier::Unit, {});
     cache.artifacts(cite, graph::ScaleTier::Unit, {}); // evicts cora
     EXPECT_EQ(cache.stats().evictionsByBytes, 1u);
-    EXPECT_EQ(cache.memoryEntries(), 1u);
+    EXPECT_EQ(cache.snapshot().entries, 1u);
 
     // The disk layer is untouched by eviction: cora comes back as a
     // disk load, not a rebuild, and round-trips bit-identically.
@@ -466,12 +466,12 @@ TEST(WorkloadCache, ShrinkingByteCapEvictsImmediately)
     p2.targetClusterSize = 256;
     cache.artifacts(spec, graph::ScaleTier::Unit, p1);
     auto newest = cache.artifacts(spec, graph::ScaleTier::Unit, p2);
-    EXPECT_EQ(cache.memoryEntries(), 3u);
+    EXPECT_EQ(cache.snapshot().entries, 3u);
 
     cache.setMemoryByteCap(1);
-    EXPECT_EQ(cache.memoryEntries(), 1u);
+    EXPECT_EQ(cache.snapshot().entries, 1u);
     EXPECT_EQ(cache.stats().evictionsByBytes, 2u);
-    EXPECT_EQ(cache.memoryBytes(), artifactFootprintBytes(*newest));
+    EXPECT_EQ(cache.snapshot().bytes, artifactFootprintBytes(*newest));
     // The survivor is the most recently used key.
     const uint64_t hitsBefore = cache.stats().memoryHits;
     auto again = cache.artifacts(spec, graph::ScaleTier::Unit, p2);
@@ -482,37 +482,33 @@ TEST(WorkloadCache, ShrinkingByteCapEvictsImmediately)
 TEST(WorkloadCache, ByteCapEvictsByFootprintButKeepsNewest)
 {
     WorkloadCache cache;
-    EXPECT_EQ(cache.memoryByteCap(), 0u); // unbounded by default
+    EXPECT_EQ(cache.snapshot().byteCap, 0u); // unbounded by default
     const auto &cora = graph::datasetByName("cora");
     const auto &cite = graph::datasetByName("citeseer");
 
     auto a = cache.artifacts(cora, graph::ScaleTier::Unit, {});
-    const uint64_t oneBundle = cache.memoryBytes();
+    const uint64_t oneBundle = cache.snapshot().bytes;
     EXPECT_EQ(oneBundle, artifactFootprintBytes(*a));
     EXPECT_GT(oneBundle, 0u);
 
     // Budget below a single bundle: the newest entry is still kept --
     // an over-budget graph must run, it just shares with nothing.
     cache.setMemoryByteCap(oneBundle / 2);
-    EXPECT_EQ(cache.memoryEntries(), 1u);
+    EXPECT_EQ(cache.snapshot().entries, 1u);
     EXPECT_EQ(cache.stats().evictionsByBytes, 0u);
 
     // A second key pushes the older one out by bytes.
     auto b = cache.artifacts(cite, graph::ScaleTier::Unit, {});
-    EXPECT_EQ(cache.memoryEntries(), 1u);
+    EXPECT_EQ(cache.snapshot().entries, 1u);
     EXPECT_EQ(cache.stats().evictionsByBytes, 1u);
-    EXPECT_EQ(cache.memoryBytes(), artifactFootprintBytes(*b));
+    EXPECT_EQ(cache.snapshot().bytes, artifactFootprintBytes(*b));
 
     // A budget that holds both keeps both.
     cache.setMemoryByteCap(4 * oneBundle);
     cache.artifacts(cora, graph::ScaleTier::Unit, {});
-    EXPECT_EQ(cache.memoryEntries(), 2u);
-    EXPECT_EQ(cache.memoryBytes(),
+    EXPECT_EQ(cache.snapshot().entries, 2u);
+    EXPECT_EQ(cache.snapshot().bytes,
               artifactFootprintBytes(*a) + artifactFootprintBytes(*b));
-
-    // clearMemory resets the byte accounting.
-    cache.clearMemory();
-    EXPECT_EQ(cache.memoryBytes(), 0u);
 }
 
 TEST(WorkloadCache, FootprintTracksSerializedPayload)

@@ -1,9 +1,40 @@
 #include <gtest/gtest.h>
 
 #include "graph/datasets.hpp"
+#include "util/binfile.hpp"
 
 namespace grow::graph {
 namespace {
+
+TEST(Datasets, SpecFieldsRoundTripAndRejectTruncation)
+{
+    for (const auto &spec : allDatasets()) {
+        util::BinWriter w;
+        encodeSpecFields(w, spec);
+        const std::string &bytes = w.bytes();
+
+        DatasetSpec back;
+        util::BinReader r(bytes.data(), 0, bytes.size());
+        ASSERT_TRUE(decodeSpecFields(r, back)) << spec.name;
+        EXPECT_TRUE(r.done()) << spec.name;
+        util::BinWriter again;
+        encodeSpecFields(again, back);
+        EXPECT_EQ(again.bytes(), bytes) << spec.name;
+        EXPECT_EQ(back.name, spec.name);
+        EXPECT_EQ(back.paperArcs, spec.paperArcs);
+        EXPECT_EQ(back.gcn.classes, spec.gcn.classes);
+        EXPECT_EQ(back.seed, spec.seed);
+        EXPECT_EQ(back.tinyDegreeDiv, spec.tinyDegreeDiv);
+
+        for (size_t keep : {size_t{0}, size_t{3}, bytes.size() / 2,
+                            bytes.size() - 1}) {
+            DatasetSpec cut;
+            util::BinReader truncated(bytes.data(), 0, keep);
+            EXPECT_FALSE(decodeSpecFields(truncated, cut))
+                << spec.name << " kept " << keep << " bytes";
+        }
+    }
+}
 
 TEST(Datasets, AllEightPresent)
 {

@@ -28,16 +28,6 @@ TEST(LruRowCache, EvictsLeastRecentlyUsed)
     EXPECT_EQ(c.evictions(), 1u);
 }
 
-TEST(LruRowCache, PinnedRowsSurvive)
-{
-    LruRowCache c(2 * 128, 128);
-    c.pin(1);
-    c.insert(2);
-    c.insert(3); // must evict 2, not pinned 1
-    EXPECT_TRUE(c.lookup(1));
-    EXPECT_FALSE(c.lookup(2));
-}
-
 TEST(LruRowCache, DoubleInsertNoop)
 {
     LruRowCache c(2 * 128, 128);

@@ -1,7 +1,9 @@
 /**
  * @file
- * util::Fifo and util::SortedFifo: FIFO order across ring growth, and
- * SortedFifo's pop order against std::priority_queue on seeded streams
+ * util::Fifo and util::SortedFifo: FIFO order and indexing across ring
+ * growth and wraparound, in-place updates through front()/back(), the
+ * range asserts, and SortedFifo's pop order against
+ * std::priority_queue on seeded streams
  * that are mostly in order (the row engine's case), with ties, late
  * out-of-order pushes and interleaved pops.
  */
@@ -43,6 +45,71 @@ TEST(Fifo, KeepsOrderAcrossGrowthAndWraparound)
         q.pop_front();
     }
     EXPECT_THROW(q.pop_front(), std::logic_error);
+}
+
+TEST(Fifo, IndexesFromTheFrontAcrossWraparoundAndGrowth)
+{
+    // Cycling 3-in 3-out wraps the head around the first 16-slot ring;
+    // the bursts after it grow the ring twice while the head sits
+    // mid-ring, and every element must stay addressable from the front.
+    Fifo<int> q;
+    int pushed = 0, popped = 0;
+    auto expectIndexed = [&] {
+        ASSERT_EQ(q.size(), static_cast<size_t>(pushed - popped));
+        for (size_t i = 0; i < q.size(); ++i)
+            ASSERT_EQ(q[i], popped + static_cast<int>(i)) << "index " << i;
+    };
+    for (int round = 0; round < 20; ++round) {
+        for (int i = 0; i < 3; ++i)
+            q.push_back(pushed++);
+        expectIndexed();
+        for (int i = 0; i < 3; ++i) {
+            q.pop_front();
+            ++popped;
+        }
+    }
+    for (int burst : {5, 20, 40}) {
+        for (int i = 0; i < burst; ++i)
+            q.push_back(pushed++);
+        expectIndexed();
+        q.pop_front();
+        ++popped;
+        expectIndexed();
+    }
+}
+
+TEST(Fifo, FrontBackAndIndexAreMutableInPlace)
+{
+    Fifo<int> q;
+    for (int v : {1, 2, 3})
+        q.push_back(v);
+    q.front() += 10;
+    q.back() += 30;
+    q[1] = 20;
+    EXPECT_EQ(q[0], 11);
+    EXPECT_EQ(q[1], 20);
+    EXPECT_EQ(q[2], 33);
+    const Fifo<int> &view = q;
+    EXPECT_EQ(view.front(), 11);
+    EXPECT_EQ(view.back(), 33);
+}
+
+TEST(Fifo, EmptyPopAndOutOfRangeIndexAssert)
+{
+    Fifo<int> q;
+    EXPECT_THROW(q.pop_front(), std::logic_error);
+    EXPECT_THROW(q.front(), std::logic_error);
+    EXPECT_THROW(q.back(), std::logic_error);
+    EXPECT_THROW(q[0], std::logic_error);
+    q.push_back(7);
+    q.push_back(8);
+    EXPECT_THROW(q[2], std::logic_error);
+    q.pop_front();
+    EXPECT_THROW(q[1], std::logic_error);
+    EXPECT_EQ(q[0], 8);
+    q.pop_front();
+    EXPECT_THROW(q.pop_front(), std::logic_error);
+    EXPECT_THROW(q[0], std::logic_error);
 }
 
 TEST(SortedFifo, InOrderPushesNeverTouchTheHeap)
