@@ -14,6 +14,10 @@
  * Every bench body is linked in (compiled with GROW_BENCH_NO_MAIN) and
  * found through bench::benchRegistry(); a report::ReportCollector
  * intercepts each bench's finished report instead of letting it print.
+ * The benches share the process-scope memo of bench/common.hpp, so a
+ * suite run builds each graph, its layer data and each (dataset,
+ * engine) inference once; the output is byte-identical to running
+ * the benches one by one.
  *
  * Usage: bench_suite [suite=smoke|paper] [benches=fig20_speedup,...]
  *                    [list=1]

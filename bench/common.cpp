@@ -1,6 +1,7 @@
 #include "common.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <thread>
 
@@ -25,7 +26,62 @@ mutableCurrentBench()
     return name;
 }
 
+/**
+ * The process-scope memo every BenchContext borrows. Only the bench
+ * thread touches it (prefetch jobs read borrowed workloads and hand
+ * their results back before it inserts them), and std::map nodes keep
+ * every returned reference valid for the life of the process.
+ */
+struct Memo
+{
+    /** One artefact cache per `cachedir=` ("" = memory only). */
+    std::map<std::string, driver::WorkloadCache> caches;
+    std::map<WorkloadKey, gcn::GcnWorkload> workloads;
+    std::map<std::pair<WorkloadKey, std::string>, gcn::InferenceResult>
+        results;
+};
+
+/** Created by the first BenchContext, never at static init (so
+ *  `bench_suite list=1` builds nothing), and never destroyed: freeing
+ *  every cached workload at exit would only add to the process's wall
+ *  time. */
+Memo &
+memo()
+{
+    static Memo *const m = new Memo;
+    return *m;
+}
+
+std::string
+resultLabel(const std::string &dataset, const std::string &engine_key)
+{
+    return dataset + "/" + engine_key;
+}
+
 } // namespace
+
+WorkloadKey
+WorkloadKey::of(const graph::DatasetSpec &spec,
+                const gcn::WorkloadConfig &config)
+{
+    return {driver::ArtifactKey::of(spec, config.tier, config.plan),
+            config.model,
+            config.numLayers,
+            config.sageFanout,
+            config.ginEpsilon,
+            config.functionalData,
+            config.seed};
+}
+
+bool
+WorkloadKey::operator<(const WorkloadKey &o) const
+{
+    auto tie = [](const WorkloadKey &k) {
+        return std::tie(k.artifacts, k.model, k.depth, k.sageFanout,
+                        k.ginEpsilon, k.functionalData, k.seed);
+    };
+    return tie(*this) < tie(o);
+}
 
 const std::map<std::string, BenchFn> &
 benchRegistry()
@@ -64,7 +120,7 @@ BenchContext::BenchContext(int argc, char **argv,
                            const std::string &default_scale,
                            const std::string &default_datasets,
                            const std::vector<std::string> &extra_keys)
-    : args_(argc, argv), cache_(args_.get("cachedir", ""))
+    : args_(argc, argv)
 {
     std::vector<std::string> known = {
         "scale", "datasets", "model",   "cachedir", "format",
@@ -81,12 +137,19 @@ BenchContext::BenchContext(int argc, char **argv,
                    ? util::checkedThreadCount(args_.getInt("threads", 1))
                    : std::max(1u, std::thread::hardware_concurrency());
     profile_ = args_.getBool("profile", false);
-    if (args_.has("memcap"))
-        cache_.setMemoryByteCap(
-            parseByteSize("memcap", args_.get("memcap", "")));
-    // Cache misses build with the bench's worker pool; artefacts are
-    // bit-identical for every thread count (see DESIGN.md).
-    cache_.setBuildThreads(threads_);
+    const uint64_t memcap =
+        args_.has("memcap")
+            ? parseByteSize("memcap", args_.get("memcap", ""))
+            : 0;
+    const std::string cachedir = args_.get("cachedir", "");
+    cache_ = &memo().caches.try_emplace(cachedir, cachedir).first->second;
+    // This context's cap and pool apply while it runs. Cache misses
+    // build with the bench's worker pool; artefacts are bit-identical
+    // for every thread count (see DESIGN.md).
+    cache_->setMemoryByteCap(memcap);
+    cache_->setBuildThreads(threads_);
+    buildLogStart_ = cache_->buildLog().size();
+    artifactHitsStart_ = cache_->stats().memoryHits;
     specs_ = graph::datasetsByNames(
         args_.getList("datasets", split(default_datasets, ',')));
 
@@ -130,7 +193,8 @@ BenchContext::emitSimSpeed()
                                       ? std::string()
                                       : key.substr(slash + 1));
     };
-    if (!results_.empty()) {
+    const double wallMs = benchClock_.elapsedMs();
+    if (!simulated_.empty()) {
         auto t = report_.table("sim_speed",
                                "Simulator speed (host wall-clock)");
         t.col("dataset", "dataset")
@@ -141,7 +205,7 @@ BenchContext::emitSimSpeed()
             .col("attention_ms", "attn ms", "ms")
             .col("sim_rows", "sim rows", "rows")
             .col("rows_per_sec", "sim rows/s", "rows/s");
-        for (const auto &[key, r] : results_) {
+        for (const auto &[key, r] : simulated_) {
             const auto [dataset, engine] = splitKey(key);
             double comb = 0.0, agg = 0.0, attn = 0.0;
             for (const auto &pm : r.phases) {
@@ -188,7 +252,7 @@ BenchContext::emitSimSpeed()
             .col("op", "op")
             .col("host_ms", "host ms", "ms")
             .col("cycles", "sim cycles", "cycles");
-        for (const auto &[key, r] : results_) {
+        for (const auto &[key, r] : simulated_) {
             const auto [dataset, engine] = splitKey(key);
             std::map<std::pair<uint32_t, gcn::PhaseOp>,
                      std::pair<double, Cycle>>
@@ -224,16 +288,17 @@ BenchContext::emitSimSpeed()
                     " do not sum to the inference's per-op cycles");
         }
     }
-    // build_phase family: per-stage wall-clock of every bundle this
-    // process actually built (cache/disk hits record nothing). The
-    // cache's build log survives eviction, so a memcap= run still
-    // reports its builds. One row per dataset: a sweep may build
-    // several bundle variants of one graph (one per partition plan),
-    // but duplicate row keys would collide in the record stream, so
-    // the first build represents the dataset.
+    // build_phase family: per-stage wall-clock of every bundle built
+    // during this bench -- its slice of the shared cache's build log
+    // (cache/disk hits record nothing). The log survives eviction, so
+    // a memcap= run still reports its builds. One row per dataset: a
+    // sweep may build several bundle variants of one graph (one per
+    // partition plan), but duplicate row keys would collide in the
+    // record stream, so the first build represents the dataset.
+    const auto buildLog = cache_->buildLog();
     std::map<std::string, gcn::GraphArtifacts::BuildProfile> built;
-    for (const auto &[name, profile] : cache_.buildLog())
-        built.emplace(name, profile);
+    for (size_t i = buildLogStart_; i < buildLog.size(); ++i)
+        built.emplace(buildLog[i].first, buildLog[i].second);
     if (!built.empty()) {
         auto pt = report_.table("build_phase",
                                 "Workload build (host wall-clock)");
@@ -281,7 +346,37 @@ BenchContext::emitSimSpeed()
     }
     auto bt = report_.table("sim_speed_bench", "Bench wall-clock");
     bt.col("bench_wall_ms", "bench wall ms", "ms");
-    bt.row({}).add(report::real(benchClock_.elapsedMs(), 3, "ms"));
+    bt.row({}).add(report::real(wallMs, 3, "ms"));
+
+    // The same wall split into the context's leaf steps. A table of
+    // its own: perfbench reads sim_speed_bench's wall per bench, so a
+    // second bench_wall_ms there would be counted twice.
+    const Ledger &l = ledger_;
+    const double otherMs =
+        wallMs - l.artifactsMs - l.layerDataMs - l.inferenceMs;
+    GROW_ASSERT(otherMs >= 0.0,
+                "host_ledger leaf steps exceed the bench wall");
+    GROW_ASSERT(std::abs(l.artifactsMs + l.layerDataMs + l.inferenceMs +
+                         otherMs - wallMs) <= 1e-9 * std::max(1.0, wallMs),
+                "host_ledger parts do not sum to the bench wall");
+    auto ht = report_.table("host_ledger", "Bench host time by step");
+    ht.col("bench_wall_ms", "bench wall ms", "ms")
+        .col("artifacts_ms", "artifacts ms", "ms")
+        .col("layer_data_ms", "layer data ms", "ms")
+        .col("inference_ms", "inference ms", "ms")
+        .col("other_ms", "other ms", "ms")
+        .col("artifact_hits", "artifact hits")
+        .col("workload_hits", "workload hits")
+        .col("inference_hits", "inference hits");
+    ht.row({})
+        .add(report::real(wallMs, 3, "ms"))
+        .add(report::real(l.artifactsMs, 3, "ms"))
+        .add(report::real(l.layerDataMs, 3, "ms"))
+        .add(report::real(l.inferenceMs, 3, "ms"))
+        .add(report::real(otherMs, 3, "ms"))
+        .add(report::count(cache_->stats().memoryHits - artifactHitsStart_))
+        .add(report::count(l.workloadHits))
+        .add(report::count(l.inferenceHits));
 }
 
 void
@@ -295,32 +390,48 @@ BenchContext::banner(const std::string &what)
     report_.note(std::move(line));
 }
 
+gcn::WorkloadConfig
+BenchContext::defaultConfig() const
+{
+    gcn::WorkloadConfig wc;
+    wc.tier = tier_;
+    wc.model = model_;
+    return wc;
+}
+
 const gcn::GcnWorkload &
 BenchContext::workload(const std::string &name)
 {
-    auto it = workloads_.find(name);
-    if (it == workloads_.end()) {
-        gcn::WorkloadConfig wc;
-        wc.tier = tier_;
-        wc.model = model_;
-        it = workloads_
-                 .emplace(name, workload(graph::datasetByName(name), wc))
-                 .first;
+    const auto &spec = graph::datasetByName(name);
+    const gcn::WorkloadConfig wc = defaultConfig();
+    auto &workloads = memo().workloads;
+    WorkloadKey key = WorkloadKey::of(spec, wc);
+    auto it = workloads.find(key);
+    if (it != workloads.end()) {
+        ++ledger_.workloadHits;
+        return it->second;
     }
-    return it->second;
+    return workloads.emplace(std::move(key), workload(spec, wc))
+        .first->second;
 }
 
 gcn::GcnWorkload
 BenchContext::workload(const graph::DatasetSpec &spec,
                        const gcn::WorkloadConfig &config)
 {
-    // cache_.workload() in its two steps, so the clock covers the layer
-    // data alone: artefact builds already report in build_phase.
-    auto artifacts = cache_.artifacts(spec, config.tier, config.plan);
+    // WorkloadCache::workload() in its two steps, so each has its own
+    // clock: artefact builds also report in build_phase.
+    std::shared_ptr<const gcn::GraphArtifacts> artifacts;
+    {
+        util::ScopedTimer timer(ledger_.artifactsMs);
+        artifacts = cache_->artifacts(spec, config.tier, config.plan);
+    }
     util::WallClock clock;
     gcn::GcnWorkload w = gcn::buildLayerData(std::move(artifacts), config);
+    const double ms = clock.elapsedMs();
+    ledger_.layerDataMs += ms;
     layerDataMs_[{spec.name, gcn::modelKindName(config.model),
-                  config.numLayers}] += clock.elapsedMs();
+                  config.numLayers}] += ms;
     return w;
 }
 
@@ -332,25 +443,30 @@ BenchContext::runOptions() const
     return base;
 }
 
-gcn::InferenceResult
-BenchContext::runEngine(const gcn::GcnWorkload &w,
-                        const std::string &engine_key)
-{
-    auto job = driver::makeEngineJob(engine_key, w, runOptions());
-    auto engine = job.makeEngine();
-    return gcn::runInference(*engine, w, job.options);
-}
-
 const gcn::InferenceResult &
 BenchContext::inference(const std::string &dataset,
                         const std::string &engine_key)
 {
-    std::string key = dataset + "/" + engine_key;
-    auto it = results_.find(key);
-    if (it == results_.end()) {
-        it = results_.emplace(key, runEngine(workload(dataset), engine_key))
-                 .first;
+    auto &results = memo().results;
+    auto key = std::make_pair(
+        WorkloadKey::of(graph::datasetByName(dataset), defaultConfig()),
+        engine_key);
+    auto it = results.find(key);
+    if (it != results.end()) {
+        ++ledger_.inferenceHits;
+        return it->second;
     }
+    const gcn::GcnWorkload &w = workload(dataset);
+    auto job = driver::makeEngineJob(engine_key, w, runOptions());
+    gcn::InferenceResult r;
+    {
+        util::ScopedTimer timer(ledger_.inferenceMs);
+        auto engine = job.makeEngine();
+        r = gcn::runInference(*engine, w, job.options);
+    }
+    it = results.emplace(std::move(key), std::move(r)).first;
+    if (profile_)
+        simulated_.emplace(resultLabel(dataset, engine_key), it->second);
     return it->second;
 }
 
@@ -359,33 +475,49 @@ BenchContext::recordInference(const std::string &dataset,
                               const std::string &engine_key,
                               const gcn::InferenceResult &result)
 {
-    if (!profile_)
-        return;
-    results_.emplace(dataset + "/" + engine_key, result);
+    if (profile_)
+        simulated_.emplace(resultLabel(dataset, engine_key), result);
 }
 
 void
 BenchContext::prefetch(const std::vector<std::string> &engine_keys)
 {
-    // Workload construction mutates the cache map; do it serially up
-    // front so the parallel phase only reads borrowed workloads.
+    // Workload construction mutates the memo; do it serially up front
+    // so the parallel phase only reads borrowed workloads.
+    auto &results = memo().results;
     std::vector<driver::SweepJob> jobs;
+    std::vector<std::pair<WorkloadKey, std::string>> keys;
     for (const auto &spec : specs_) {
         const auto &w = workload(spec.name);
-        for (const auto &key : engine_keys) {
-            std::string cacheKey = spec.name + "/" + key;
-            if (results_.count(cacheKey))
+        const WorkloadKey wk = WorkloadKey::of(spec, defaultConfig());
+        for (const auto &engineKey : engine_keys) {
+            auto key = std::make_pair(wk, engineKey);
+            if (results.count(key)) {
+                ++ledger_.inferenceHits;
                 continue;
-            auto job = driver::makeEngineJob(key, w, runOptions());
-            // Label IS the cache key: inference() must find these.
-            job.label = std::move(cacheKey);
+            }
+            auto job = driver::makeEngineJob(engineKey, w, runOptions());
+            job.label = resultLabel(spec.name, engineKey);
             jobs.push_back(std::move(job));
+            keys.push_back(std::move(key));
         }
     }
-    driver::SweepDriver pool(threads_);
-    auto outcomes = pool.runAll(jobs);
-    for (auto &o : outcomes)
-        results_.emplace(o.label, std::move(o.inference));
+    if (jobs.empty())
+        return;
+    std::vector<driver::SweepOutcome> outcomes;
+    {
+        util::ScopedTimer timer(ledger_.inferenceMs);
+        outcomes = driver::SweepDriver(threads_).runAll(jobs);
+    }
+    // runAll returns the outcomes in job order.
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+        const auto &r = results
+                            .emplace(std::move(keys[i]),
+                                     std::move(outcomes[i].inference))
+                            .first->second;
+        if (profile_)
+            simulated_.emplace(outcomes[i].label, r);
+    }
 }
 
 } // namespace grow::bench

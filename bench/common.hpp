@@ -27,31 +27,53 @@
  *                               shared pool; results are bit-identical
  *                               for every value. Rejects 0 and > 4x
  *                               hardware concurrency.
- *   profile=0|1                 also report the `sim-speed` metric
- *                               family: host wall-clock per inference
- *                               (split by phase op) plus simulated
- *                               rows per host second, the
- *                               `build_phase` family: per-stage
- *                               workload-build wall-clock (synthesis,
- *                               normalize, partition, relabel, HDN)
- *                               plus build edges/s, one row per
- *                               freshly built bundle (cache hits have
- *                               no build to time), and the
- *                               `layer_data` table: host wall-clock
- *                               of the per-depth layer data (features,
- *                               weights) per (dataset, model, depth).
- *                               Off by default
- *                               -- wall-clock is nondeterministic and
- *                               must never enter golden-locked output
- *                               (see DESIGN.md "Simulator
- *                               performance")
+ *   profile=0|1                 also report the host-time tables
+ *                               below (off by default: wall-clock
+ *                               is nondeterministic and must never
+ *                               enter golden-locked output, see
+ *                               DESIGN.md "Simulator performance")
  *   memcap=<bytes>[K|M|G]       byte budget for the in-memory artefact
- *                               cache (default 0 = unbounded):
+ *                               cache (default 0 = unbounded), set on
+ *                               the shared cache by each context:
  *                               least-recently-used bundles are
  *                               evicted past the budget, except the
  *                               most recent one, so a single
  *                               over-budget graph still runs
- *                               (out-of-core via dataset=file:)
+ *                               (out-of-core via dataset=file:); a
+ *                               memoised workload keeps its bundle
+ *
+ * Under `profile=1` each bench reports the host work it did itself;
+ * work served by the process-scope memo (below) appears only as a hit
+ * in its `host_ledger` row:
+ *   sim_speed        per inference the bench simulated (memo misses,
+ *                    prefetch jobs, recordInference()): host ms split
+ *                    by phase op, simulated rows per host second
+ *   sim_speed_layer  the same host ms per (layer, op), beside the
+ *                    simulated cycles it bought
+ *   build_phase      per-stage wall-clock (synthesis, normalize,
+ *                    partition, relabel, HDN) and edges/s of every
+ *                    artefact bundle built during the bench, one row
+ *                    per dataset
+ *   layer_data       host ms of the layer data (features, model
+ *                    operands, weights) the bench built, per (dataset,
+ *                    model, depth)
+ *   sim_speed_bench  the bench's wall time
+ *   host_ledger      one row: the bench wall split into the leaf steps
+ *                    of the context's entry points -- artifacts_ms
+ *                    (artefact lookups and builds), layer_data_ms,
+ *                    inference_ms (engine runs and the prefetch pool)
+ *                    -- plus other_ms (everything else, the bench's
+ *                    own simulations included), and the memo hits per
+ *                    kind. The parts sum to bench_wall_ms and
+ *                    other_ms >= 0, both asserted at emission.
+ *
+ * Process-scope memo: every BenchContext of a process borrows one
+ * memo, created by the first context. It holds the artefact cache of
+ * each `cachedir=`, the default workloads of workload(name) and the
+ * results of inference()/prefetch(), so a suite run builds each
+ * graph, its layer data and each (dataset, engine) inference once
+ * (DESIGN.md "Process-scope bench memo"). Results handed to
+ * recordInference() are for reporting only and never enter it.
  *
  * Bench-specific knobs (bench_scaleout's chips=, link_gbps= and
  * link_ns=, model_zoo's engines=, ...) are declared by the bench and
@@ -118,7 +140,7 @@ const std::string &currentBenchName();
  */
 int runBench(const std::string &name, BenchFn fn, int argc, char **argv);
 
-/** Workload cache + argument handling + report shared by all benches. */
+/** Argument handling, memo access and report shared by all benches. */
 class BenchContext
 {
   public:
@@ -173,55 +195,61 @@ class BenchContext
     /** Declare the standard bench banner line. */
     void banner(const std::string &what);
 
-    /** Build (once) and return the workload of @p name, lowered as
-     *  the bench's selected model. */
+    /** The workload of @p name lowered as the bench's selected model,
+     *  built once per process (process-scope memo). */
     const gcn::GcnWorkload &workload(const std::string &name);
 
     /**
-     * Build the workload of @p spec under @p config through cache()
-     * (not memoised here). Benches that sweep their own configs use
-     * this instead of cache().workload() so the layer-data build is
-     * timed for the profile=1 `layer_data` table.
+     * Build the workload of @p spec under @p config on the shared
+     * artefact cache (not memoised). Benches that sweep their own
+     * configs use this so the layer-data build is timed for the
+     * profile=1 `layer_data` table.
      */
     gcn::GcnWorkload workload(const graph::DatasetSpec &spec,
                               const gcn::WorkloadConfig &config);
 
-    /**
-     * The shared construction cache behind workload(): graph-level
-     * artefacts are memoised per (dataset, tier, partition plan), and
-     * persisted on disk when `cachedir=` was given.
-     */
-    driver::WorkloadCache &cache() { return cache_; }
-
-    /** Run inference; results are cached per (engine, layout). */
+    /** The inference of @p engine_key on workload(@p dataset), run
+     *  once per process (process-scope memo). */
     const gcn::InferenceResult &
     inference(const std::string &dataset, const std::string &engine_key);
 
     /**
      * Feed an externally-run inference into the sim-speed emitter.
      * Benches that drive their own SweepDriver (model_zoo) bypass the
-     * inference() cache; under profile=1 they hand each outcome here
-     * so their host timing still reaches the sim_speed table. No-op
-     * unless profiling (avoids result copies on golden runs).
+     * memo; under profile=1 they hand each outcome here so their host
+     * timing still reaches the sim_speed table. The result is kept for
+     * reporting only and never served by inference(). No-op unless
+     * profiling (avoids result copies on golden runs).
      */
     void recordInference(const std::string &dataset,
                          const std::string &engine_key,
                          const gcn::InferenceResult &result);
 
     /**
-     * Fan the whole dataset x engine-key cross product out over the
-     * sweep driver and populate the inference cache, so subsequent
-     * inference() calls only read. Cuts sweep wall-clock by roughly
-     * the core count; results are identical to serial runs.
+     * Fan the dataset x engine-key cross product that the memo lacks
+     * out over the sweep driver, so subsequent inference() calls only
+     * read. Cuts sweep wall-clock by roughly the core count; results
+     * are identical to serial runs.
      */
     void prefetch(const std::vector<std::string> &engine_keys);
 
   private:
-    gcn::InferenceResult runEngine(const gcn::GcnWorkload &w,
-                                   const std::string &engine_key);
+    /** Host time of the context's leaf steps and its memo hits: the
+     *  profile=1 `host_ledger` row. */
+    struct Ledger
+    {
+        double artifactsMs = 0.0;
+        double layerDataMs = 0.0;
+        double inferenceMs = 0.0;
+        uint64_t workloadHits = 0;
+        uint64_t inferenceHits = 0;
+    };
 
-    /** Declare the sim-speed tables from the cached inference results
-     *  (profile=1 only; runs just before the report is emitted). */
+    /** The config workload(name) builds under. */
+    gcn::WorkloadConfig defaultConfig() const;
+
+    /** Declare the profile=1 tables (runs just before the report is
+     *  emitted). */
     void emitSimSpeed();
 
     CliArgs args_;
@@ -231,15 +259,45 @@ class BenchContext
     bool profile_ = false;
     util::WallClock benchClock_;
     std::vector<graph::DatasetSpec> specs_;
-    driver::WorkloadCache cache_;
-    std::map<std::string, gcn::GcnWorkload> workloads_;
+    /** The memo's artefact cache for this context's `cachedir=`. */
+    driver::WorkloadCache *cache_ = nullptr;
+    /** Shared-cache counters when this context started: its own
+     *  builds and hits are what lies beyond them. */
+    size_t buildLogStart_ = 0;
+    uint64_t artifactHitsStart_ = 0;
+    Ledger ledger_;
     /** Host ms of every layer-data build, by (dataset, model, depth). */
     std::map<std::tuple<std::string, std::string, uint32_t>, double>
         layerDataMs_;
-    std::map<std::string, gcn::InferenceResult> results_;
+    /** Inferences this bench simulated or was handed, by
+     *  "dataset/engine": its sim_speed rows (kept under profile=1
+     *  only). */
+    std::map<std::string, gcn::InferenceResult> simulated_;
     report::Report report_;
     std::string format_;
     std::string out_;
+};
+
+/**
+ * Identity of a memoised workload: the artefact bundle's key (dataset,
+ * tier, partition plan, source-file checksum) plus every
+ * WorkloadConfig field the layer data reads. Inference results are
+ * memoised under this key plus the engine key.
+ */
+struct WorkloadKey
+{
+    driver::ArtifactKey artifacts;
+    gcn::ModelKind model = gcn::ModelKind::Gcn;
+    uint32_t depth = 0;
+    uint32_t sageFanout = 0;
+    double ginEpsilon = 0.0;
+    bool functionalData = false;
+    uint64_t seed = 0;
+
+    static WorkloadKey of(const graph::DatasetSpec &spec,
+                          const gcn::WorkloadConfig &config);
+
+    bool operator<(const WorkloadKey &o) const;
 };
 
 /** Geometric mean helper for "average speedup" rows. */

@@ -75,7 +75,7 @@ exportDataset(const CliArgs &args)
         graph::tierFromString(args.get("scale", "mini"));
     auto inst = graph::buildDataset(spec, tier);
     if (!graph::writeCsrFile(out, spec, tier, inst.graph.view()))
-        return 1;
+        fatal("cannot write " + out);
     std::cout << "wrote " << out << ": " << spec.name << " @ "
               << graph::tierName(tier) << ", " << inst.graph.numNodes()
               << " nodes, " << inst.graph.numArcs() << " arcs\n";
