@@ -1,10 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the substrate kernels: golden
- * SpMM, format conversions, tile census, graph generation, the
- * multilevel partitioner, feature synthesis (randomCsr) and the
- * workload-construction split, plus
- * the RowEngine hot-loop containers (ring FIFO, flat map), GrowSim
+ * SpMM, format conversions, tile census, GCNAX's tiling search, graph
+ * generation, the multilevel partitioner, feature synthesis
+ * (randomCsr) and the workload-construction split, plus the
+ * RowEngine hot-loop containers (ring FIFO, flat map), GrowSim
  * runs of one combination and one aggregation phase, and the WorkPool
  * submit path. These quantify the host-side cost of the simulation
  * substrate itself (not simulated cycles).
@@ -15,6 +15,7 @@
 #include <atomic>
 #include <filesystem>
 
+#include "accel/gcnax.hpp"
 #include "core/grow.hpp"
 #include "gcn/runner.hpp"
 #include "gcn/workload.hpp"
@@ -69,6 +70,32 @@ BM_TileCensus(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * m.nnz());
 }
 BENCHMARK(BM_TileCensus);
+
+void
+BM_GcnaxTiling(benchmark::State &state)
+{
+    // GCNAX's per-problem tiling search on the two operands of a
+    // pubmed-sized layer: X(0) (19717 x 500 at 10%) for combination,
+    // the normalised adjacency of the mini pubmed graph for
+    // aggregation; 16 output columns, as in Table I.
+    sparse::CsrMatrix lhs;
+    if (state.range(0) == 0) {
+        Rng rng(5);
+        lhs = sparse::randomCsr(19717, 500, 0.1, rng, false);
+    } else {
+        auto inst = graph::buildDataset(graph::datasetByName("pubmed"),
+                                        graph::ScaleTier::Mini);
+        lhs = graph::normalizedAdjacency(inst.graph, true);
+    }
+    const accel::GcnaxSim sim(accel::GcnaxConfig{});
+    for (auto _ : state) {
+        auto t = sim.chooseTiling(lhs, 16);
+        benchmark::DoNotOptimize(t);
+    }
+    state.SetItemsProcessed(state.iterations() * lhs.nnz());
+    state.SetLabel(state.range(0) == 0 ? "features" : "adjacency");
+}
+BENCHMARK(BM_GcnaxTiling)->Arg(0)->Arg(1);
 
 void
 BM_DcSbmGenerate(benchmark::State &state)
@@ -235,22 +262,33 @@ BENCHMARK(BM_BuildLayerData)
 void
 BM_RandomCsr(benchmark::State &state)
 {
-    // Feature synthesis at a mini-tier X(0) shape (20000 x 602), with
-    // and without kept values; range(0) is the density in per mille.
-    const double density = static_cast<double>(state.range(0)) / 1000.0;
-    const bool withValues = state.range(1) != 0;
+    // Feature synthesis at a mini-tier X(i) shape (20000 rows), with
+    // and without kept values; range(0) is the density in units of
+    // 10^-4, range(1) the width. Besides the dense reddit/amazon X(0)
+    // rows, the serve densities: citeseer X(0) (8.5 per mille x 3703),
+    // pubmed X(0) (100 per mille x 500) and pubmed X(1) (776 per
+    // mille x 16).
+    const double density = static_cast<double>(state.range(0)) / 1e4;
+    const auto cols = static_cast<uint32_t>(state.range(1));
+    const bool withValues = state.range(2) != 0;
     Rng rng(11);
     int64_t nnz = 0;
     for (auto _ : state) {
-        auto m = sparse::randomCsr(20000, 602, density, rng, withValues);
+        auto m = sparse::randomCsr(20000, cols, density, rng, withValues);
         nnz += static_cast<int64_t>(m.nnz());
         benchmark::DoNotOptimize(m);
     }
     state.SetItemsProcessed(nnz);
 }
 BENCHMARK(BM_RandomCsr)
-    ->ArgNames({"permille", "values"})
-    ->ArgsProduct({{1000, 990, 100}, {1, 0}})
+    ->ArgNames({"per10k", "cols", "values"})
+    ->ArgsProduct({{10000, 9900, 1000}, {602}, {1, 0}})
+    ->Args({85, 3703, 1})
+    ->Args({85, 3703, 0})
+    ->Args({1000, 500, 1})
+    ->Args({1000, 500, 0})
+    ->Args({7760, 16, 1})
+    ->Args({7760, 16, 0})
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -8,20 +8,6 @@
 
 namespace grow::accel {
 
-namespace {
-
-/** Largest power of two <= x (x >= 1). */
-uint32_t
-pow2Floor(uint32_t x)
-{
-    uint32_t p = 1;
-    while (p * 2 <= x)
-        p *= 2;
-    return p;
-}
-
-} // namespace
-
 GcnaxSim::GcnaxSim(GcnaxConfig config) : config_(std::move(config))
 {
     GROW_ASSERT(config_.numMacs > 0, "GCNAX needs at least one MAC");
@@ -60,86 +46,15 @@ GcnaxSim::mapping() const
     return em;
 }
 
-Bytes
-GcnaxSim::tilingTraffic(const sparse::TileGridStats &stats, uint32_t tk,
-                        uint32_t tn, uint32_t rows, uint32_t cols,
-                        uint32_t rhs_cols) const
-{
-    (void)rows;
-    const uint32_t trip_n = static_cast<uint32_t>(ceilDiv(rhs_cols, tn));
-    Bytes sparseFetch = 0;
-    Bytes denseFetch = 0;
-    for (uint32_t m = 0; m < stats.rowTiles(); ++m) {
-        for (uint32_t k = 0; k < stats.colTiles(); ++k) {
-            uint64_t nnz = stats.nnzAt(m, k);
-            if (nnz == 0)
-                continue;
-            sparseFetch += sparse::TileFetchModel::fetchedBytes(nnz);
-            // Dense tile D[k, n]: kExtent rows of the RHS.
-            uint64_t kExtent =
-                std::min<uint64_t>(tk, cols - static_cast<uint64_t>(k) * tk);
-            Bytes tile =
-                tn * kValueBytes >= kDramLineBytes || tn == rhs_cols
-                    ? roundUp(kExtent * tn * kValueBytes, kDramLineBytes)
-                    : kExtent * roundUp(tn * kValueBytes, kDramLineBytes);
-            denseFetch += tile;
-        }
-    }
-    Bytes output = roundUp(static_cast<Bytes>(stats.rowTiles()) == 0
-                               ? 0
-                               : static_cast<Bytes>(rows) * rhs_cols *
-                                     kValueBytes,
-                           kDramLineBytes);
-    return sparseFetch * trip_n + denseFetch * trip_n + output;
-}
-
 GcnaxTiling
 GcnaxSim::chooseTiling(const sparse::CsrMatrix &lhs,
                        uint32_t rhs_cols) const
 {
-    const uint32_t M = lhs.rows();
-    const uint32_t K = lhs.cols();
-    const uint32_t N = rhs_cols;
-
-    // Dense-tile width: as wide as the buffer permits at minimum Tk --
-    // GCN output widths are small (Table I), so Tn == N is the norm.
-    uint32_t tn = std::min<uint32_t>(
-        N, std::max<uint32_t>(
-               1, static_cast<uint32_t>(config_.denseBufBytes /
-                                        (config_.minTileK * kValueBytes))));
-
-    GcnaxTiling best;
-    for (uint32_t tk = config_.minTileK;; tk *= 2) {
-        if (static_cast<Bytes>(tk) * tn * kValueBytes >
-            config_.denseBufBytes)
-            break;
-        // Worst-case (fully dense) sparse-tile provisioning, Sec. IV-B.
-        uint64_t tmCap = config_.sparseBufBytes /
-                         (static_cast<uint64_t>(tk) *
-                          (kValueBytes + kIndexBytes));
-        uint64_t tmOut = config_.outBufBytes /
-                         (static_cast<uint64_t>(tn) * kValueBytes);
-        uint32_t tm = static_cast<uint32_t>(
-            std::min<uint64_t>({tmCap, tmOut, M == 0 ? 1 : M}));
-        if (tm < config_.minTileM) {
-            if (tk == config_.minTileK && best.tm == 0)
-                tm = config_.minTileM; // smallest legal fallback
-            else
-                break;
-        }
-        tm = pow2Floor(tm);
-
-        auto stats = sparse::TileGridStats::compute(
-            lhs, sparse::TileShape{tm, tk});
-        Bytes traffic = tilingTraffic(stats, tk, tn, M, K, N);
-        if (best.tm == 0 || traffic < best.estimatedTraffic) {
-            best = GcnaxTiling{tm, tk, tn, traffic};
-        }
-        if (tk >= K)
-            break;
-    }
-    GROW_ASSERT(best.tm > 0, "no feasible GCNAX tiling");
-    return best;
+    return sparse::chooseTiling(
+        lhs, rhs_cols,
+        sparse::TilingLimits{config_.sparseBufBytes, config_.denseBufBytes,
+                             config_.outBufBytes, config_.minTileK,
+                             config_.minTileM});
 }
 
 PhaseResult
@@ -156,30 +71,13 @@ GcnaxSim::run(const SpDeGemmProblem &problem, const SimOptions &options)
     res.phase = problem.phase;
     res.label = problem.label;
 
-    GcnaxTiling t = chooseTiling(S, N);
-    auto stats =
-        sparse::TileGridStats::compute(S, sparse::TileShape{t.tm, t.tk});
+    // The search's census of the chosen grid is the traffic model.
+    const GcnaxTiling t = chooseTiling(S, N);
     const uint32_t trip_n = static_cast<uint32_t>(ceilDiv(N, t.tn));
 
     // --- DRAM traffic ------------------------------------------------
-    Bytes sparseFetch = 0;
-    Bytes denseFetch = 0;
-    for (uint32_t m = 0; m < stats.rowTiles(); ++m) {
-        for (uint32_t k = 0; k < stats.colTiles(); ++k) {
-            uint64_t nnz = stats.nnzAt(m, k);
-            if (nnz == 0)
-                continue;
-            sparseFetch += sparse::TileFetchModel::fetchedBytes(nnz);
-            uint64_t kExtent = std::min<uint64_t>(
-                t.tk, K - static_cast<uint64_t>(k) * t.tk);
-            denseFetch +=
-                t.tn * kValueBytes >= kDramLineBytes || t.tn == N
-                    ? roundUp(kExtent * t.tn * kValueBytes, kDramLineBytes)
-                    : kExtent * roundUp(t.tn * kValueBytes, kDramLineBytes);
-        }
-    }
-    sparseFetch *= trip_n;
-    denseFetch *= trip_n;
+    const Bytes sparseFetch = t.sparseFetch * trip_n;
+    const Bytes denseFetch = t.denseFetch * trip_n;
     Bytes outputWrite =
         roundUp(static_cast<Bytes>(M) * N * kValueBytes, kDramLineBytes);
 
@@ -198,8 +96,7 @@ GcnaxSim::run(const SpDeGemmProblem &problem, const SimOptions &options)
     // --- Timing ------------------------------------------------------
     res.macOps = S.nnz() * N;
     Cycle compute = S.nnz() * ceilDiv(t.tn, config_.numMacs) * trip_n +
-                    stats.nonEmptyTiles() * config_.tileOverheadCycles *
-                        trip_n;
+                    t.nonEmptyTiles * config_.tileOverheadCycles * trip_n;
     double bpc = config_.dram.bytesPerCycle();
     Cycle memory = static_cast<Cycle>(
         static_cast<double>(res.traffic.total()) / bpc);

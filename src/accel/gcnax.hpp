@@ -51,15 +51,8 @@ struct GcnaxConfig
     mem::DramConfig dram;
 };
 
-/** Chosen loop tiling for one SpDeGEMM. */
-struct GcnaxTiling
-{
-    uint32_t tm = 0;
-    uint32_t tk = 0;
-    uint32_t tn = 0;
-    /** Estimated total DRAM traffic under this tiling. */
-    Bytes estimatedTraffic = 0;
-};
+/** Chosen loop tiling for one SpDeGEMM, with its fetch totals. */
+using GcnaxTiling = sparse::Tiling;
 
 class GcnaxSim : public AcceleratorSim
 {
@@ -76,8 +69,9 @@ class GcnaxSim : public AcceleratorSim
     mapping::EngineMapping mapping() const override;
 
     /**
-     * The reconfigurable tiling search: enumerate feasible (Tm, Tk, Tn)
-     * and return the traffic-minimising choice for this operand.
+     * The reconfigurable tiling search (sparse::chooseTiling) under
+     * this configuration's buffers and tile minima: the
+     * traffic-minimising feasible (Tm, Tk, Tn) for this operand.
      */
     GcnaxTiling chooseTiling(const sparse::CsrMatrix &lhs,
                              uint32_t rhs_cols) const;
@@ -90,11 +84,6 @@ class GcnaxSim : public AcceleratorSim
     }
 
   private:
-    /** Exact traffic for a candidate tiling (O(nnz) tile census). */
-    Bytes tilingTraffic(const sparse::TileGridStats &stats, uint32_t tk,
-                        uint32_t tn, uint32_t rows, uint32_t cols,
-                        uint32_t rhs_cols) const;
-
     GcnaxConfig config_;
 };
 

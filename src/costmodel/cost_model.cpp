@@ -22,16 +22,6 @@ lineUp(Bytes b)
     return roundUp(b, kDramLineBytes);
 }
 
-/** Largest power of two <= x (x >= 1). */
-uint32_t
-pow2Floor(uint32_t x)
-{
-    uint32_t p = 1;
-    while (p * 2 <= x)
-        p *= 2;
-    return p;
-}
-
 /** CSR fiber of one dense RHS row in compressed form. */
 Bytes
 fiberBytes(uint32_t n)
@@ -81,99 +71,29 @@ maxPeNnz(const OperandStats &s, uint32_t num_pes)
 }
 
 /**
- * Replay of the tiled dataflow's runtime tiling search (GCNAX
- * chooseTiling) from mapping parameters alone, then the simulator's
- * own traffic/compute formulas -- the estimate matches the simulator
- * exactly by construction.
+ * The tiled dataflow's runtime tiling search (the same
+ * sparse::chooseTiling GCNAX runs), bounded by the mapping's buffers
+ * and tile minima, then the simulator's own compute formula -- the
+ * estimate matches the simulator exactly by construction.
  */
 PhaseEstimate
 estimateTiled(const MappingSpec &spec, const EngineMapping &em,
               const OperandStats &s, uint32_t n)
 {
-    const Bytes denseBuf = spec.bufferCapacity(BufferRole::DenseInput);
-    const Bytes sparseBuf = spec.bufferCapacity(BufferRole::SparseInput);
-    const Bytes outBuf = spec.bufferCapacity(BufferRole::Output);
-    const uint32_t minTileK = std::max<uint32_t>(1, spec.minTileK);
-    const uint32_t minTileM = std::max<uint32_t>(1, spec.minTileM);
-    const uint32_t M = static_cast<uint32_t>(s.rows);
-    const uint32_t K = static_cast<uint32_t>(s.cols);
-
-    const uint32_t tn = std::min<uint32_t>(
-        n, std::max<uint32_t>(
-               1, static_cast<uint32_t>(denseBuf /
-                                        (minTileK * kValueBytes))));
-
-    auto tileTraffic = [&](const sparse::TileGridStats &st, uint32_t tk,
-                           Bytes &sparse_fetch, Bytes &dense_fetch) {
-        sparse_fetch = 0;
-        dense_fetch = 0;
-        for (uint32_t m = 0; m < st.rowTiles(); ++m) {
-            for (uint32_t k = 0; k < st.colTiles(); ++k) {
-                const uint64_t nnz = st.nnzAt(m, k);
-                if (nnz == 0)
-                    continue;
-                sparse_fetch += sparse::TileFetchModel::fetchedBytes(nnz);
-                const uint64_t kExtent = std::min<uint64_t>(
-                    tk, K - static_cast<uint64_t>(k) * tk);
-                dense_fetch +=
-                    tn * kValueBytes >= kDramLineBytes || tn == n
-                        ? lineUp(kExtent * tn * kValueBytes)
-                        : kExtent * lineUp(tn * kValueBytes);
-            }
-        }
-    };
-
-    // Traffic-driven tk search, identical bounds and fallback.
-    uint32_t bestTm = 0;
-    uint32_t bestTk = 0;
-    Bytes bestTraffic = 0;
-    sparse::TileGridStats bestStats;
-    for (uint32_t tk = minTileK;; tk *= 2) {
-        if (static_cast<Bytes>(tk) * tn * kValueBytes > denseBuf)
-            break;
-        const uint64_t tmCap =
-            sparseBuf /
-            (static_cast<uint64_t>(tk) * (kValueBytes + kIndexBytes));
-        const uint64_t tmOut =
-            outBuf / (static_cast<uint64_t>(tn) * kValueBytes);
-        uint32_t tm = static_cast<uint32_t>(
-            std::min<uint64_t>({tmCap, tmOut, M == 0 ? 1 : M}));
-        if (tm < minTileM) {
-            if (tk == minTileK && bestTm == 0)
-                tm = minTileM;
-            else
-                break;
-        }
-        tm = pow2Floor(tm);
-
-        auto st = sparse::TileGridStats::compute(*s.lhs,
-                                                 sparse::TileShape{tm, tk});
-        Bytes sparseFetch = 0;
-        Bytes denseFetch = 0;
-        tileTraffic(st, tk, sparseFetch, denseFetch);
-        const uint32_t trip = static_cast<uint32_t>(ceilDiv(n, tn));
-        const Bytes traffic =
-            (sparseFetch + denseFetch) * trip +
-            lineUp(static_cast<Bytes>(M) * n * kValueBytes);
-        if (bestTm == 0 || traffic < bestTraffic) {
-            bestTm = tm;
-            bestTk = tk;
-            bestTraffic = traffic;
-            bestStats = std::move(st);
-        }
-        if (tk >= K)
-            break;
-    }
-    GROW_ASSERT(bestTm > 0, "no feasible tiling for tiled mapping");
-    (void)bestTk;
-
-    const uint32_t trip = static_cast<uint32_t>(ceilDiv(n, tn));
+    const sparse::Tiling t = sparse::chooseTiling(
+        *s.lhs, n,
+        sparse::TilingLimits{spec.bufferCapacity(BufferRole::SparseInput),
+                             spec.bufferCapacity(BufferRole::DenseInput),
+                             spec.bufferCapacity(BufferRole::Output),
+                             std::max<uint32_t>(1, spec.minTileK),
+                             std::max<uint32_t>(1, spec.minTileM)});
+    const uint64_t trip = ceilDiv(n, t.tn);
     PhaseEstimate e;
-    e.trafficBytes = bestTraffic;
+    e.trafficBytes = t.estimatedTraffic;
     e.macOps = s.nnz * n;
     e.computeBound =
-        s.nnz * ceilDiv(tn, spec.spatialLanes) * trip +
-        bestStats.nonEmptyTiles() * spec.tileOverheadCycles * trip;
+        s.nnz * ceilDiv(t.tn, spec.spatialLanes) * trip +
+        t.nonEmptyTiles * spec.tileOverheadCycles * trip;
     e.memoryBound = static_cast<Cycle>(
         static_cast<double>(e.trafficBytes) /
         (em.dramBytesPerCycle * em.numPes));

@@ -11,8 +11,8 @@
  *
  * Fidelity by construction:
  *  - Closed-form engines (MatRaptor; GAMMA via the exact Mattson LRU
- *    curve; GCNAX by replaying the same tiling search over the same
- *    TileGridStats census) reproduce the simulators' own formulas --
+ *    curve; GCNAX by calling the simulator's own tiling search,
+ *    sparse::chooseTiling) reproduce the simulators' own formulas --
  *    the estimate is exact or within rounding.
  *  - The event-driven row engine (GROW) is approximated by a roofline:
  *    max(control/MAC throughput of the most loaded PE, DRAM channel

@@ -104,6 +104,29 @@ decodeSpecFields(util::BinReader &r, DatasetSpec &spec)
            r.pod(spec.tinyDegreeDiv);
 }
 
+std::string
+specFieldError(const DatasetSpec &spec)
+{
+    const std::pair<const char *, double> densities[] = {
+        {"paperDensityA", spec.paperDensityA},
+        {"x0Density", spec.x0Density},
+        {"x1Density", spec.x1Density}};
+    for (const auto &[field, value] : densities)
+        if (!(value >= 0.0 && value <= 1.0)) // NaN fails both
+            return field + ("=" + std::to_string(value)) +
+                   " is not a density in [0, 1]";
+    const std::pair<const char *, uint32_t> counts[] = {
+        {"gcn.inFeatures", spec.gcn.inFeatures},
+        {"gcn.hidden", spec.gcn.hidden},
+        {"gcn.classes", spec.gcn.classes},
+        {"miniNodeDiv", spec.miniNodeDiv},
+        {"tinyNodeDiv", spec.tinyNodeDiv}};
+    for (const auto &[field, value] : counts)
+        if (value == 0)
+            return std::string(field) + "=0 must be at least 1";
+    return {};
+}
+
 const std::vector<DatasetSpec> &
 allDatasets()
 {
@@ -158,6 +181,8 @@ registerFileDataset(const std::string &path)
         fatal("dataset file unusable (missing, truncated, corrupt or "
               "stale format): " + path);
     DatasetSpec spec = mapped->spec();
+    if (const std::string why = specFieldError(spec); !why.empty())
+        fatal("dataset file " + path + ": " + why);
     std::lock_guard<std::mutex> lock(fileRegistryMutex());
     auto it = fileRegistry().find(spec.name);
     if (it != fileRegistry().end()) {

@@ -105,6 +105,15 @@ void encodeSpecFields(util::BinWriter &w, const DatasetSpec &spec);
 /** Decode encodeSpecFields()'s fields into @p spec; false on underrun. */
 bool decodeSpecFields(util::BinReader &r, DatasetSpec &spec);
 
+/**
+ * Why the decoded fields of @p spec cannot drive a workload, naming
+ * the field, or empty when they can: the three densities must be
+ * finite and in [0, 1], the GCN widths and the node divisors at least
+ * 1. A .growcsr file carries these fields, so registerFileDataset()
+ * and `graph_convert verify=` check every file with this.
+ */
+std::string specFieldError(const DatasetSpec &spec);
+
 /** The eight datasets of Table I, ordered by node count. */
 const std::vector<DatasetSpec> &allDatasets();
 
@@ -127,9 +136,10 @@ std::vector<DatasetSpec> datasetsByNames(const std::vector<std::string> &names);
 class MappedCsrGraph;
 
 /**
- * Open the .growcsr file at @p path (fatal() when unreadable or
- * corrupt -- a named file that cannot be used is a configuration
- * error) and register it in the process-wide file dataset registry
+ * Open the .growcsr file at @p path (fatal() when unreadable, corrupt
+ * or carrying a spec field specFieldError() rejects -- a named file
+ * that cannot be used is a configuration error) and register it in
+ * the process-wide file dataset registry
  * under its embedded dataset name. Re-registering the same content is
  * idempotent; two different files claiming one name fatal(). The
  * returned spec carries sourceFile/sourceChecksum/sourceTier.

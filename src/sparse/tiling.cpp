@@ -1,5 +1,7 @@
 #include "sparse/tiling.hpp"
 
+#include <algorithm>
+
 #include "util/bitutil.hpp"
 #include "util/logging.hpp"
 
@@ -105,6 +107,130 @@ tileFetchTotals(const TileGridStats &stats)
         }
     }
     return t;
+}
+
+namespace {
+
+/**
+ * Sparse fetch, dense fetch and non-empty tiles of one pass under the
+ * grid of @p t's Tm by Tk; @p col_tile maps a column to its column
+ * tile.
+ */
+template <typename ColTile>
+void
+censusFetch(const CsrMatrix &lhs, uint32_t rhs_cols, ColTile col_tile,
+            Tiling &t)
+{
+    const uint32_t K = lhs.cols();
+    const uint32_t colTiles = static_cast<uint32_t>(ceilDiv(K, t.tk));
+    auto denseTile = [&](uint64_t k_extent) -> Bytes {
+        return t.tn * kValueBytes >= kDramLineBytes || t.tn == rhs_cols
+                   ? roundUp(k_extent * t.tn * kValueBytes, kDramLineBytes)
+                   : k_extent * roundUp(t.tn * kValueBytes, kDramLineBytes);
+    };
+    const Bytes fullDense = denseTile(t.tk);
+    const Bytes lastDense =
+        colTiles == 0 ? 0 : denseTile(K - (colTiles - 1ull) * t.tk);
+
+    // One band of Tm rows at a time: its non-zeros are one contiguous
+    // run of colIdx, and only one row of tile counters is live.
+    std::vector<uint32_t> counts(colTiles, 0);
+    const auto &rowPtr = lhs.rowPtr();
+    const NodeId *cols = lhs.colIdx().data();
+    for (uint64_t r0 = 0; r0 < lhs.rows(); r0 += t.tm) {
+        const uint64_t r1 = std::min<uint64_t>(lhs.rows(), r0 + t.tm);
+        for (uint64_t i = rowPtr[r0]; i < rowPtr[r1]; ++i)
+            counts[col_tile(cols[i])] += 1;
+        for (uint32_t k = 0; k < colTiles; ++k) {
+            const uint32_t nnz = counts[k];
+            if (nnz == 0)
+                continue;
+            counts[k] = 0;
+            t.sparseFetch += TileFetchModel::fetchedBytes(nnz);
+            t.denseFetch += k + 1 < colTiles ? fullDense : lastDense;
+            t.nonEmptyTiles += 1;
+        }
+    }
+}
+
+} // namespace
+
+Tiling
+chooseTiling(const CsrMatrix &lhs, uint32_t rhs_cols,
+             const TilingLimits &limits)
+{
+    GROW_ASSERT(rhs_cols > 0, "a tiling needs at least one output column");
+    GROW_ASSERT(limits.minTileK > 0, "the minimum tile height must be >0");
+    const uint32_t M = lhs.rows();
+    const uint32_t K = lhs.cols();
+    const uint32_t N = rhs_cols;
+
+    // Dense-tile width: as wide as the buffer permits at minimum Tk --
+    // GCN output widths are small (Table I), so Tn == N is the norm.
+    const uint32_t tn = std::min<uint32_t>(
+        N, std::max<uint32_t>(
+               1, static_cast<uint32_t>(limits.denseBufBytes /
+                                        (limits.minTileK * kValueBytes))));
+    const uint64_t trips = ceilDiv(N, tn);
+    const Bytes output =
+        roundUp(static_cast<Bytes>(M) * N * kValueBytes, kDramLineBytes);
+
+    // Column tiles of Tk = minTileK * 2^i are (c / minTileK) >> i: one
+    // shift when minTileK is a power of two, else a per-column table
+    // of c / minTileK, built without a division.
+    std::vector<uint32_t> colBlock;
+    if (!isPow2(limits.minTileK)) {
+        colBlock.resize(K);
+        uint32_t block = 0;
+        uint64_t next = limits.minTileK;
+        for (uint32_t c = 0; c < K; ++c) {
+            if (c == next) {
+                ++block;
+                next += limits.minTileK;
+            }
+            colBlock[c] = block;
+        }
+    }
+
+    Tiling best;
+    for (uint32_t tk = limits.minTileK, doublings = 0;; tk *= 2, ++doublings) {
+        if (static_cast<Bytes>(tk) * tn * kValueBytes > limits.denseBufBytes)
+            break;
+        // Worst-case (fully dense) sparse-tile provisioning, Sec. IV-B.
+        const uint64_t tmCap =
+            limits.sparseBufBytes /
+            (static_cast<uint64_t>(tk) * (kValueBytes + kIndexBytes));
+        const uint64_t tmOut =
+            limits.outBufBytes / (static_cast<uint64_t>(tn) * kValueBytes);
+        uint32_t tm = static_cast<uint32_t>(
+            std::min<uint64_t>({tmCap, tmOut, M == 0 ? 1 : M}));
+        if (tm < limits.minTileM) {
+            if (tk == limits.minTileK && best.tm == 0)
+                tm = limits.minTileM; // smallest legal fallback
+            else
+                break;
+        }
+        tm = uint32_t{1} << log2Floor(tm); // largest power of two <= tm
+
+        Tiling t{tm, tk, tn};
+        if (colBlock.empty()) {
+            const unsigned shift = log2Floor(tk);
+            censusFetch(lhs, N, [shift](NodeId c) { return c >> shift; }, t);
+        } else {
+            censusFetch(lhs, N,
+                        [&colBlock, doublings](NodeId c) {
+                            return colBlock[c] >> doublings;
+                        },
+                        t);
+        }
+        t.estimatedTraffic = (t.sparseFetch + t.denseFetch) * trips + output;
+        if (best.tm == 0 || t.estimatedTraffic < best.estimatedTraffic)
+            best = t;
+        if (tk >= K)
+            break;
+    }
+    GROW_ASSERT(best.tm > 0, "no feasible tiling");
+    return best;
 }
 
 TileFetchTotals

@@ -101,6 +101,52 @@ struct TileFetchTotals
 /** Sum the fetch model over all tiles of @p stats. */
 TileFetchTotals tileFetchTotals(const TileGridStats &stats);
 
+/** Buffer capacities and hardware minima that bound a tiling search. */
+struct TilingLimits
+{
+    /** Sparse-tile buffer: holds a worst-case fully dense tile. */
+    Bytes sparseBufBytes = 0;
+    /** Dense-tile buffer: holds Tk rows of Tn values. */
+    Bytes denseBufBytes = 0;
+    /** Output-tile buffer: holds Tm rows of Tn values. */
+    Bytes outBufBytes = 0;
+    /** Minimum dense-tile height (>= 1); Tk is this times 2^i. */
+    uint32_t minTileK = 1;
+    /** Minimum sparse-tile height. */
+    uint32_t minTileM = 1;
+};
+
+/** A chosen outer-product loop tiling and the totals it was chosen on. */
+struct Tiling
+{
+    uint32_t tm = 0;
+    uint32_t tk = 0;
+    uint32_t tn = 0;
+    /** Sparse-tile fetch bytes of one pass over the N tiles. */
+    Bytes sparseFetch = 0;
+    /** Dense-tile fetch bytes of one pass: one D[k, n] per non-empty
+     *  sparse tile S[m, k]. */
+    Bytes denseFetch = 0;
+    /** Non-empty sparse tiles (the tiles fetched) of one pass. */
+    uint64_t nonEmptyTiles = 0;
+    /** Estimated total DRAM traffic: both fetches once per N tile,
+     *  plus the output written once. */
+    Bytes estimatedTraffic = 0;
+};
+
+/**
+ * The traffic-minimising tiling search of the outer-product dataflow
+ * (GCNAX, Fig. 4) for @p lhs times a dense operand of @p rhs_cols
+ * columns. Tn is as wide as the dense buffer allows at the minimum Tk;
+ * each candidate Tk = minTileK * 2^i that fits takes the largest
+ * power-of-two Tm its sparse and output buffers allow, and the first
+ * candidate with the least traffic wins. Each candidate's tile census
+ * is taken once, one band of Tm rows at a time, with shifts instead of
+ * divisions; the winner's totals come back with it.
+ */
+Tiling chooseTiling(const CsrMatrix &lhs, uint32_t rhs_cols,
+                    const TilingLimits &limits);
+
 /**
  * Fetch totals for GROW's 1-D row-granular CSR streaming (Fig. 10(c)):
  * consecutive rows are packed densely, so the whole stream is read at

@@ -19,12 +19,6 @@ splitMix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -32,33 +26,6 @@ Rng::Rng(uint64_t seed)
     uint64_t x = seed;
     for (auto &s : s_)
         s = splitMix64(x);
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform in [0,1).
-    return (next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
 }
 
 uint64_t

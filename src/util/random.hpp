@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -28,13 +29,25 @@ class Rng
     explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
     /** Next raw 64-bit value. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
-    /** Uniform double in [0, 1). */
-    double uniform();
+    /** Uniform double in [0, 1): the top 53 bits of next(), times 2^-53. */
+    double uniform() { return (next() >> 11) * 0x1.0p-53; }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
+    double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
     /** Uniform integer in [0, n) using Lemire's bounded method. */
     uint64_t bounded(uint64_t n);

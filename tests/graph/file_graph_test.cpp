@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -237,6 +238,62 @@ TEST(FileGraph, RegisteredFileResolvesByNameAndIsIdempotent)
     expectSameGraph(inst.graph.view(), mapped->view());
     // Synthesized specs have no mapped graph.
     EXPECT_EQ(fileDatasetGraph(datasetByName("cora")), nullptr);
+}
+
+TEST(FileGraph, RejectsSpecFieldsNoWorkloadCanUse)
+{
+    // Header fields a checksum cannot vouch for: a file whose spec has
+    // a density outside [0, 1] or a zero width opens, but registering
+    // it fails with a message naming the field.
+    ScratchDir scratch;
+    auto inst = buildDataset(datasetByName("cora"), ScaleTier::Unit);
+    struct Case
+    {
+        const char *field;
+        void (*patch)(DatasetSpec &);
+    };
+    const Case cases[] = {
+        {"x0Density", [](DatasetSpec &s) { s.x0Density = std::nan(""); }},
+        {"x0Density", [](DatasetSpec &s) { s.x0Density = 1.5; }},
+        {"x1Density", [](DatasetSpec &s) { s.x1Density = -0.25; }},
+        {"paperDensityA",
+         [](DatasetSpec &s) { s.paperDensityA = HUGE_VAL; }},
+        {"gcn.inFeatures", [](DatasetSpec &s) { s.gcn.inFeatures = 0; }},
+        {"gcn.hidden", [](DatasetSpec &s) { s.gcn.hidden = 0; }},
+        {"gcn.classes", [](DatasetSpec &s) { s.gcn.classes = 0; }},
+        {"miniNodeDiv", [](DatasetSpec &s) { s.miniNodeDiv = 0; }},
+        {"tinyNodeDiv", [](DatasetSpec &s) { s.tinyNodeDiv = 0; }},
+    };
+    int i = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.field);
+        DatasetSpec spec = datasetByName("cora");
+        spec.name = "badspec_" + std::to_string(i);
+        c.patch(spec);
+        const std::string path =
+            scratch.path("bad" + std::to_string(i++) + ".growcsr");
+        ASSERT_TRUE(writeCsrFile(path, spec, ScaleTier::Unit,
+                                 inst.graph.view()));
+        auto mapped = MappedCsrGraph::open(path);
+        ASSERT_NE(mapped, nullptr);
+        EXPECT_NE(specFieldError(mapped->spec()).find(c.field),
+                  std::string::npos);
+        try {
+            registerFileDataset(path);
+            ADD_FAILURE() << "registered a file with a bad " << c.field;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(c.field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Every builtin spec passes, at the bounds too.
+    for (const auto &spec : allDatasets())
+        EXPECT_EQ(specFieldError(spec), "") << spec.name;
+    DatasetSpec edge = datasetByName("cora");
+    edge.x0Density = 0.0;
+    edge.x1Density = 1.0;
+    EXPECT_EQ(specFieldError(edge), "");
 }
 
 } // namespace

@@ -25,7 +25,8 @@
  *
  *   Verify an existing file:
  *     graph_convert verify=<graph.growcsr>
- *     Re-checks header, checksum and full structure (sorted rows,
+ *     Re-checks header, checksum, the spec fields (densities in
+ *     [0, 1], widths of at least 1) and full structure (sorted rows,
  *     symmetry, no self loops); exits non-zero on any mismatch.
  */
 #include <filesystem>
@@ -48,6 +49,11 @@ verifyFile(const std::string &path)
         std::cerr << "FAIL: " << path
                   << " is missing, truncated, corrupt or from a stale "
                      "format version\n";
+        return 1;
+    }
+    if (const std::string why = graph::specFieldError(g->spec());
+        !why.empty()) {
+        std::cerr << "FAIL: " << path << ": " << why << "\n";
         return 1;
     }
     if (!g->validateStructure()) {
