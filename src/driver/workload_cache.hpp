@@ -128,9 +128,6 @@ class WorkloadCache
      */
     explicit WorkloadCache(std::string disk_dir);
 
-    /** Directory backing the disk layer ("" = memory only). */
-    const std::string &diskDir() const { return dir_; }
-
     /**
      * The artefact bundle of (spec, tier, plan): served from memory,
      * then disk, then built (and stored to both).

@@ -7,8 +7,6 @@
 
 #include "driver/engine_factory.hpp"
 #include "gcn/runner.hpp"
-#include "util/logging.hpp"
-#include "util/wallclock.hpp"
 
 namespace grow::serve {
 
@@ -27,26 +25,6 @@ iequals(const std::string &a, const std::string &b)
 }
 
 } // namespace
-
-uint64_t
-estimateRequestBytes(const graph::DatasetSpec &spec, graph::ScaleTier tier,
-                     uint32_t depth)
-{
-    // Operand working set: per-layer sparse features (value + index,
-    // ~8 B/nnz) plus one pass over the adjacency. Closed-form from
-    // the published structure, deliberately ignoring model-specific
-    // extras (GIN MLP operands, attention scores) -- admission needs
-    // a stable relative ordering of requests, not an allocator-grade
-    // number.
-    const double nodes = static_cast<double>(graph::scaledNodes(spec, tier));
-    const double featureNnz =
-        nodes * (static_cast<double>(spec.gcn.inFeatures) * spec.x0Density +
-                 static_cast<double>(depth > 1 ? depth - 1 : 0) *
-                     static_cast<double>(spec.gcn.hidden) * spec.x1Density);
-    const double adjacencyNnz = nodes * spec.paperAvgDegree;
-    const double bytes = (featureNnz + adjacencyNnz) * 8.0;
-    return bytes > 0.0 ? static_cast<uint64_t>(bytes) : 1;
-}
 
 Executor::Executor(driver::WorkloadCache &cache,
                    std::vector<graph::DatasetSpec> datasets,
@@ -68,11 +46,10 @@ Executor::findDataset(const std::string &name) const
 }
 
 bool
-Executor::validate(ServeRequest &req, std::string *error) const
+Executor::validate(const ServeRequest &req, std::string &error) const
 {
-    auto fail = [error](const std::string &msg) {
-        if (error)
-            *error = msg;
+    auto fail = [&error](const std::string &msg) {
+        error = msg;
         return false;
     };
     const graph::DatasetSpec *spec = findDataset(req.dataset);
@@ -92,7 +69,6 @@ Executor::validate(ServeRequest &req, std::string *error) const
         return fail("depth must be in [1, " +
                     std::to_string(kMaxServeDepth) + "], got " +
                     std::to_string(req.depth));
-    req.costBytes = estimateRequestBytes(*spec, req.tier, req.depth);
     return true;
 }
 
@@ -100,18 +76,16 @@ ExecResult
 Executor::run(const ServeRequest &req) const
 {
     ExecResult result;
-    util::WallClock clock;
-    ServeRequest checked = req;
-    if (!validate(checked, &result.error))
+    if (!validate(req, result.error))
         return result;
     try {
-        const graph::DatasetSpec &spec = *findDataset(checked.dataset);
-        const driver::EngineSpec engine = driver::engineByKey(checked.engine);
+        const graph::DatasetSpec &spec = *findDataset(req.dataset);
+        const driver::EngineSpec engine = driver::engineByKey(req.engine);
         gcn::WorkloadConfig wc;
-        wc.tier = checked.tier;
-        wc.model = gcn::modelKindFromString(checked.model);
-        wc.numLayers = checked.depth;
-        wc.seed = checked.seed;
+        wc.tier = req.tier;
+        wc.model = gcn::modelKindFromString(req.model);
+        wc.numLayers = req.depth;
+        wc.seed = req.seed;
         const gcn::GcnWorkload workload = cache_.workload(spec, wc);
         gcn::RunOptions options;
         options.usePartitioning = engine.usePartitioning;
@@ -128,7 +102,6 @@ Executor::run(const ServeRequest &req) const
     } catch (const std::exception &e) {
         result.error = std::string("execution failed: ") + e.what();
     }
-    result.hostMs = clock.elapsedMs();
     return result;
 }
 

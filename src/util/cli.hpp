@@ -78,8 +78,9 @@ class CliArgs
 
 /**
  * Parse a byte-size option value: digits with an optional K/M/G suffix
- * (binary multiples). @p key names the option in error messages. The
- * one grammar behind every byte-budget flag (`memcap=`, `bytebudget=`).
+ * (binary multiples). fatal(), naming @p key, on an empty or malformed
+ * value and on one past 2^64 - 1 bytes, before or after the suffix
+ * scales it. The grammar of `memcap=`.
  */
 uint64_t parseByteSize(const std::string &key, const std::string &value);
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "util/cli.hpp"
@@ -133,6 +135,39 @@ TEST(CliArgs, GetDoubleRejectsNonNumericAndNonFiniteValues)
     EXPECT_DOUBLE_EQ(ok.getDouble("c", 0), 1e-3);
 }
 
+TEST(ParseByteSize, ScalesBinarySuffixesAndRejectsBadValuesNamingTheKey)
+{
+    EXPECT_EQ(parseByteSize("memcap", "0"), 0u);
+    EXPECT_EQ(parseByteSize("memcap", "512"), 512u);
+    EXPECT_EQ(parseByteSize("memcap", "3k"), 3u << 10);
+    EXPECT_EQ(parseByteSize("memcap", "3K"), 3u << 10);
+    EXPECT_EQ(parseByteSize("memcap", "64M"), 64ull << 20);
+    EXPECT_EQ(parseByteSize("memcap", "2g"), 2ull << 30);
+    EXPECT_EQ(parseByteSize("memcap", "17179869183G"),
+              17179869183ull << 30); // the largest G value that fits
+    EXPECT_EQ(parseByteSize("memcap", "18446744073709551615"),
+              std::numeric_limits<uint64_t>::max());
+
+    for (const char *bad : {"", "G", "abc", "12X", "-1", "+1", "1.5G",
+                            " 12", "1 G", "0x10"}) {
+        const std::string msg =
+            errorOf([&] { parseByteSize("memcap", bad); });
+        EXPECT_NE(msg.find("memcap="), std::string::npos)
+            << "'" << bad << "': " << msg;
+    }
+    // Both overflow routes: the digits alone (strtoull saturates) and
+    // the suffix shift (17179869185G would wrap to a 1 GiB cap).
+    for (const char *big : {"18446744073709551616", "99999999999999999999",
+                            "17179869184G", "17179869185G",
+                            "18014398509481984K", "17592186044416M"}) {
+        const std::string msg =
+            errorOf([&] { parseByteSize("memcap", big); });
+        EXPECT_NE(msg.find(std::string("memcap=") + big + " is out of range"),
+                  std::string::npos)
+            << big << ": " << msg;
+    }
+}
+
 int
 failingBody(int, char **)
 {
@@ -148,13 +183,13 @@ passingBody(int argc, char **)
 
 TEST(RunMain, PrintsBinaryAndMessageAndReturnsTheErrorExit)
 {
-    std::string arg0 = "/some/dir/grow_serve";
+    std::string arg0 = "/some/dir/quickstart";
     char *argv[] = {arg0.data(), nullptr};
     ::testing::internal::CaptureStderr();
     EXPECT_EQ(runMain(1, argv, failingBody), 1);
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(err,
-              "grow_serve: fatal: threads= takes an integer, got 'abc'\n");
+              "quickstart: fatal: threads= takes an integer, got 'abc'\n");
     EXPECT_EQ(runMain(1, argv, failingBody, 2), 2);
     // A body that returns normally keeps its exit code.
     EXPECT_EQ(runMain(1, argv, passingBody), 41);

@@ -29,7 +29,6 @@
  *   1  at least one gated regression
  *   2  usage error, unreadable file, JSON parse or schema failure
  */
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -39,7 +38,6 @@
 #include "report/json.hpp"
 #include "report/report.hpp"
 #include "util/cli.hpp"
-#include "util/string_util.hpp"
 
 using namespace grow;
 
@@ -128,9 +126,8 @@ run(int argc, char **argv)
     }
     options.gateUnits = args.getList("gate", {"cycles", "bytes"});
     for (const auto &[name, text] : args.withPrefix("tol.")) {
-        char *end = nullptr;
-        const double tol = std::strtod(text.c_str(), &end);
-        if (end == text.c_str() || *end != '\0' || tol < 0) {
+        const double tol = args.getDouble("tol." + name, 0.0);
+        if (tol < 0) {
             std::cerr << "report_diff: tol." << name
                       << " must be a fraction >= 0, got '" << text
                       << "'\n";
