@@ -239,11 +239,15 @@ void
 BM_BuildLayerData(benchmark::State &state)
 {
     // The cheap, per-workload half layered on cached artefacts; the
-    // sage-mean case includes its fanout-k neighbour sample.
-    const auto &spec = graph::datasetByName("cora");
-    auto artifacts = gcn::buildGraphArtifacts(spec, graph::ScaleTier::Unit);
+    // sage-mean case includes its fanout-k neighbour sample. pubmed at
+    // mini scale (range(2) = 1) with gcn and gin is serve_zoo's
+    // heaviest request shape: each request draws fresh features and
+    // lays out the relabelled X(i) of its million-non-zero X(0).
+    const bool pubmedMini = state.range(2) != 0;
+    const auto &spec = graph::datasetByName(pubmedMini ? "pubmed" : "cora");
     gcn::WorkloadConfig wc;
-    wc.tier = graph::ScaleTier::Unit;
+    wc.tier = pubmedMini ? graph::ScaleTier::Mini : graph::ScaleTier::Unit;
+    auto artifacts = gcn::buildGraphArtifacts(spec, wc.tier);
     wc.numLayers = static_cast<uint32_t>(state.range(0));
     wc.model = static_cast<gcn::ModelKind>(state.range(1));
     for (auto _ : state) {
@@ -251,13 +255,19 @@ BM_BuildLayerData(benchmark::State &state)
         auto w = gcn::buildLayerData(artifacts, wc);
         benchmark::DoNotOptimize(w);
     }
-    state.SetLabel(gcn::modelKindName(wc.model));
+    state.SetLabel(spec.name + " " + graph::tierName(wc.tier) + " " +
+                   gcn::modelKindName(wc.model));
 }
 BENCHMARK(BM_BuildLayerData)
-    ->ArgNames({"depth", "model"})
+    ->ArgNames({"depth", "model", "pubmed_mini"})
     ->ArgsProduct({{2, 4},
                    {static_cast<int>(gcn::ModelKind::Gcn),
-                    static_cast<int>(gcn::ModelKind::SageMean)}});
+                    static_cast<int>(gcn::ModelKind::SageMean)},
+                   {0}})
+    ->ArgsProduct({{2, 3},
+                   {static_cast<int>(gcn::ModelKind::Gcn),
+                    static_cast<int>(gcn::ModelKind::Gin)},
+                   {1}});
 
 void
 BM_RandomCsr(benchmark::State &state)

@@ -63,8 +63,9 @@ std::vector<NodeId>
 topReferencedColumns(const sparse::CsrMatrix &lhs, uint32_t top_n)
 {
     std::vector<uint32_t> freq(lhs.cols(), 0);
-    for (NodeId c : lhs.colIdx())
-        freq[c] += 1;
+    for (NodeId r = 0; r < lhs.rows(); ++r)
+        for (NodeId c : lhs.rowCols(r))
+            freq[c] += 1;
     std::vector<NodeId> ids(lhs.cols());
     for (NodeId i = 0; i < lhs.cols(); ++i)
         ids[i] = i;

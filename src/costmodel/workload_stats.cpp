@@ -74,22 +74,24 @@ lruHistogram(const sparse::CsrMatrix &lhs)
     Fenwick active(static_cast<size_t>(n));
     std::vector<uint64_t> hist;
     uint64_t pos = 0;
-    for (NodeId c : lhs.colIdx()) {
-        const int64_t prev = lastPos[c];
-        if (prev >= 0) {
-            // Distinct columns referenced strictly after prev: the
-            // column's depth in the LRU stack.
-            const uint64_t depth =
-                active.prefixSum(static_cast<size_t>(pos) - 1) -
-                active.prefixSum(static_cast<size_t>(prev));
-            if (hist.size() <= depth)
-                hist.resize(static_cast<size_t>(depth) + 1, 0);
-            hist[static_cast<size_t>(depth)] += 1;
-            active.add(static_cast<size_t>(prev), -1);
+    for (NodeId row = 0; row < lhs.rows(); ++row) {
+        for (NodeId c : lhs.rowCols(row)) {
+            const int64_t prev = lastPos[c];
+            if (prev >= 0) {
+                // Distinct columns referenced strictly after prev: the
+                // column's depth in the LRU stack.
+                const uint64_t depth =
+                    active.prefixSum(static_cast<size_t>(pos) - 1) -
+                    active.prefixSum(static_cast<size_t>(prev));
+                if (hist.size() <= depth)
+                    hist.resize(static_cast<size_t>(depth) + 1, 0);
+                hist[static_cast<size_t>(depth)] += 1;
+                active.add(static_cast<size_t>(prev), -1);
+            }
+            active.add(static_cast<size_t>(pos), +1);
+            lastPos[c] = static_cast<int64_t>(pos);
+            pos += 1;
         }
-        active.add(static_cast<size_t>(pos), +1);
-        lastPos[c] = static_cast<int64_t>(pos);
-        pos += 1;
     }
     return hist;
 }
@@ -142,8 +144,9 @@ pinnedHistogram(const sparse::CsrMatrix &lhs,
     // (reference frequency desc, id asc) -- core::topReferencedColumns'
     // order, extended over all columns so any CAM depth can be queried.
     std::vector<uint32_t> freq(lhs.cols(), 0);
-    for (NodeId c : lhs.colIdx())
-        freq[c] += 1;
+    for (NodeId row = 0; row < lhs.rows(); ++row)
+        for (NodeId c : lhs.rowCols(row))
+            freq[c] += 1;
     std::vector<NodeId> order(lhs.cols());
     std::iota(order.begin(), order.end(), NodeId{0});
     std::sort(order.begin(), order.end(), [&freq](NodeId a, NodeId b) {
@@ -153,8 +156,9 @@ pinnedHistogram(const sparse::CsrMatrix &lhs,
     });
     for (uint32_t r = 0; r < order.size(); ++r)
         rankOf[order[r]] = r;
-    for (NodeId c : lhs.colIdx())
-        bump(rankOf[c]);
+    for (NodeId row = 0; row < lhs.rows(); ++row)
+        for (NodeId c : lhs.rowCols(row))
+            bump(rankOf[c]);
     return hist;
 }
 

@@ -233,8 +233,16 @@ struct GcnWorkload
      * (CsrMatrix::hasValues() is false), with the same rowPtr/colIdx.
      */
     std::vector<sparse::CsrMatrix> features;
-    /** Row-permuted copies matching adjacencyPartitioned() (values
-     *  present exactly when features carry them). */
+    /**
+     * The same matrices in the cluster-contiguous labelling of
+     * adjacencyPartitioned(): row v of entry l is row
+     * relabel().newToOld[v] of features[l]. Node relabelling only
+     * changes the order in which the engine walks the rows, so each
+     * entry is a row selection of its features entry (permuteRows): it
+     * shares that matrix's column and value arrays instead of copying
+     * them, and carries values exactly when it does. Walk it row by
+     * row; its raw colIdx() panics.
+     */
     std::vector<sparse::CsrMatrix> featuresPartitioned;
 
     /** Per-layer dense weights W(i) (empty unless functionalData). */
@@ -247,7 +255,8 @@ struct GcnWorkload
      * normalized A). X'(i) is the synthetic sparse stand-in for
      * relu(A_gin X(i) W(i)) that feeds the trailing MLP combination of
      * layer i (see DESIGN.md substitutions; structure-only unless
-     * functionalData, like features), and mlpWeights holds its
+     * functionalData, like features; its partitioned layout is a row
+     * selection, like featuresPartitioned), and mlpWeights holds its
      * outDim x outDim weight.
      */
     double ginEpsilon = 0.0;
@@ -371,8 +380,13 @@ GcnWorkload buildLayerData(std::shared_ptr<const GraphArtifacts> artifacts,
 GcnWorkload buildWorkload(const graph::DatasetSpec &spec,
                           const WorkloadConfig &config);
 
-/** Permute the rows of a CSR matrix: row i of result = row map[i].
- *  Values are carried when present; structure-only stays so. */
+/**
+ * Permute the rows of a CSR matrix: row i of the result is row
+ * new_to_old[i] of @p m. The result is a row selection of @p m
+ * (sparse::CsrMatrix's (source, rows) constructor): it shares @p m's
+ * column and value arrays, so it costs O(rows), and it carries values
+ * exactly when @p m does. @p new_to_old must be a permutation.
+ */
 sparse::CsrMatrix permuteRows(const sparse::CsrMatrix &m,
                               const std::vector<NodeId> &new_to_old);
 

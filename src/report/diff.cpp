@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -223,6 +224,28 @@ diffReports(const JsonValue &base, const JsonValue &current,
                   return a.key < b.key;
               });
     return out;
+}
+
+std::vector<std::string>
+unmatchedNames(const JsonValue &base, const JsonValue &current,
+               const std::vector<std::string> &names)
+{
+    std::set<std::string> known;
+    for (const JsonValue *root : {&base, &current}) {
+        const JsonValue *records = root->find("records");
+        GROW_ASSERT(records != nullptr && records->isArray(),
+                    "unmatchedNames needs validated report JSON");
+        for (const JsonValue &r : records->arr)
+            for (const char *field : {"metric", "unit"})
+                if (const JsonValue *v = r.find(field);
+                    v != nullptr && v->isString())
+                    known.insert(v->str);
+    }
+    std::vector<std::string> unmatched;
+    for (const std::string &name : names)
+        if (!known.count(name))
+            unmatched.push_back(name);
+    return unmatched;
 }
 
 std::string

@@ -107,6 +107,16 @@ DiffResult diffReports(const JsonValue &base, const JsonValue &current,
                        const DiffOptions &options = {});
 
 /**
+ * The entries of @p names that are neither a metric name nor a unit of
+ * any record of @p base or @p current. A gate unit or tolerance
+ * override among them gates nothing: report_diff rejects it, so a
+ * mistyped name cannot turn a gate off silently.
+ */
+std::vector<std::string> unmatchedNames(const JsonValue &base,
+                                        const JsonValue &current,
+                                        const std::vector<std::string> &names);
+
+/**
  * Human-readable rendering of @p result (at most @p max_lines detail
  * lines; 0 = unlimited). One line per drifted metric, then the
  * added/removed key summary.

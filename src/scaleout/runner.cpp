@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 
 #include "driver/engine_factory.hpp"
 #include "scaleout/link.hpp"
@@ -15,71 +16,29 @@ namespace grow::scaleout {
 
 namespace {
 
-/** Contiguous global row ranges [first, last) of one chip's slice:
- *  the owned clusters' node ranges, ascending, adjacent ones merged. */
-std::vector<std::pair<uint32_t, uint32_t>>
-chipRowRanges(const ChipShardPlan &shard,
-              const partition::Clustering &clustering, uint32_t chip)
+/** Global rows of one chip's slice: the owned clusters' node ranges,
+ *  in cluster order. */
+std::vector<NodeId>
+chipRows(const ChipShardPlan &shard,
+         const partition::Clustering &clustering, uint32_t chip)
 {
-    std::vector<std::pair<uint32_t, uint32_t>> ranges;
-    for (uint32_t c : shard.chipClusters[chip]) {
-        const uint32_t lo = clustering.clusterStart[c];
-        const uint32_t hi = clustering.clusterStart[c + 1];
-        if (!ranges.empty() && ranges.back().second == lo)
-            ranges.back().second = hi;
-        else
-            ranges.emplace_back(lo, hi);
-    }
-    return ranges;
+    std::vector<NodeId> rows;
+    for (uint32_t c : shard.chipClusters[chip])
+        for (NodeId r = clustering.clusterStart[c];
+             r < clustering.clusterStart[c + 1]; ++r)
+            rows.push_back(r);
+    return rows;
 }
 
-/** Row-slice @p m to @p ranges (columns stay global). */
-sparse::CsrMatrix
-sliceRows(const sparse::CsrMatrix &m,
-          const std::vector<std::pair<uint32_t, uint32_t>> &ranges)
-{
-    uint32_t rows = 0;
-    uint64_t nnz = 0;
-    for (const auto &[lo, hi] : ranges) {
-        rows += hi - lo;
-        nnz += m.rowPtr()[hi] - m.rowPtr()[lo];
-    }
-    std::vector<uint64_t> rowPtr;
-    rowPtr.reserve(rows + 1);
-    rowPtr.push_back(0);
-    std::vector<NodeId> colIdx;
-    colIdx.reserve(nnz);
-    // Values ride along only when present: structure-only operands
-    // (non-functional feature matrices) slice to structure-only.
-    const bool valued = m.hasValues();
-    std::vector<double> values;
-    if (valued)
-        values.reserve(nnz);
-    for (const auto &[lo, hi] : ranges) {
-        for (uint32_t r = lo; r < hi; ++r) {
-            const auto cols = m.rowCols(r);
-            colIdx.insert(colIdx.end(), cols.begin(), cols.end());
-            if (valued) {
-                const auto vals = m.rowVals(r);
-                values.insert(values.end(), vals.begin(), vals.end());
-            }
-            rowPtr.push_back(colIdx.size());
-        }
-    }
-    return sparse::CsrMatrix::fromRaw(rows, m.cols(), std::move(rowPtr),
-                                      std::move(colIdx),
-                                      std::move(values));
-}
-
-/** One chip's private operand storage; the per-chip plan borrows from
- *  it, so it must outlive the chip's execution. */
+/** One chip's private operands; the per-chip plan borrows from it,
+ *  so it must outlive the chip's execution. */
 struct ChipSlice
 {
-    std::vector<std::pair<uint32_t, uint32_t>> ranges;
-    /** Global operand -> this chip's row slice. */
-    std::map<const sparse::CsrMatrix *,
-             std::unique_ptr<sparse::CsrMatrix>>
-        sliced;
+    /** The chip's global rows, in slice order. */
+    std::vector<NodeId> rows;
+    /** Global operand -> this chip's row slice (a row selection of
+     *  it: columns stay global, nothing is copied). */
+    std::map<const sparse::CsrMatrix *, sparse::CsrMatrix> sliced;
     partition::Clustering clustering;
     std::vector<std::vector<NodeId>> hdnLists;
     gcn::PhasePlan plan;
@@ -87,14 +46,9 @@ struct ChipSlice
     const sparse::CsrMatrix &slice(const sparse::CsrMatrix &global)
     {
         auto it = sliced.find(&global);
-        if (it == sliced.end()) {
-            it = sliced
-                     .emplace(&global,
-                              std::make_unique<sparse::CsrMatrix>(
-                                  sliceRows(global, ranges)))
-                     .first;
-        }
-        return *it->second;
+        if (it == sliced.end())
+            it = sliced.try_emplace(&global, global, rows).first;
+        return it->second;
     }
 };
 
@@ -272,7 +226,7 @@ runInference(const EngineTopology &topology,
         ChipSlice &slice = slices[c];
         if (opts.usePartitioning) {
             const auto &clustering = workload.relabel().clustering;
-            slice.ranges = chipRowRanges(out.shard, clustering, c);
+            slice.rows = chipRows(out.shard, clustering, c);
             slice.clustering.clusterStart.push_back(0);
             for (uint32_t cl : out.shard.chipClusters[c]) {
                 slice.clustering.clusterStart.push_back(
@@ -282,7 +236,8 @@ runInference(const EngineTopology &topology,
                     slice.hdnLists.push_back(workload.hdnLists()[cl]);
             }
         } else {
-            slice.ranges = {{0u, workload.nodes()}};
+            slice.rows.resize(workload.nodes());
+            std::iota(slice.rows.begin(), slice.rows.end(), NodeId{0});
         }
         for (const gcn::PlannedPhase &ph : plan) {
             if (ph.op == gcn::PhaseOp::HaloExchange)

@@ -14,11 +14,28 @@
  * operations (rowCols, permutedSymmetric, streamBytes, validate) work
  * on either kind; value readers (rowVals, transposed, densify) reject
  * a structure-only matrix that has non-zeros.
+ *
+ * Shared storage and row selections. The column and value arrays live
+ * in immutable storage that a matrix shares with its copies and with
+ * every row selection made from it; copying a matrix copies only its
+ * row pointers. A row selection (the (source, rows) constructor) is a
+ * matrix whose row i is row rows[i] of the source: it holds its own
+ * rowPtr prefix sums and one start offset per row into the shared
+ * arrays, and copies no non-zero. That is how GROW's relabelled
+ * feature layout (gcn::permuteRows) and a chip's row slice are made,
+ * and the storage outlives the source the selection was made from.
+ *
+ * Every accessor works row by row on either kind (rowNnz, rowCols,
+ * rowVals, rowPtr, nnz). Only a *contiguous* matrix -- one whose rows
+ * are its storage's rows in storage order -- exposes the raw colIdx()
+ * and values() arrays; they panic on a row selection, so no reader can
+ * mistake storage order for row order.
  */
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,6 +53,16 @@ class CsrMatrix
     /** Construct an empty matrix of the given shape. */
     CsrMatrix(uint32_t rows, uint32_t cols);
 
+    /**
+     * Row selection: row i of the result is row @p rows[i] of
+     * @p source, columns unchanged. Nothing is copied: the result
+     * shares @p source's column and value arrays (and keeps them alive
+     * after @p source is gone). The selected rows must be distinct and
+     * in range. Selecting every row in order, or no non-zero at all,
+     * yields a contiguous matrix.
+     */
+    CsrMatrix(const CsrMatrix &source, std::span<const NodeId> rows);
+
     /** Build from a canonical COO matrix. */
     static CsrMatrix fromCoo(const CooMatrix &coo);
 
@@ -50,7 +77,7 @@ class CsrMatrix
 
     uint32_t rows() const { return rows_; }
     uint32_t cols() const { return cols_; }
-    uint64_t nnz() const { return colIdx_.size(); }
+    uint64_t nnz() const { return rowPtr_.empty() ? 0 : rowPtr_.back(); }
 
     /** Fraction of non-zero positions. */
     double density() const;
@@ -66,15 +93,25 @@ class CsrMatrix
      * structure-only matrix with non-zeros (vacuously true when
      * nnz() == 0).
      */
-    bool hasValues() const { return values_.size() == colIdx_.size(); }
+    bool hasValues() const { return valData_ != nullptr || nnz() == 0; }
 
     /** Values of row @p r (requires hasValues()). */
     std::span<const double> rowVals(NodeId r) const;
 
+    /**
+     * Whether the rows are the shared arrays' rows in storage order:
+     * false exactly for a row selection that reorders or skips rows.
+     */
+    bool contiguous() const { return rowStart_.empty(); }
+
+    /** Row pointers of this matrix's rows (its own prefix sums). */
     const std::vector<uint64_t> &rowPtr() const { return rowPtr_; }
-    const std::vector<NodeId> &colIdx() const { return colIdx_; }
-    /** Value array: nnz() entries, or empty when structure-only. */
-    const std::vector<double> &values() const { return values_; }
+    /** Column array in row order (contiguous() only; panics on a row
+     *  selection -- walk rowCols() instead). */
+    const std::vector<NodeId> &colIdx() const;
+    /** Value array: nnz() entries, or empty when structure-only
+     *  (contiguous() only, like colIdx()). */
+    const std::vector<double> &values() const;
 
     /** Transposed copy (CSR of the transpose; requires hasValues()). */
     CsrMatrix transposed() const;
@@ -100,17 +137,41 @@ class CsrMatrix
     Bytes streamBytes() const;
 
     /**
-     * Whether the structure arrays are internally consistent and the
-     * value array holds exactly nnz() entries or none.
+     * Whether the structure is internally consistent: the row pointers
+     * are prefix sums, every row's extent lies inside the shared
+     * arrays and holds ascending columns below cols(), and the value
+     * array holds exactly as many entries as the column array or none.
      */
     bool validate() const;
 
   private:
+    /** Immutable column and value arrays, shared by a matrix, its
+     *  copies and its row selections. */
+    struct Storage
+    {
+        std::vector<NodeId> colIdx;
+        std::vector<double> values; ///< colIdx.size() entries, or none
+    };
+
+    /** Adopt @p col_idx and @p values as this matrix's storage. */
+    void setStorage(std::vector<NodeId> col_idx, std::vector<double> values);
+    const Storage &storage() const;
+    /** Offset of row @p r's first non-zero in the shared arrays. */
+    uint64_t rowBegin(NodeId r) const
+    {
+        return rowStart_.empty() ? rowPtr_[r] : rowStart_[r];
+    }
+
     uint32_t rows_ = 0;
     uint32_t cols_ = 0;
-    std::vector<uint64_t> rowPtr_;  ///< size rows_+1
-    std::vector<NodeId> colIdx_;    ///< size nnz, ascending within a row
-    std::vector<double> values_;    ///< size nnz, or 0 if structure-only
+    std::vector<uint64_t> rowPtr_;   ///< size rows_+1
+    std::vector<uint64_t> rowStart_; ///< size rows_ on a row selection, else empty
+    std::shared_ptr<const Storage> storage_; ///< null when it holds nothing
+    // Cached data pointers of storage_ (stable: the storage is
+    // immutable and shared by every copy), so rowCols/rowVals cost one
+    // load and an add per row.
+    const NodeId *colData_ = nullptr;
+    const double *valData_ = nullptr; ///< null when structure-only
 };
 
 } // namespace grow::sparse

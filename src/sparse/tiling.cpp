@@ -132,15 +132,15 @@ censusFetch(const CsrMatrix &lhs, uint32_t rhs_cols, ColTile col_tile,
     const Bytes lastDense =
         colTiles == 0 ? 0 : denseTile(K - (colTiles - 1ull) * t.tk);
 
-    // One band of Tm rows at a time: its non-zeros are one contiguous
-    // run of colIdx, and only one row of tile counters is live.
+    // One band of Tm rows at a time, walked row by row (a row
+    // selection's rows need not be adjacent in storage): only one row
+    // of tile counters is live.
     std::vector<uint32_t> counts(colTiles, 0);
-    const auto &rowPtr = lhs.rowPtr();
-    const NodeId *cols = lhs.colIdx().data();
     for (uint64_t r0 = 0; r0 < lhs.rows(); r0 += t.tm) {
         const uint64_t r1 = std::min<uint64_t>(lhs.rows(), r0 + t.tm);
-        for (uint64_t i = rowPtr[r0]; i < rowPtr[r1]; ++i)
-            counts[col_tile(cols[i])] += 1;
+        for (uint64_t r = r0; r < r1; ++r)
+            for (NodeId c : lhs.rowCols(static_cast<NodeId>(r)))
+                counts[col_tile(c)] += 1;
         for (uint32_t k = 0; k < colTiles; ++k) {
             const uint32_t nnz = counts[k];
             if (nnz == 0)

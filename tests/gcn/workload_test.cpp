@@ -1,11 +1,54 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <optional>
+
+#include "accel/gcnax.hpp"
+#include "core/grow.hpp"
+#include "costmodel/workload_stats.hpp"
 #include "gcn/workload.hpp"
 #include "sparse/convert.hpp"
 #include "util/random.hpp"
 
 namespace grow::gcn {
 namespace {
+
+/** @p a and @p b have the same row pointers and, row by row, the same
+ *  columns (either may be a row selection). */
+void
+expectSameStructure(const sparse::CsrMatrix &a, const sparse::CsrMatrix &b,
+                    const std::string &what)
+{
+    ASSERT_EQ(a.rows(), b.rows()) << what;
+    EXPECT_EQ(a.rowPtr(), b.rowPtr()) << what;
+    for (NodeId r = 0; r < a.rows(); ++r) {
+        const auto ac = a.rowCols(r);
+        const auto bc = b.rowCols(r);
+        ASSERT_TRUE(std::equal(ac.begin(), ac.end(), bc.begin(), bc.end()))
+            << what << " row " << r;
+    }
+}
+
+/** A contiguous copy of @p m's rows, in row order. */
+sparse::CsrMatrix
+materialised(const sparse::CsrMatrix &m)
+{
+    std::vector<uint64_t> rowPtr{0};
+    std::vector<NodeId> colIdx;
+    std::vector<double> values;
+    for (NodeId r = 0; r < m.rows(); ++r) {
+        const auto cols = m.rowCols(r);
+        colIdx.insert(colIdx.end(), cols.begin(), cols.end());
+        if (m.hasValues()) {
+            const auto vals = m.rowVals(r);
+            values.insert(values.end(), vals.begin(), vals.end());
+        }
+        rowPtr.push_back(colIdx.size());
+    }
+    return sparse::CsrMatrix::fromRaw(m.rows(), m.cols(), std::move(rowPtr),
+                                      std::move(colIdx), std::move(values));
+}
 
 WorkloadConfig
 unitConfig(bool functional = false)
@@ -132,17 +175,16 @@ TEST(Workload, FeatureStructureIndependentOfFunctionalData)
 {
     // Feature values are kept only for functional runs; the random
     // stream, and with it every feature structure, must not notice.
-    auto expectSameStructure =
+    auto expectSameStructures =
         [](const std::vector<sparse::CsrMatrix> &bare,
            const std::vector<sparse::CsrMatrix> &valued,
            const std::string &what) {
             ASSERT_EQ(bare.size(), valued.size()) << what;
             for (size_t i = 0; i < bare.size(); ++i) {
-                EXPECT_EQ(bare[i].rowPtr(), valued[i].rowPtr()) << what;
-                EXPECT_EQ(bare[i].colIdx(), valued[i].colIdx()) << what;
-                EXPECT_TRUE(bare[i].values().empty()) << what;
-                EXPECT_EQ(valued[i].values().size(), valued[i].nnz())
-                    << what;
+                expectSameStructure(bare[i], valued[i], what);
+                ASSERT_GT(bare[i].nnz(), 0u) << what;
+                EXPECT_FALSE(bare[i].hasValues()) << what;
+                EXPECT_TRUE(valued[i].hasValues()) << what;
             }
         };
     for (const char *name : {"cora", "citeseer", "pubmed"}) {
@@ -161,16 +203,16 @@ TEST(Workload, FeatureStructureIndependentOfFunctionalData)
                                          modelKindName(model) + " depth " +
                                          std::to_string(depth);
                 EXPECT_FALSE(bare.hasFunctionalData());
-                expectSameStructure(bare.features, valued.features,
-                                    what + " features");
-                expectSameStructure(bare.featuresPartitioned,
-                                    valued.featuresPartitioned,
-                                    what + " featuresPartitioned");
-                expectSameStructure(bare.mlpFeatures, valued.mlpFeatures,
-                                    what + " mlpFeatures");
-                expectSameStructure(bare.mlpFeaturesPartitioned,
-                                    valued.mlpFeaturesPartitioned,
-                                    what + " mlpFeaturesPartitioned");
+                expectSameStructures(bare.features, valued.features,
+                                     what + " features");
+                expectSameStructures(bare.featuresPartitioned,
+                                     valued.featuresPartitioned,
+                                     what + " featuresPartitioned");
+                expectSameStructures(bare.mlpFeatures, valued.mlpFeatures,
+                                     what + " mlpFeatures");
+                expectSameStructures(bare.mlpFeaturesPartitioned,
+                                     valued.mlpFeaturesPartitioned,
+                                     what + " mlpFeaturesPartitioned");
                 EXPECT_EQ(bare.features.size(), depth);
                 EXPECT_EQ(bare.mlpFeatures.size(),
                           model == ModelKind::Gin ? depth : 0u);
@@ -360,8 +402,147 @@ TEST(PermuteRows, StructureOnlyStaysStructureOnly)
     const auto pb = permuteRows(bare, perm);
     EXPECT_FALSE(pb.hasValues());
     EXPECT_TRUE(pv.hasValues());
-    EXPECT_EQ(pb.rowPtr(), pv.rowPtr());
-    EXPECT_EQ(pb.colIdx(), pv.colIdx());
+    expectSameStructure(pb, pv, "reversed rows");
+}
+
+TEST(PermuteRows, RejectsANonPermutation)
+{
+    // Row 0 holds 2 non-zeros: taking it twice would read past the
+    // 2 stored.
+    const auto m =
+        sparse::CsrMatrix::fromRaw(2, 2, {0, 2, 2}, {0, 1}, {1.0, 2.0});
+    EXPECT_ANY_THROW(permuteRows(m, {0, 0}));
+    EXPECT_ANY_THROW(permuteRows(m, {0}));
+}
+
+TEST(RowSelection, OutlivesItsSource)
+{
+    // What every row must read, recorded while the sources live.
+    std::vector<std::vector<NodeId>> wantCols;
+    std::vector<std::vector<double>> wantVals;
+    std::optional<sparse::CsrMatrix> xp;
+    {
+        WorkloadConfig c = unitConfig(true);
+        c.plan.targetClusterSize = 128; // a real permutation
+        const auto w = buildWorkload(graph::datasetByName("cora"), c);
+        ASSERT_FALSE(w.xPartitioned(0).contiguous());
+        for (NodeId v = 0; v < w.nodes(); ++v) {
+            const NodeId old = w.relabel().newToOld[v];
+            const auto cols = w.x(0).rowCols(old);
+            const auto vals = w.x(0).rowVals(old);
+            wantCols.emplace_back(cols.begin(), cols.end());
+            wantVals.emplace_back(vals.begin(), vals.end());
+        }
+        xp = w.xPartitioned(0);
+    } // the workload, its features and their source matrix are gone
+    ASSERT_TRUE(xp->hasValues());
+    for (NodeId v = 0; v < xp->rows(); ++v) {
+        const auto cols = xp->rowCols(v);
+        const auto vals = xp->rowVals(v);
+        ASSERT_TRUE(std::equal(cols.begin(), cols.end(),
+                               wantCols[v].begin(), wantCols[v].end()))
+            << "row " << v;
+        ASSERT_TRUE(std::equal(vals.begin(), vals.end(),
+                               wantVals[v].begin(), wantVals[v].end()))
+            << "row " << v;
+    }
+
+    // A selection of a selection keeps the shared storage alive too.
+    std::optional<sparse::CsrMatrix> tail;
+    {
+        Rng rng(9);
+        const auto m = sparse::randomCsr(40, 12, 0.3, rng);
+        std::vector<NodeId> reversed(40);
+        std::iota(reversed.rbegin(), reversed.rend(), NodeId{0});
+        const sparse::CsrMatrix view(m, reversed);
+        const std::vector<NodeId> lastTen{30, 31, 32, 33, 34,
+                                          35, 36, 37, 38, 39};
+        tail.emplace(view, lastTen);
+        wantCols.clear();
+        for (NodeId r : lastTen) {
+            const auto cols = view.rowCols(r);
+            wantCols.emplace_back(cols.begin(), cols.end());
+        }
+    }
+    for (NodeId r = 0; r < tail->rows(); ++r) {
+        const auto cols = tail->rowCols(r);
+        ASSERT_TRUE(std::equal(cols.begin(), cols.end(),
+                               wantCols[r].begin(), wantCols[r].end()));
+        EXPECT_EQ(tail->rowVals(r).size(), cols.size());
+    }
+}
+
+/**
+ * The readers whose results depend on the order or the count of the
+ * column references -- GCNAX's tile census, the cost model's LRU and
+ * pinned histograms and core::topReferencedColumns -- see a row
+ * selection exactly as its materialised twin.
+ */
+void
+expectReadersAgree(const sparse::CsrMatrix &view,
+                   const partition::Clustering *clustering,
+                   const std::vector<std::vector<NodeId>> *hdn_lists,
+                   const std::string &what)
+{
+    ASSERT_FALSE(view.contiguous()) << what;
+    const auto twin = materialised(view);
+    ASSERT_TRUE(twin.contiguous()) << what;
+
+    const accel::GcnaxSim gcnax(accel::GcnaxConfig{});
+    for (uint32_t rhsCols : {16u, 64u}) {
+        const auto a = gcnax.chooseTiling(view, rhsCols);
+        const auto b = gcnax.chooseTiling(twin, rhsCols);
+        EXPECT_EQ(a.tm, b.tm) << what;
+        EXPECT_EQ(a.tk, b.tk) << what;
+        EXPECT_EQ(a.tn, b.tn) << what;
+        EXPECT_EQ(a.sparseFetch, b.sparseFetch) << what;
+        EXPECT_EQ(a.denseFetch, b.denseFetch) << what;
+        EXPECT_EQ(a.nonEmptyTiles, b.nonEmptyTiles) << what;
+        EXPECT_EQ(a.estimatedTraffic, b.estimatedTraffic) << what;
+    }
+
+    for (bool artefacts : {true, false}) {
+        const auto *cl = artefacts ? clustering : nullptr;
+        const auto *lists = artefacts ? hdn_lists : nullptr;
+        const auto a = costmodel::OperandStats::compute(view, cl, lists);
+        const auto b = costmodel::OperandStats::compute(twin, cl, lists);
+        EXPECT_EQ(a.nnz, b.nnz) << what;
+        EXPECT_EQ(a.csrStreamBytes, b.csrStreamBytes) << what;
+        EXPECT_EQ(a.lruHitPrefix, b.lruHitPrefix) << what;
+        EXPECT_EQ(a.pinnedHitPrefix, b.pinnedHitPrefix) << what;
+        EXPECT_EQ(a.clusterNnz, b.clusterNnz) << what;
+    }
+
+    for (uint32_t topN : {1u, 64u, view.cols() + 1}) {
+        EXPECT_EQ(core::topReferencedColumns(view, topN),
+                  core::topReferencedColumns(twin, topN))
+            << what << " top " << topN;
+    }
+}
+
+TEST(RowSelection, PositionOrderReadersAgreeWithMaterialisedTwin)
+{
+    // At unit scale cora is one cluster, relabelled by the identity,
+    // and its partitioned X(0) is contiguous; smaller clusters make
+    // the relabelling a real permutation.
+    WorkloadConfig c = unitConfig();
+    c.plan.targetClusterSize = 128;
+    const auto w = buildWorkload(graph::datasetByName("cora"), c);
+    ASSERT_GT(w.relabel().clustering.numClusters(), 1u);
+    expectReadersAgree(w.xPartitioned(0), &w.relabel().clustering,
+                       &w.hdnLists(), "cora X(0) partitioned");
+
+    Rng rng(12);
+    const auto m = sparse::randomCsr(300, 200, 0.05, rng, false);
+    std::vector<NodeId> perm(m.rows());
+    std::iota(perm.begin(), perm.end(), NodeId{0});
+    rng.shuffle(perm);
+    const sparse::CsrMatrix view(m, perm);
+    partition::Clustering clustering;
+    clustering.clusterStart = {0, 100, 250, 300};
+    const std::vector<std::vector<NodeId>> lists = {
+        {3, 9, 27, 81}, {2, 4, 8, 16, 32, 64, 128}, {199, 0}};
+    expectReadersAgree(view, &clustering, &lists, "random permutation");
 }
 
 } // namespace

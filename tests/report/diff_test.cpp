@@ -351,6 +351,21 @@ TEST(ReportDiff, TolOverrideCanLoosenAGatedUnit)
     EXPECT_NE(text.find("cycles=0.1"), std::string::npos);
 }
 
+TEST(ReportDiff, NamesMatchingNoMetricOrUnitAreUnmatched)
+{
+    // report_diff exits 2 on these: a mistyped gate unit or override
+    // (gate=cylces, tol.cylces=0) would otherwise gate nothing.
+    auto base = parse(reportWith(kRecA));          // cycles [cycles]
+    auto curr = parse(reportWith(kSimSpeedBase));  // rows_per_sec [rows/s]
+    EXPECT_EQ(unmatchedNames(base, curr,
+                             {"cycles", "rows/s", "rows_per_sec", "cylces",
+                              "bytes"}),
+              (std::vector<std::string>{"cylces", "bytes"}));
+    // Either file's names count, and nothing asked is nothing unmatched.
+    EXPECT_TRUE(unmatchedNames(curr, base, {"cycles", "rows/s"}).empty());
+    EXPECT_TRUE(unmatchedNames(base, curr, {}).empty());
+}
+
 TEST(ReportDiff, OverriddenMetricLosingItsValueTripsTheGate)
 {
     // Mirrors GatedMetricLosingItsNumericValueTripsTheGate for a

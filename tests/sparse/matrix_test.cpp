@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+
 #include "sparse/convert.hpp"
 #include "sparse/coo_matrix.hpp"
 #include "sparse/csr_matrix.hpp"
+#include "util/logging.hpp"
 #include "util/random.hpp"
 
 namespace grow::sparse {
@@ -166,6 +171,222 @@ TEST(CsrMatrix, PermutedSymmetricCarriesValuesOnlyWhenPresent)
         EXPECT_EQ(pb.rowPtr(), pv.rowPtr());
         EXPECT_EQ(pb.colIdx(), pv.colIdx());
     }
+}
+
+/**
+ * Oracle: the copy loop gcn::permuteRows ran before it returned a row
+ * selection, verbatim. Row i of the result is row new_to_old[i] of
+ * @p m, materialised into fresh arrays.
+ */
+CsrMatrix
+copiedPermutation(const CsrMatrix &m, const std::vector<NodeId> &new_to_old)
+{
+    GROW_ASSERT(new_to_old.size() == m.rows(), "permutation size mismatch");
+    std::vector<uint64_t> rowPtr(m.rows() + 1, 0);
+    for (NodeId i = 0; i < m.rows(); ++i)
+        rowPtr[i + 1] = rowPtr[i] + m.rowNnz(new_to_old[i]);
+    std::vector<NodeId> colIdx(m.nnz());
+    std::vector<double> values(m.hasValues() ? m.nnz() : 0);
+    for (NodeId i = 0; i < m.rows(); ++i) {
+        auto cols = m.rowCols(new_to_old[i]);
+        std::copy(cols.begin(), cols.end(), colIdx.begin() + rowPtr[i]);
+        if (!values.empty()) {
+            auto vals = m.rowVals(new_to_old[i]);
+            std::copy(vals.begin(), vals.end(), values.begin() + rowPtr[i]);
+        }
+    }
+    return CsrMatrix::fromRaw(m.rows(), m.cols(), std::move(rowPtr),
+                              std::move(colIdx), std::move(values));
+}
+
+/**
+ * Oracle: the copy loop scaleout's chip slices ran before they became
+ * row selections, verbatim. The rows of @p ranges, concatenated.
+ */
+CsrMatrix
+copiedSlice(const CsrMatrix &m,
+            const std::vector<std::pair<uint32_t, uint32_t>> &ranges)
+{
+    uint32_t rows = 0;
+    uint64_t nnz = 0;
+    for (const auto &[lo, hi] : ranges) {
+        rows += hi - lo;
+        nnz += m.rowPtr()[hi] - m.rowPtr()[lo];
+    }
+    std::vector<uint64_t> rowPtr;
+    rowPtr.reserve(rows + 1);
+    rowPtr.push_back(0);
+    std::vector<NodeId> colIdx;
+    colIdx.reserve(nnz);
+    // Values ride along only when present: structure-only operands
+    // (non-functional feature matrices) slice to structure-only.
+    const bool valued = m.hasValues();
+    std::vector<double> values;
+    if (valued)
+        values.reserve(nnz);
+    for (const auto &[lo, hi] : ranges) {
+        for (uint32_t r = lo; r < hi; ++r) {
+            const auto cols = m.rowCols(r);
+            colIdx.insert(colIdx.end(), cols.begin(), cols.end());
+            if (valued) {
+                const auto vals = m.rowVals(r);
+                values.insert(values.end(), vals.begin(), vals.end());
+            }
+            rowPtr.push_back(colIdx.size());
+        }
+    }
+    return CsrMatrix::fromRaw(rows, m.cols(), std::move(rowPtr),
+                              std::move(colIdx), std::move(values));
+}
+
+/** Every row-wise observable of @p got equals @p want's. */
+void
+expectSameRows(const CsrMatrix &got, const CsrMatrix &want,
+               const std::string &what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    EXPECT_EQ(got.cols(), want.cols()) << what;
+    EXPECT_EQ(got.nnz(), want.nnz()) << what;
+    EXPECT_EQ(got.rowPtr(), want.rowPtr()) << what;
+    ASSERT_EQ(got.hasValues(), want.hasValues()) << what;
+    for (NodeId r = 0; r < got.rows(); ++r) {
+        ASSERT_EQ(got.rowNnz(r), want.rowNnz(r)) << what << " row " << r;
+        const auto gc = got.rowCols(r);
+        const auto wc = want.rowCols(r);
+        ASSERT_TRUE(std::equal(gc.begin(), gc.end(), wc.begin(), wc.end()))
+            << what << " row " << r;
+        if (got.hasValues()) {
+            const auto gv = got.rowVals(r);
+            const auto wv = want.rowVals(r);
+            ASSERT_TRUE(
+                std::equal(gv.begin(), gv.end(), wv.begin(), wv.end()))
+                << what << " row " << r;
+        }
+    }
+    EXPECT_EQ(got.streamBytes(), want.streamBytes()) << what;
+    EXPECT_TRUE(got.validate()) << what;
+    EXPECT_TRUE(want.validate()) << what;
+}
+
+std::vector<NodeId>
+shuffledRows(uint32_t n, Rng &rng)
+{
+    std::vector<NodeId> perm(n);
+    std::iota(perm.begin(), perm.end(), NodeId{0});
+    rng.shuffle(perm);
+    return perm;
+}
+
+/** Random ascending, disjoint row ranges of an @p n-row matrix. */
+std::vector<std::pair<uint32_t, uint32_t>>
+randomRanges(uint32_t n, Rng &rng)
+{
+    std::vector<std::pair<uint32_t, uint32_t>> ranges;
+    uint32_t lo = 0;
+    while (lo < n) {
+        const auto hi = static_cast<uint32_t>(rng.range(lo + 1, n));
+        if (rng.bernoulli(0.5))
+            ranges.emplace_back(lo, hi);
+        lo = hi;
+    }
+    return ranges;
+}
+
+std::vector<NodeId>
+rowsOf(const std::vector<std::pair<uint32_t, uint32_t>> &ranges)
+{
+    std::vector<NodeId> rows;
+    for (const auto &[lo, hi] : ranges)
+        for (uint32_t r = lo; r < hi; ++r)
+            rows.push_back(r);
+    return rows;
+}
+
+TEST(RowSelection, MatchesMaterialisedRows)
+{
+    std::vector<std::pair<std::string, CsrMatrix>> sources;
+    for (bool valued : {true, false}) {
+        const std::string kind = valued ? "valued" : "structure-only";
+        Rng rng(41);
+        // Density 0.05 over 6 columns leaves most rows empty.
+        sources.emplace_back(kind + " sparse",
+                             randomCsr(60, 6, 0.05, rng, valued));
+        sources.emplace_back(kind + " dense",
+                             randomCsr(50, 30, 0.4, rng, valued));
+        sources.emplace_back(
+            kind + " 1x1",
+            CsrMatrix::fromRaw(1, 1, {0, 1}, {0},
+                               valued ? std::vector<double>{2.5}
+                                      : std::vector<double>{}));
+    }
+    sources.emplace_back("empty 1x1", CsrMatrix(1, 1));
+    sources.emplace_back("0-row", CsrMatrix(0, 5));
+
+    Rng rng(7);
+    for (const auto &[name, m] : sources) {
+        for (int trial = 0; trial < 8; ++trial) {
+            const auto perm = shuffledRows(m.rows(), rng);
+            const CsrMatrix view(m, perm);
+            const std::string what = name + " permutation " +
+                                     std::to_string(trial);
+            expectSameRows(view, copiedPermutation(m, perm), what);
+
+            const auto ranges = randomRanges(m.rows(), rng);
+            const CsrMatrix slice(m, rowsOf(ranges));
+            expectSameRows(slice, copiedSlice(m, ranges),
+                           name + " ranges " + std::to_string(trial));
+
+            // A selection of a selection: a chip slice of a relabelled
+            // feature matrix.
+            const auto inner = randomRanges(view.rows(), rng);
+            expectSameRows(
+                CsrMatrix(view, rowsOf(inner)),
+                copiedSlice(copiedPermutation(m, perm), inner),
+                what + " then ranges");
+        }
+        // Every row in order is the source itself, contiguous again;
+        // no row at all is a plain empty matrix.
+        const CsrMatrix whole(m, rowsOf({{0u, m.rows()}}));
+        expectSameRows(whole, m, name + " identity");
+        EXPECT_TRUE(whole.contiguous()) << name;
+        const CsrMatrix none(m, std::span<const NodeId>{});
+        expectSameRows(none, copiedSlice(m, {}), name + " no rows");
+        EXPECT_TRUE(none.contiguous()) << name;
+    }
+}
+
+TEST(RowSelection, RawArraysOnlyOnContiguousMatrices)
+{
+    Rng rng(5);
+    const auto m = randomCsr(30, 20, 0.3, rng);
+    std::vector<NodeId> reversed(30);
+    for (NodeId i = 0; i < 30; ++i)
+        reversed[i] = 29 - i;
+    const CsrMatrix view(m, reversed);
+    EXPECT_FALSE(view.contiguous());
+    EXPECT_ANY_THROW(view.colIdx());
+    EXPECT_ANY_THROW(view.values());
+    // A subset holds fewer non-zeros than the storage it shares.
+    const std::vector<NodeId> firstRows{0, 1, 2};
+    const CsrMatrix subset(m, firstRows);
+    EXPECT_EQ(subset.nnz(), m.rowPtr()[3]);
+    EXPECT_LT(subset.nnz(), m.nnz());
+    EXPECT_ANY_THROW(subset.colIdx());
+}
+
+TEST(RowSelection, RejectsBadSelections)
+{
+    // Row 0 holds 2 non-zeros: a duplicated row would claim 4 of the
+    // 2 stored.
+    const auto m = CsrMatrix::fromRaw(2, 2, {0, 2, 2}, {0, 1}, {1.0, 2.0});
+    const std::vector<NodeId> duplicate{0, 0};
+    EXPECT_ANY_THROW(CsrMatrix(m, duplicate));
+    const std::vector<NodeId> outOfRange{0, 2};
+    EXPECT_ANY_THROW(CsrMatrix(m, outOfRange));
+    const std::vector<NodeId> past{kInvalidNode};
+    EXPECT_ANY_THROW(CsrMatrix(m, past));
+    const std::vector<NodeId> swapped{1, 0};
+    EXPECT_TRUE(CsrMatrix(m, swapped).validate());
 }
 
 TEST(DenseMatrix, FillAndDensity)

@@ -16,7 +16,9 @@
  * (name = metric name or unit; metric wins). An override also gates
  * its metric even when the unit is outside `gate=` -- e.g.
  * `tol.rows/s=0.15` gates the sim-speed family at 15% while cycles
- * stay at the tight default.
+ * stay at the tight default. An explicit `gate=` unit or a `tol.`
+ * name that is no metric name or unit of either file is a usage
+ * error: a typo would otherwise gate nothing.
  *
  * `history=` names the committed perf-trajectory directory
  * (bench/history/): when `base=` is absent, the lexically newest
@@ -27,7 +29,8 @@
  *   0  no gated metric drifted beyond `tol` (other drift is reported
  *      but does not fail the gate), or no baseline available
  *   1  at least one gated regression
- *   2  usage error, unreadable file, JSON parse or schema failure
+ *   2  usage error (an unmatched gate= unit or tol. name included),
+ *      unreadable file, JSON parse or schema failure
  */
 #include <filesystem>
 #include <fstream>
@@ -142,6 +145,26 @@ run(int argc, char **argv)
         return rc;
     if (int rc = loadReport(currPath, current))
         return rc;
+
+    std::vector<std::string> unmatched;
+    if (args.has("gate"))
+        for (const auto &unit : report::unmatchedNames(
+                 base, current, options.gateUnits))
+            unmatched.push_back("gate=" + unit);
+    std::vector<std::string> overrideNames;
+    for (const auto &[name, tol] : options.tolOverrides)
+        overrideNames.push_back(name);
+    for (const auto &name :
+         report::unmatchedNames(base, current, overrideNames))
+        unmatched.push_back("tol." + name);
+    if (!unmatched.empty()) {
+        std::cerr << "report_diff: no metric name or unit of either "
+                     "report matches";
+        for (const auto &what : unmatched)
+            std::cerr << " " << what;
+        std::cerr << "\n";
+        return 2;
+    }
 
     auto result = report::diffReports(base, current, options);
     std::cout << report::formatDiff(result, options,
