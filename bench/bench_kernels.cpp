@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the substrate kernels: golden
  * SpMM, format conversions, tile census, GCNAX's tiling search, graph
- * generation, the multilevel partitioner, feature synthesis
+ * generation and CSR assembly from an edge soup
+ * (Graph::fromEdges), the multilevel partitioner, feature synthesis
  * (randomCsr) and the workload-construction split, plus the
  * RowEngine hot-loop containers (ring FIFO, flat map), GrowSim
  * runs of one combination and one aggregation phase, and the WorkPool
@@ -112,6 +113,34 @@ BM_DcSbmGenerate(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * p.nodes * 16);
 }
 BENCHMARK(BM_DcSbmGenerate)->Arg(10000)->Arg(40000);
+
+void
+BM_GraphFromEdges(benchmark::State &state)
+{
+    // A power-law edge soup as the graph generators draw it: endpoints
+    // by capped Pareto weight, 13 edges per node (amazon's mini degree
+    // of 26 at 160k nodes), duplicates and self loops included.
+    const auto nodes = static_cast<uint32_t>(state.range(0));
+    Rng rng(7);
+    std::vector<double> weights(nodes);
+    for (auto &w : weights)
+        w = std::min(rng.pareto(1.2), 0.1 * nodes);
+    const AliasTable endpoints(weights);
+    std::vector<std::pair<NodeId, NodeId>> edges(uint64_t{nodes} * 13);
+    for (auto &[u, v] : edges) {
+        u = endpoints.sample(rng);
+        v = endpoints.sample(rng);
+    }
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto soup = edges;
+        state.ResumeTiming();
+        auto g = graph::Graph::fromEdges(nodes, std::move(soup));
+        benchmark::DoNotOptimize(g);
+    }
+    state.SetItemsProcessed(state.iterations() * edges.size());
+}
+BENCHMARK(BM_GraphFromEdges)->Arg(40000)->Arg(160000);
 
 void
 BM_MultilevelPartition(benchmark::State &state)
@@ -226,14 +255,17 @@ void
 BM_BuildGraphArtifacts(benchmark::State &state)
 {
     // The expensive, shared half of workload construction (what the
-    // WorkloadCache amortises across depths and runs).
-    const auto &spec = graph::datasetByName("cora");
+    // WorkloadCache amortises across depths and runs), on a graph that
+    // the multilevel partitioner splits into many clusters: amazon at
+    // tiny scale. At unit scale every graph is one cluster and skips
+    // the partitioner.
+    const auto &spec = graph::datasetByName("amazon");
     for (auto _ : state) {
-        auto a = gcn::buildGraphArtifacts(spec, graph::ScaleTier::Unit);
+        auto a = gcn::buildGraphArtifacts(spec, graph::ScaleTier::Tiny);
         benchmark::DoNotOptimize(a);
     }
 }
-BENCHMARK(BM_BuildGraphArtifacts);
+BENCHMARK(BM_BuildGraphArtifacts)->Unit(benchmark::kMillisecond);
 
 void
 BM_BuildLayerData(benchmark::State &state)

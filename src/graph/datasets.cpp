@@ -178,8 +178,9 @@ registerFileDataset(const std::string &path)
 {
     auto mapped = MappedCsrGraph::open(path);
     if (!mapped)
-        fatal("dataset file unusable (missing, truncated, corrupt or "
-              "stale format): " + path);
+        fatal("dataset file unusable (missing, truncated, corrupt, "
+              "stale format, or a row that is unsorted, loops or names "
+              "a node out of range): " + path);
     DatasetSpec spec = mapped->spec();
     if (const std::string why = specFieldError(spec); !why.empty())
         fatal("dataset file " + path + ": " + why);

@@ -325,15 +325,25 @@ MappedCsrGraph::open(const std::string &path)
         reinterpret_cast<const NodeId *>(base + r.pos() + offsetsBytes);
 
     // Structural bounds: monotone offsets bracketing exactly the
-    // adjacency array. Full per-arc validation (sortedness, symmetry)
-    // is validateStructure() -- the checksum already rules out
+    // adjacency array, and rows that are strictly ascending, hold no
+    // self loop and name only existing nodes (the build stages index
+    // per-node arrays with them unchecked and rely on sorted rows).
+    // Symmetry costs a search per arc and is left to
+    // validateStructure() -- the checksum already rules out
     // corruption, this rules out a well-formed file describing an
     // impossible CSR.
     if (offsets[0] != 0 || offsets[nodes] != arcs)
         return nullptr;
-    for (uint32_t v = 0; v < nodes; ++v)
+    for (uint32_t v = 0; v < nodes; ++v) {
         if (offsets[v] > offsets[v + 1])
             return nullptr;
+        for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+            const NodeId w = adjacency[i];
+            if (w >= nodes || w == v ||
+                (i > offsets[v] && w <= adjacency[i - 1]))
+                return nullptr;
+        }
+    }
 
     auto g = std::shared_ptr<MappedCsrGraph>(new MappedCsrGraph());
     g->path_ = path;

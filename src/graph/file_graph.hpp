@@ -100,10 +100,10 @@ ConvertStats convertEdgeListFile(const std::string &text_path,
 
 /**
  * Read-only mmap view of a .growcsr file. The offsets/adjacency arrays
- * are used in place -- opening a 100 GB graph costs two pages plus the
- * sequential checksum pass -- and the kernel pages adjacency in and
- * out on demand, which is what lets the build pipeline and simulator
- * stream graphs larger than RAM.
+ * are used in place -- opening a 100 GB graph costs two pages plus two
+ * sequential passes, the checksum and a per-row check -- and the
+ * kernel pages adjacency in and out on demand, which is what lets the
+ * build pipeline and simulator stream graphs larger than RAM.
  *
  * Instances are immutable and shared by shared_ptr (the file dataset
  * registry and every GraphArtifacts bundle built from it hold one).
@@ -115,7 +115,9 @@ class MappedCsrGraph
      * Map @p path. Returns null -- never throws, never returns partial
      * data -- when the file is missing, truncated, corrupted (checksum
      * mismatch), from another format version, or structurally invalid
-     * (non-monotone offsets, out-of-range endpoints).
+     * (non-monotone offsets, or a row that is not strictly ascending,
+     * holds a self loop or names a node out of range). Symmetry is
+     * checked only by validateStructure().
      */
     static std::shared_ptr<const MappedCsrGraph>
     open(const std::string &path);

@@ -9,37 +9,61 @@ namespace grow::graph {
 Graph
 Graph::fromEdges(uint32_t nodes, std::vector<std::pair<NodeId, NodeId>> edges)
 {
-    // Canonicalize to (min, max), drop self loops, dedupe.
-    for (auto &[u, v] : edges) {
+    // Counting-sort every edge but a self loop into the bucket of its
+    // smaller endpoint, keeping the larger one.
+    std::vector<uint64_t> bucket(static_cast<size_t>(nodes) + 1, 0);
+    for (const auto &[u, v] : edges) {
         GROW_ASSERT(u < nodes && v < nodes, "edge endpoint out of range");
-        if (u > v)
-            std::swap(u, v);
+        if (u != v)
+            ++bucket[std::min(u, v) + 1];
     }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    edges.erase(std::remove_if(edges.begin(), edges.end(),
-                               [](const auto &e) {
-                                   return e.first == e.second;
-                               }),
-                edges.end());
+    for (uint32_t u = 0; u < nodes; ++u)
+        bucket[u + 1] += bucket[u];
+    std::vector<NodeId> larger(bucket[nodes]);
+    {
+        std::vector<uint64_t> cursor(bucket.begin(), bucket.end() - 1);
+        for (const auto &[u, v] : edges)
+            if (u != v)
+                larger[cursor[std::min(u, v)]++] = std::max(u, v);
+    }
+    // The edge list is the largest array here: free it before the rows
+    // are allocated (assigning {} would keep its capacity).
+    std::vector<std::pair<NodeId, NodeId>>().swap(edges);
 
+    // Sort and dedupe each (small) bucket, compacting the kept entries
+    // down in place, and count both endpoints' degrees.
     Graph g;
     g.offsets_.assign(static_cast<size_t>(nodes) + 1, 0);
-    for (const auto &[u, v] : edges) {
-        g.offsets_[u + 1] += 1;
-        g.offsets_[v + 1] += 1;
+    uint64_t kept = 0;
+    for (uint32_t u = 0; u < nodes; ++u) {
+        NodeId *begin = larger.data() + bucket[u];
+        NodeId *end = larger.data() + bucket[u + 1];
+        std::sort(begin, end);
+        end = std::unique(begin, end);
+        bucket[u] = kept;
+        g.offsets_[u + 1] += static_cast<uint64_t>(end - begin);
+        for (const NodeId *p = begin; p != end; ++p) {
+            larger[kept++] = *p;
+            ++g.offsets_[*p + 1];
+        }
     }
+    bucket[nodes] = kept;
     for (uint32_t i = 0; i < nodes; ++i)
         g.offsets_[i + 1] += g.offsets_[i];
-    g.neighbors_.resize(edges.size() * 2);
+
+    // Scatter both directions bucket by bucket. Row w first receives
+    // every smaller neighbour, from the buckets before its own in
+    // ascending order, then its own bucket's larger ones, ascending:
+    // every row comes out sorted.
+    g.neighbors_.resize(g.offsets_[nodes]);
     std::vector<uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-    for (const auto &[u, v] : edges) {
-        g.neighbors_[cursor[u]++] = v;
-        g.neighbors_[cursor[v]++] = u;
+    for (uint32_t u = 0; u < nodes; ++u) {
+        for (uint64_t i = bucket[u]; i < bucket[u + 1]; ++i) {
+            const NodeId v = larger[i];
+            g.neighbors_[cursor[u]++] = v;
+            g.neighbors_[cursor[v]++] = u;
+        }
     }
-    for (uint32_t v = 0; v < nodes; ++v)
-        std::sort(g.neighbors_.begin() + g.offsets_[v],
-                  g.neighbors_.begin() + g.offsets_[v + 1]);
     return g;
 }
 

@@ -81,7 +81,9 @@ class Graph
     /**
      * Build from undirected edge endpoints. Self-loops and duplicate
      * edges are removed; both (u,v) and (v,u) adjacency entries are
-     * created.
+     * created. Each edge is bucketed by its smaller endpoint, and the
+     * buckets are scattered in ascending order, so rows come out
+     * sorted without a sort over all edges.
      */
     static Graph fromEdges(uint32_t nodes,
                            std::vector<std::pair<NodeId, NodeId>> edges);

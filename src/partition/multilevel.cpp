@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <span>
 
+#include "partition/coarsen.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
 #include "util/work_pool.hpp"
@@ -13,64 +13,46 @@ namespace grow::partition {
 namespace {
 
 /**
- * Internal weighted graph used across coarsening levels. Node weights
- * count contracted fine nodes; edge weights count contracted fine edges.
- *
- * The level-0 graph *borrows* the caller's CSR arrays (possibly an
- * mmap-backed view of a file bigger than RAM) with implicit all-1
- * weights; contracted levels own their arrays. Accessors hide the
- * distinction.
+ * Raw row pointers of one hierarchy level, hoisted out of the hot
+ * loops. Unit = true is the input graph, whose all-1 weights compile
+ * away; a contracted level reads its weight arrays.
  */
-struct WGraph
+template <bool Unit>
+struct Rows
 {
-    uint32_t n = 0;
-    /** Borrowed arrays (level 0 only; empty owned arrays select them). */
-    std::span<const uint64_t> offExt;
-    std::span<const NodeId> adjExt;
-    /** Owned arrays (contracted levels). */
-    std::vector<uint64_t> offOwn;
-    std::vector<NodeId> adjOwn;
-    /** Weights; empty vectors mean implicitly all-1 (level 0). */
-    std::vector<uint32_t> ewtOwn;
-    std::vector<uint32_t> nwtOwn;
+    const uint64_t *off;
+    const NodeId *adj;
+    const uint32_t *ewt;
+    const uint32_t *nwt;
 
-    uint64_t totalNodeWeight = 0;
-
-    const uint64_t *off() const
-    {
-        return offOwn.empty() ? offExt.data() : offOwn.data();
-    }
-    const NodeId *adj() const
-    {
-        return adjOwn.empty() ? adjExt.data() : adjOwn.data();
-    }
-    uint32_t ewt(uint64_t i) const
-    {
-        return ewtOwn.empty() ? 1u : ewtOwn[i];
-    }
-    uint32_t nwt(NodeId u) const
-    {
-        return nwtOwn.empty() ? 1u : nwtOwn[u];
-    }
+    uint32_t edgeWeight(uint64_t i) const { return Unit ? 1 : ewt[i]; }
+    uint32_t nodeWeight(NodeId u) const { return Unit ? 1 : nwt[u]; }
 };
 
-WGraph
-fromView(const graph::CsrView &g)
+/** Run @p fn on @p g's Rows, instantiated for unit or stored weights. */
+template <typename Fn>
+decltype(auto)
+withRows(const WeightedCsr &g, Fn &&fn)
 {
-    WGraph w;
-    w.n = g.numNodes();
-    w.offExt = g.offsets;
-    w.adjExt = g.adjacency;
-    w.totalNodeWeight = w.n;
-    return w;
+    if (g.nodeWeights.empty())
+        return fn(Rows<true>{g.offsets.data(), g.adjacency.data(),
+                             nullptr, nullptr});
+    return fn(Rows<false>{g.offsets.data(), g.adjacency.data(),
+                          g.edgeWeights.data(), g.nodeWeights.data()});
 }
 
-/** One coarsening level: coarse graph + fine->coarse map. */
-struct Level
+/**
+ * Per-thread scatter array of at least @p size zeroes, reused across
+ * contractions. Users reset the entries they touch before returning.
+ */
+std::vector<uint32_t> &
+scatterScratch(uint32_t size)
 {
-    WGraph graph;
-    std::vector<NodeId> fineToCoarse;
-};
+    static thread_local std::vector<uint32_t> weightTo;
+    if (weightTo.size() < size)
+        weightTo.assign(size, 0);
+    return weightTo;
+}
 
 /**
  * Heavy-edge matching: every unmatched node grabs its unmatched
@@ -80,131 +62,37 @@ struct Level
  * the header.
  */
 std::vector<NodeId>
-heavyEdgeMatching(const WGraph &g, Rng &rng)
+heavyEdgeMatching(const WeightedCsr &g, Rng &rng)
 {
-    std::vector<NodeId> order(g.n);
+    std::vector<NodeId> order(g.numNodes());
     std::iota(order.begin(), order.end(), 0u);
     rng.shuffle(order);
 
-    std::vector<NodeId> match(g.n, kInvalidNode);
-    for (NodeId u : order) {
-        if (match[u] != kInvalidNode)
-            continue;
-        NodeId best = kInvalidNode;
-        uint32_t bestW = 0;
-        for (uint64_t i = g.off()[u]; i < g.off()[u + 1]; ++i) {
-            NodeId v = g.adj()[i];
-            if (v == u || match[v] != kInvalidNode)
+    std::vector<NodeId> match(g.numNodes(), kInvalidNode);
+    withRows(g, [&](auto rows) {
+        for (NodeId u : order) {
+            if (match[u] != kInvalidNode)
                 continue;
-            if (g.ewt(i) > bestW) {
-                bestW = g.ewt(i);
-                best = v;
-            }
-        }
-        if (best == kInvalidNode) {
-            match[u] = u; // matched with itself
-        } else {
-            match[u] = best;
-            match[best] = u;
-        }
-    }
-    return match;
-}
-
-/**
- * Contract matched pairs into a coarse graph.
- *
- * Every coarse row is computed independently from its (at most two)
- * fine members, so the row-building loop is a pure disjoint-write
- * fan-out: parallelized over util::parallelFor's thread-count-
- * independent chunks, it produces the same rows -- and therefore the
- * same coarse graph -- for every thread count.
- */
-Level
-contract(const WGraph &g, const std::vector<NodeId> &match,
-         uint32_t threads)
-{
-    Level lvl;
-    lvl.fineToCoarse.assign(g.n, kInvalidNode);
-    uint32_t cn = 0;
-    for (NodeId u = 0; u < g.n; ++u) {
-        if (lvl.fineToCoarse[u] != kInvalidNode)
-            continue;
-        NodeId v = match[u];
-        lvl.fineToCoarse[u] = cn;
-        if (v != u)
-            lvl.fineToCoarse[v] = cn;
-        ++cn;
-    }
-
-    WGraph &c = lvl.graph;
-    c.n = cn;
-    c.nwtOwn.assign(cn, 0);
-    for (NodeId u = 0; u < g.n; ++u)
-        c.nwtOwn[lvl.fineToCoarse[u]] += g.nwt(u);
-    c.totalNodeWeight = g.totalNodeWeight;
-
-    // Materialize edges per coarse node. Each coarse node is processed
-    // exactly once, via its smallest fine member, and writes only its
-    // own row -- disjoint writes, safe and deterministic to chunk.
-    std::vector<std::vector<std::pair<NodeId, uint32_t>>> rows(cn);
-    util::parallelFor(g.n, threads,
-                      [&](uint64_t begin, uint64_t end, uint32_t) {
-        // Scatter scratch, reused across chunks on the same worker
-        // thread. Rows reset their touched entries to zero on exit, so
-        // the array stays all-zero between uses.
-        static thread_local std::vector<uint32_t> weightTo;
-        if (weightTo.size() < cn)
-            weightTo.assign(cn, 0);
-        std::vector<NodeId> touched;
-        for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-            NodeId v = match[u];
-            if (v < u)
-                continue; // row is built by the smaller member
-            NodeId cu = lvl.fineToCoarse[u];
-            touched.clear();
-            auto scan = [&](NodeId fine) {
-                for (uint64_t i = g.off()[fine]; i < g.off()[fine + 1];
-                     ++i) {
-                    NodeId cv = lvl.fineToCoarse[g.adj()[i]];
-                    if (cv == cu)
-                        continue; // interior edge disappears
-                    if (weightTo[cv] == 0)
-                        touched.push_back(cv);
-                    weightTo[cv] += g.ewt(i);
+            NodeId best = kInvalidNode;
+            uint32_t bestW = 0;
+            for (uint64_t i = rows.off[u]; i < rows.off[u + 1]; ++i) {
+                NodeId v = rows.adj[i];
+                if (v == u || match[v] != kInvalidNode)
+                    continue;
+                if (rows.edgeWeight(i) > bestW) {
+                    bestW = rows.edgeWeight(i);
+                    best = v;
                 }
-            };
-            scan(u);
-            if (v != u)
-                scan(v);
-            auto &row = rows[cu];
-            row.reserve(touched.size());
-            for (NodeId cv : touched) {
-                row.emplace_back(cv, weightTo[cv]);
-                weightTo[cv] = 0;
             }
-            std::sort(row.begin(), row.end());
-        }
-    });
-
-    std::vector<uint64_t> counts(cn + 1, 0);
-    for (NodeId cu = 0; cu < cn; ++cu)
-        counts[cu + 1] = counts[cu] + rows[cu].size();
-    c.offOwn = std::move(counts);
-    c.adjOwn.resize(c.offOwn[cn]);
-    c.ewtOwn.resize(c.offOwn[cn]);
-    util::parallelFor(cn, threads,
-                      [&](uint64_t begin, uint64_t end, uint32_t) {
-        for (NodeId cu = static_cast<NodeId>(begin); cu < end; ++cu) {
-            uint64_t out = c.offOwn[cu];
-            for (const auto &[cv, w] : rows[cu]) {
-                c.adjOwn[out] = cv;
-                c.ewtOwn[out] = w;
-                ++out;
+            if (best == kInvalidNode) {
+                match[u] = u; // matched with itself
+            } else {
+                match[u] = best;
+                match[best] = u;
             }
         }
     });
-    return lvl;
+    return match;
 }
 
 /**
@@ -216,57 +104,62 @@ contract(const WGraph &g, const std::vector<NodeId> &match,
  * act as seeds, and community members follow their hubs.
  */
 std::vector<uint32_t>
-initialPartition(const WGraph &g, uint32_t k, Rng &rng)
+initialPartition(const WeightedCsr &g, uint32_t k, uint64_t totalWeight,
+                 Rng &rng)
 {
-    std::vector<uint32_t> part(g.n, kInvalidNode);
+    std::vector<uint32_t> part(g.numNodes(), kInvalidNode);
     if (k == 1) {
         std::fill(part.begin(), part.end(), 0u);
         return part;
     }
-    const double maxW = 1.05 * static_cast<double>(g.totalNodeWeight) /
+    const double maxW = 1.05 * static_cast<double>(totalWeight) /
                         static_cast<double>(k);
 
-    std::vector<NodeId> order(g.n);
+    std::vector<NodeId> order(g.numNodes());
     std::iota(order.begin(), order.end(), 0u);
     rng.shuffle(order); // random tie-break below the weight sort
-    std::stable_sort(order.begin(), order.end(),
-                     [&g](NodeId a, NodeId b) {
-                         return g.nwt(a) > g.nwt(b);
-                     });
+    withRows(g, [&](auto rows) {
+        std::stable_sort(order.begin(), order.end(),
+                         [&rows](NodeId a, NodeId b) {
+                             return rows.nodeWeight(a) >
+                                    rows.nodeWeight(b);
+                         });
 
-    std::vector<double> partW(k, 0.0);
-    std::vector<uint64_t> conn(k, 0);
-    std::vector<uint32_t> touched;
-    for (NodeId u : order) {
-        touched.clear();
-        for (uint64_t i = g.off()[u]; i < g.off()[u + 1]; ++i) {
-            uint32_t p = part[g.adj()[i]];
-            if (p == kInvalidNode)
-                continue;
-            if (conn[p] == 0)
-                touched.push_back(p);
-            conn[p] += g.ewt(i);
-        }
-        uint32_t best = kInvalidNode;
-        uint64_t bestConn = 0;
-        for (uint32_t p : touched) {
-            if (conn[p] > bestConn && partW[p] + g.nwt(u) <= maxW) {
-                best = p;
-                bestConn = conn[p];
+        std::vector<double> partW(k, 0.0);
+        std::vector<uint64_t> conn(k, 0);
+        std::vector<uint32_t> touched;
+        for (NodeId u : order) {
+            touched.clear();
+            for (uint64_t i = rows.off[u]; i < rows.off[u + 1]; ++i) {
+                uint32_t p = part[rows.adj[i]];
+                if (p == kInvalidNode)
+                    continue;
+                if (conn[p] == 0)
+                    touched.push_back(p);
+                conn[p] += rows.edgeWeight(i);
             }
-        }
-        if (best == kInvalidNode) {
-            // Seed (or overflow into) the lightest part.
-            best = 0;
-            for (uint32_t p = 1; p < k; ++p)
-                if (partW[p] < partW[best])
+            uint32_t best = kInvalidNode;
+            uint64_t bestConn = 0;
+            for (uint32_t p : touched) {
+                if (conn[p] > bestConn &&
+                    partW[p] + rows.nodeWeight(u) <= maxW) {
                     best = p;
+                    bestConn = conn[p];
+                }
+            }
+            if (best == kInvalidNode) {
+                // Seed (or overflow into) the lightest part.
+                best = 0;
+                for (uint32_t p = 1; p < k; ++p)
+                    if (partW[p] < partW[best])
+                        best = p;
+            }
+            part[u] = best;
+            partW[best] += rows.nodeWeight(u);
+            for (uint32_t p : touched)
+                conn[p] = 0;
         }
-        part[u] = best;
-        partW[best] += g.nwt(u);
-        for (uint32_t p : touched)
-            conn[p] = 0;
-    }
+    });
     return part;
 }
 
@@ -275,71 +168,171 @@ initialPartition(const WGraph &g, uint32_t k, Rng &rng)
  * part with maximal connectivity gain subject to the balance bound.
  */
 void
-refine(const WGraph &g, std::vector<uint32_t> &part, uint32_t k,
-       double imbalance, uint32_t passes, Rng &rng)
+refine(const WeightedCsr &g, std::vector<uint32_t> &part, uint32_t k,
+       uint64_t totalWeight, double imbalance, uint32_t passes, Rng &rng)
 {
     if (k <= 1)
         return;
-    std::vector<uint64_t> partW(k, 0);
-    for (NodeId u = 0; u < g.n; ++u)
-        partW[part[u]] += g.nwt(u);
-    const double maxW = imbalance *
-        static_cast<double>(g.totalNodeWeight) / static_cast<double>(k);
+    withRows(g, [&](auto rows) {
+        const uint32_t n = g.numNodes();
+        std::vector<uint64_t> partW(k, 0);
+        for (NodeId u = 0; u < n; ++u)
+            partW[part[u]] += rows.nodeWeight(u);
+        const double maxW = imbalance * static_cast<double>(totalWeight) /
+                            static_cast<double>(k);
 
-    std::vector<NodeId> order(g.n);
-    std::iota(order.begin(), order.end(), 0u);
+        std::vector<NodeId> order(n);
+        std::iota(order.begin(), order.end(), 0u);
 
-    std::vector<uint64_t> conn(k, 0);
-    std::vector<uint32_t> touchedParts;
+        std::vector<uint64_t> conn(k, 0);
+        // A node touches each part at most once: k slots always do.
+        std::vector<uint32_t> touched(k);
 
-    for (uint32_t pass = 0; pass < passes; ++pass) {
-        rng.shuffle(order);
-        uint64_t moves = 0;
-        for (NodeId u : order) {
-            uint32_t own = part[u];
-            const bool overweight = partW[own] > maxW;
-            touchedParts.clear();
-            bool boundary = false;
-            for (uint64_t i = g.off()[u]; i < g.off()[u + 1]; ++i) {
-                uint32_t p = part[g.adj()[i]];
-                if (p != own)
-                    boundary = true;
-                if (conn[p] == 0)
-                    touchedParts.push_back(p);
-                conn[p] += g.ewt(i);
-            }
-            if (boundary) {
-                uint32_t best = own;
-                // An overweight part sheds boundary nodes even at a
-                // connectivity loss (explicit rebalancing).
-                uint64_t bestConn = overweight ? 0 : conn[own];
-                for (uint32_t p : touchedParts) {
-                    if (p == own)
-                        continue;
-                    bool better = overweight ? conn[p] >= bestConn
-                                             : conn[p] > bestConn;
-                    if (better && partW[p] + g.nwt(u) <= maxW &&
-                        partW[own] > g.nwt(u)) {
-                        best = p;
-                        bestConn = conn[p];
+        for (uint32_t pass = 0; pass < passes; ++pass) {
+            rng.shuffle(order);
+            uint64_t moves = 0;
+            for (NodeId u : order) {
+                const uint32_t own = part[u];
+                const bool overweight = partW[own] > maxW;
+                uint32_t numTouched = 0;
+                bool boundary = false;
+                for (uint64_t i = rows.off[u]; i < rows.off[u + 1]; ++i) {
+                    const uint32_t p = part[rows.adj[i]];
+                    if (p != own)
+                        boundary = true;
+                    if (conn[p] == 0)
+                        touched[numTouched++] = p;
+                    conn[p] += rows.edgeWeight(i);
+                }
+                if (boundary) {
+                    const uint32_t w = rows.nodeWeight(u);
+                    uint32_t best = own;
+                    // An overweight part sheds boundary nodes even at a
+                    // connectivity loss (explicit rebalancing).
+                    uint64_t bestConn = overweight ? 0 : conn[own];
+                    for (uint32_t t = 0; t < numTouched; ++t) {
+                        const uint32_t p = touched[t];
+                        if (p == own)
+                            continue;
+                        bool better = overweight ? conn[p] >= bestConn
+                                                 : conn[p] > bestConn;
+                        if (better && partW[p] + w <= maxW &&
+                            partW[own] > w) {
+                            best = p;
+                            bestConn = conn[p];
+                        }
+                    }
+                    if (best != own) {
+                        partW[own] -= w;
+                        partW[best] += w;
+                        part[u] = best;
+                        ++moves;
                     }
                 }
-                if (best != own) {
-                    partW[own] -= g.nwt(u);
-                    partW[best] += g.nwt(u);
-                    part[u] = best;
-                    ++moves;
-                }
+                for (uint32_t t = 0; t < numTouched; ++t)
+                    conn[touched[t]] = 0;
             }
-            for (uint32_t p : touchedParts)
-                conn[p] = 0;
+            if (moves == 0)
+                break;
         }
-        if (moves == 0)
-            break;
-    }
+    });
 }
 
 } // namespace
+
+CoarseLevel
+contractMatching(const WeightedCsr &g, const std::vector<NodeId> &match,
+                 uint32_t threads)
+{
+    const uint32_t n = g.numNodes();
+    CoarseLevel lvl;
+    lvl.fineToCoarse.assign(n, kInvalidNode);
+    uint32_t cn = 0;
+    for (NodeId u = 0; u < n; ++u) {
+        if (lvl.fineToCoarse[u] != kInvalidNode)
+            continue;
+        NodeId v = match[u];
+        lvl.fineToCoarse[u] = cn;
+        if (v != u)
+            lvl.fineToCoarse[v] = cn;
+        ++cn;
+    }
+
+    // Gather each coarse row once, via its smaller member, into the
+    // flat buffers of that member's chunk: disjoint writes, so the
+    // buffers are the same for every thread count.
+    struct Run
+    {
+        std::vector<uint64_t> rowEnd;
+        std::vector<NodeId> cols;
+        std::vector<uint32_t> weights;
+    };
+    std::vector<Run> runs(util::parallelForChunks(n));
+    lvl.nodeWeights.assign(cn, 0);
+    withRows(g, [&](auto rows) {
+        for (NodeId u = 0; u < n; ++u)
+            lvl.nodeWeights[lvl.fineToCoarse[u]] += rows.nodeWeight(u);
+        util::parallelFor(n, threads, [&](uint64_t begin, uint64_t end,
+                                          uint32_t chunk) {
+            std::vector<uint32_t> &weightTo = scatterScratch(cn);
+            Run &run = runs[chunk];
+            for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
+                const NodeId v = match[u];
+                if (v < u)
+                    continue; // row is built by the smaller member
+                const NodeId cu = lvl.fineToCoarse[u];
+                const size_t rowBegin = run.cols.size();
+                auto scan = [&](NodeId fine) {
+                    for (uint64_t i = rows.off[fine];
+                         i < rows.off[fine + 1]; ++i) {
+                        const NodeId cv = lvl.fineToCoarse[rows.adj[i]];
+                        if (cv == cu)
+                            continue; // interior edge disappears
+                        if (weightTo[cv] == 0)
+                            run.cols.push_back(cv);
+                        weightTo[cv] += rows.edgeWeight(i);
+                    }
+                };
+                scan(u);
+                if (v != u)
+                    scan(v);
+                for (size_t j = rowBegin; j < run.cols.size(); ++j) {
+                    run.weights.push_back(weightTo[run.cols[j]]);
+                    weightTo[run.cols[j]] = 0;
+                }
+                run.rowEnd.push_back(run.cols.size());
+            }
+        });
+    });
+
+    // Counting-sort transpose. The runs hold the coarse rows in
+    // ascending id order, so visiting them in order and appending row
+    // r to the row of each of its columns leaves every row sorted.
+    lvl.offsets.assign(static_cast<size_t>(cn) + 1, 0);
+    for (const Run &run : runs)
+        for (NodeId cv : run.cols)
+            ++lvl.offsets[cv + 1];
+    for (NodeId c = 0; c < cn; ++c)
+        lvl.offsets[c + 1] += lvl.offsets[c];
+    lvl.adjacency.resize(lvl.offsets[cn]);
+    lvl.edgeWeights.resize(lvl.offsets[cn]);
+    std::vector<uint64_t> cursor(lvl.offsets.begin(), lvl.offsets.end() - 1);
+    NodeId row = 0;
+    for (const Run &run : runs) {
+        size_t j = 0;
+        for (uint64_t rowEnd : run.rowEnd) {
+            for (; j < rowEnd; ++j) {
+                const uint64_t at = cursor[run.cols[j]]++;
+                lvl.adjacency[at] = row;
+                lvl.edgeWeights[at] = run.weights[j];
+            }
+            ++row;
+        }
+    }
+    GROW_ASSERT(row == cn, "contraction built a row count other than "
+                           "its coarse node count");
+    return lvl;
+}
 
 MultilevelPartitioner::MultilevelPartitioner(PartitionConfig config)
     : config_(config)
@@ -366,44 +359,43 @@ MultilevelPartitioner::partition(const graph::CsrView &g) const
     }
 
     Rng rng(config_.seed);
+    // The level-0 graph borrows the caller's arrays (possibly an
+    // mmap-backed file bigger than RAM); contracted levels own theirs.
+    const WeightedCsr input{g.offsets, g.adjacency, {}, {}};
+    const uint64_t totalWeight = g.numNodes();
+    std::vector<CoarseLevel> levels;
+    auto finest = [&] {
+        return levels.empty() ? input : levels.back().graph();
+    };
 
     // Coarsening.
-    std::vector<Level> levels;
-    WGraph current = fromView(g);
     const uint32_t targetNodes =
         std::max(2u * k, k * config_.coarsenNodesPerPart);
-    while (current.n > targetNodes &&
+    while (finest().numNodes() > targetNodes &&
            levels.size() < config_.maxLevels) {
+        const WeightedCsr current = finest();
         auto match = heavyEdgeMatching(current, rng);
-        Level lvl = contract(current, match, config_.threads);
-        if (lvl.graph.n >= current.n * 95 / 100)
+        CoarseLevel lvl = contractMatching(current, match, config_.threads);
+        if (lvl.nodeWeights.size() >= current.numNodes() * 95 / 100)
             break; // matching stalled (e.g. star graphs)
-        WGraph coarse = lvl.graph;
         levels.push_back(std::move(lvl));
-        current = std::move(coarse);
     }
 
     // Initial partition at the coarsest level.
-    std::vector<uint32_t> part = initialPartition(current, k, rng);
-    refine(current, part, k, config_.imbalance, config_.refinePasses, rng);
+    std::vector<uint32_t> part =
+        initialPartition(finest(), k, totalWeight, rng);
+    refine(finest(), part, k, totalWeight, config_.imbalance,
+           config_.refinePasses, rng);
 
-    // Uncoarsen with refinement.
-    for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
-        const auto &map = it->fineToCoarse;
+    // Uncoarsen with refinement, dropping each level once projected.
+    while (!levels.empty()) {
+        const auto &map = levels.back().fineToCoarse;
         std::vector<uint32_t> finePart(map.size());
         for (size_t u = 0; u < map.size(); ++u)
             finePart[u] = part[map[u]];
         part = std::move(finePart);
-        // Rebuild the fine-level weighted view to refine on.
-        const WGraph *fineGraph = nullptr;
-        WGraph base;
-        if (it + 1 != levels.rend()) {
-            fineGraph = &(it + 1)->graph;
-        } else {
-            base = fromView(g);
-            fineGraph = &base;
-        }
-        refine(*fineGraph, part, k, config_.imbalance,
+        levels.pop_back();
+        refine(finest(), part, k, totalWeight, config_.imbalance,
                config_.refinePasses, rng);
     }
 

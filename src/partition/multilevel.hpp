@@ -9,16 +9,24 @@
  * (Karypis & Kumar, SIAM J. Sci. Comput. 1998):
  *
  *  1. Coarsening via heavy-edge matching (HEM) until the graph is small.
- *  2. Initial k-way partition via greedy graph growing (BFS regions).
+ *     Each contraction (coarsen.hpp) sorts its rows with one
+ *     counting-sort transpose, which is the coarse graph itself because
+ *     a symmetric input (Graph, every well-formed file) keeps every
+ *     level symmetric.
+ *  2. Initial k-way partition of the coarsest graph by weight-ordered
+ *     greedy attachment: heaviest nodes first, each joins the adjacent
+ *     part it is most strongly connected to among those under the
+ *     balance bound, or else seeds the lightest part.
  *  3. Uncoarsening with boundary Fiduccia-Mattheyses refinement under a
- *     balance constraint.
+ *     balance constraint, on the levels the coarsening kept.
  *
  * The partitioner is deterministic for a fixed seed AND a fixed thread
  * count is *not* required: only the order-independent disjoint-write
- * stage (pair contraction) is parallelized, in thread-count-independent
- * chunks (util::parallelFor), while the rng-sequential stages (matching,
- * initial partition, refinement) stay serial. threads=8 therefore
- * produces bit-identical assignments to threads=1.
+ * stage (the contraction's row gather) is parallelized, in
+ * thread-count-independent chunks (util::parallelFor), while the
+ * transpose and the rng-sequential stages (matching, initial
+ * partition, refinement) stay serial. threads=8 therefore produces
+ * bit-identical assignments to threads=1.
  */
 #pragma once
 

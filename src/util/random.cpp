@@ -28,40 +28,11 @@ Rng::Rng(uint64_t seed)
         s = splitMix64(x);
 }
 
-uint64_t
-Rng::bounded(uint64_t n)
-{
-    GROW_ASSERT(n > 0, "bounded(0) is undefined");
-    // Lemire's nearly-divisionless bounded sampling.
-    uint64_t x = next();
-    __uint128_t m = static_cast<__uint128_t>(x) * n;
-    uint64_t l = static_cast<uint64_t>(m);
-    if (l < n) {
-        uint64_t t = -n % n;
-        while (l < t) {
-            x = next();
-            m = static_cast<__uint128_t>(x) * n;
-            l = static_cast<uint64_t>(m);
-        }
-    }
-    return static_cast<uint64_t>(m >> 64);
-}
-
 int64_t
 Rng::range(int64_t lo, int64_t hi)
 {
     GROW_ASSERT(lo <= hi, "range with lo > hi");
     return lo + static_cast<int64_t>(bounded(static_cast<uint64_t>(hi - lo + 1)));
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 double
@@ -134,14 +105,6 @@ AliasTable::AliasTable(const std::vector<double> &weights)
         prob_[small.back()] = 1.0;
         small.pop_back();
     }
-}
-
-uint32_t
-AliasTable::sample(Rng &rng) const
-{
-    GROW_ASSERT(!prob_.empty(), "sampling from empty alias table");
-    uint32_t i = static_cast<uint32_t>(rng.bounded(prob_.size()));
-    return rng.uniform() < prob_[i] ? i : alias_[i];
 }
 
 } // namespace grow

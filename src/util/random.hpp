@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/logging.hpp"
+
 namespace grow {
 
 /**
@@ -50,13 +52,38 @@ class Rng
     double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
     /** Uniform integer in [0, n) using Lemire's bounded method. */
-    uint64_t bounded(uint64_t n);
+    uint64_t
+    bounded(uint64_t n)
+    {
+        GROW_ASSERT(n > 0, "bounded(0) is undefined");
+        // Lemire's nearly-divisionless bounded sampling.
+        uint64_t x = next();
+        __uint128_t m = static_cast<__uint128_t>(x) * n;
+        uint64_t l = static_cast<uint64_t>(m);
+        if (l < n) {
+            uint64_t t = -n % n;
+            while (l < t) {
+                x = next();
+                m = static_cast<__uint128_t>(x) * n;
+                l = static_cast<uint64_t>(m);
+            }
+        }
+        return static_cast<uint64_t>(m >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     int64_t range(int64_t lo, int64_t hi);
 
     /** Bernoulli trial with success probability p. */
-    bool bernoulli(double p);
+    bool
+    bernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /**
      * Pareto-distributed sample with shape @p alpha and minimum @p xm.
@@ -105,7 +132,13 @@ class AliasTable
     bool empty() const { return prob_.empty(); }
 
     /** Draw one index. */
-    uint32_t sample(Rng &rng) const;
+    uint32_t
+    sample(Rng &rng) const
+    {
+        GROW_ASSERT(!prob_.empty(), "sampling from empty alias table");
+        uint32_t i = static_cast<uint32_t>(rng.bounded(prob_.size()));
+        return rng.uniform() < prob_[i] ? i : alias_[i];
+    }
 
   private:
     std::vector<double> prob_;

@@ -4,7 +4,9 @@
  * count: chunk boundaries depend only on the problem size, reductions
  * run in canonical order, and rng-sequential stages stay serial. The
  * CI threads=1-vs-8 diff rides on this guarantee; these tests pin it
- * at the unit level.
+ * at the unit level. The artefact and partitioner cases use tiny-scale
+ * graphs, large enough that every parallelFor stage runs in several
+ * chunks (a unit-scale graph is one chunk).
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "graph/normalize.hpp"
 #include "partition/hdn_select.hpp"
 #include "partition/multilevel.hpp"
+#include "util/work_pool.hpp"
 
 namespace grow::gcn {
 namespace {
@@ -32,10 +35,12 @@ TEST(BuildDeterminism, ArtifactsBitIdenticalAcrossThreadCounts)
 {
     const auto &spec = graph::datasetByName("pubmed");
     auto serial =
-        buildGraphArtifacts(spec, graph::ScaleTier::Unit, {}, 1);
+        buildGraphArtifacts(spec, graph::ScaleTier::Tiny, {}, 1);
+    ASSERT_GT(util::parallelForChunks(serial->graph.numNodes()), 1u);
+    ASSERT_GT(serial->relabel.clustering.clusterStart.size(), 2u);
     for (uint32_t threads : {2u, 8u}) {
         auto parallel = buildGraphArtifacts(
-            spec, graph::ScaleTier::Unit, {}, threads);
+            spec, graph::ScaleTier::Tiny, {}, threads);
         ASSERT_EQ(serial->graph.offsets(), parallel->graph.offsets());
         ASSERT_EQ(serial->graph.adjacency(), parallel->graph.adjacency());
         expectSameCsr(serial->adjacency, parallel->adjacency);
@@ -63,9 +68,10 @@ TEST(BuildDeterminism, NormalizeBitIdenticalAcrossThreadCounts)
 
 TEST(BuildDeterminism, PartitionerBitIdenticalAcrossThreadCounts)
 {
-    auto inst = graph::buildDataset(graph::datasetByName("pokec"),
-                                    graph::ScaleTier::Unit);
+    auto inst = graph::buildDataset(graph::datasetByName("amazon"),
+                                    graph::ScaleTier::Tiny);
     const auto g = inst.graph.view();
+    ASSERT_GT(util::parallelForChunks(g.numNodes()), 1u);
     partition::PartitionConfig pc;
     pc.numParts = 8;
     pc.seed = 11;

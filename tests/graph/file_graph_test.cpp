@@ -209,6 +209,47 @@ TEST(FileGraph, RejectsMissingTruncatedAndCorruptFiles)
     EXPECT_NE(MappedCsrGraph::open(good), nullptr);
 }
 
+TEST(FileGraph, RejectsMalformedRows)
+{
+    // Checksum-valid 4-node files, each with one malformed row: a node
+    // id past the last node would reach every build stage as an index
+    // into a per-node array, and the build relies on sorted rows.
+    ScratchDir scratch;
+    DatasetSpec spec = datasetByName("cora");
+    int fileNo = 0;
+    auto write = [&](std::vector<uint64_t> offsets,
+                     std::vector<NodeId> adjacency) {
+        spec.name = "malformed" + std::to_string(fileNo++);
+        const std::string path = scratch.path(spec.name + ".growcsr");
+        EXPECT_TRUE(writeCsrFile(path, spec, ScaleTier::Unit,
+                                 {offsets, adjacency}));
+        return path;
+    };
+    const std::pair<const char *, std::string> cases[] = {
+        {"id = nodes", write({0, 1, 1, 1, 1}, {4})},
+        {"id 1000000", write({0, 1, 1, 1, 1}, {1000000})},
+        {"id 2^32 - 1", write({0, 1, 1, 1, 1}, {kInvalidNode})},
+        {"unsorted row", write({0, 2, 3, 4, 4}, {2, 1, 0, 0})},
+        {"duplicate arc", write({0, 2, 4, 4, 4}, {1, 1, 0, 0})},
+        {"self loop", write({0, 1, 1, 2, 2}, {0, 2})},
+    };
+    for (const auto &[what, path] : cases) {
+        EXPECT_EQ(MappedCsrGraph::open(path), nullptr) << what;
+        try {
+            registerFileDataset(path);
+            ADD_FAILURE() << "registered a file with: " << what;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+                << e.what();
+        }
+    }
+    // Sorted in-range rows open; only the full structural check sees
+    // that the arc 0 -> 3 has no reverse.
+    auto mapped = MappedCsrGraph::open(write({0, 1, 1, 1, 1}, {3}));
+    ASSERT_NE(mapped, nullptr);
+    EXPECT_FALSE(mapped->validateStructure());
+}
+
 TEST(FileGraph, RegisteredFileResolvesByNameAndIsIdempotent)
 {
     ScratchDir scratch;

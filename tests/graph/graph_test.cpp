@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/graph.hpp"
+#include "util/random.hpp"
 
 namespace grow::graph {
 namespace {
@@ -86,6 +89,87 @@ TEST(Graph, EmptyGraph)
 TEST(Graph, EdgeEndpointOutOfRangeRejected)
 {
     EXPECT_ANY_THROW(Graph::fromEdges(2, {{0, 2}}));
+}
+
+/**
+ * Oracle: Graph::fromEdges as it was before it bucketed edges by their
+ * smaller endpoint (one global sort of the canonical pairs, a scatter
+ * and a sort of every row), kept verbatim apart from its range
+ * assertion and returning its arrays.
+ */
+std::pair<std::vector<uint64_t>, std::vector<NodeId>>
+sortBasedFromEdges(uint32_t nodes,
+                   std::vector<std::pair<NodeId, NodeId>> edges)
+{
+    // Canonicalize to (min, max), drop self loops, dedupe.
+    for (auto &[u, v] : edges) {
+        if (u > v)
+            std::swap(u, v);
+    }
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    edges.erase(std::remove_if(edges.begin(), edges.end(),
+                               [](const auto &e) {
+                                   return e.first == e.second;
+                               }),
+                edges.end());
+
+    std::vector<uint64_t> offsets(static_cast<size_t>(nodes) + 1, 0);
+    for (const auto &[u, v] : edges) {
+        offsets[u + 1] += 1;
+        offsets[v + 1] += 1;
+    }
+    for (uint32_t i = 0; i < nodes; ++i)
+        offsets[i + 1] += offsets[i];
+    std::vector<NodeId> neighbors(edges.size() * 2);
+    std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (const auto &[u, v] : edges) {
+        neighbors[cursor[u]++] = v;
+        neighbors[cursor[v]++] = u;
+    }
+    for (uint32_t v = 0; v < nodes; ++v)
+        std::sort(neighbors.begin() + offsets[v],
+                  neighbors.begin() + offsets[v + 1]);
+    return {offsets, neighbors};
+}
+
+TEST(FromEdges, MatchesSortBasedOracle)
+{
+    Rng rng(29);
+    auto expectMatch = [](uint32_t nodes,
+                          const std::vector<std::pair<NodeId, NodeId>>
+                              &edges) {
+        const auto [offsets, neighbors] = sortBasedFromEdges(nodes, edges);
+        const Graph g = Graph::fromEdges(nodes, edges);
+        ASSERT_EQ(g.offsets(), offsets) << nodes << " nodes";
+        ASSERT_EQ(g.adjacency(), neighbors) << nodes << " nodes";
+        ASSERT_TRUE(g.validate());
+    };
+    expectMatch(0, {});
+    expectMatch(1, {});
+    expectMatch(1, {{0, 0}, {0, 0}});
+    expectMatch(2, {{1, 0}, {0, 1}, {1, 1}});
+    // Random soups: both orientations, duplicates, self loops, and
+    // isolated nodes past the largest endpoint; dense and sparse.
+    for (int trial = 0; trial < 40; ++trial) {
+        const uint32_t span = 1 + static_cast<uint32_t>(rng.bounded(3000));
+        const uint32_t nodes =
+            span + static_cast<uint32_t>(rng.bounded(50));
+        const uint64_t count = rng.bounded(trial % 2 ? 8 * span : 200);
+        std::vector<std::pair<NodeId, NodeId>> edges;
+        for (uint64_t e = 0; e < count; ++e) {
+            const auto u = static_cast<NodeId>(rng.bounded(span));
+            const auto v = rng.bernoulli(0.05)
+                               ? u
+                               : static_cast<NodeId>(rng.bounded(span));
+            edges.emplace_back(u, v);
+            if (rng.bernoulli(0.2))
+                edges.emplace_back(v, u);
+            if (rng.bernoulli(0.1))
+                edges.emplace_back(u, v);
+        }
+        expectMatch(nodes, edges);
+    }
 }
 
 } // namespace

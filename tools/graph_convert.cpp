@@ -47,8 +47,9 @@ verifyFile(const std::string &path)
     auto g = graph::MappedCsrGraph::open(path);
     if (!g) {
         std::cerr << "FAIL: " << path
-                  << " is missing, truncated, corrupt or from a stale "
-                     "format version\n";
+                  << " is missing, truncated, corrupt, from a stale "
+                     "format version, or has a row that is unsorted, "
+                     "loops or names a node out of range\n";
         return 1;
     }
     if (const std::string why = graph::specFieldError(g->spec());
@@ -58,8 +59,7 @@ verifyFile(const std::string &path)
     }
     if (!g->validateStructure()) {
         std::cerr << "FAIL: " << path
-                  << " passed the checksum but is structurally invalid "
-                     "(unsorted rows, self loops or asymmetry)\n";
+                  << " passed the checksum but is not symmetric\n";
         return 1;
     }
     std::cout << "OK: " << path << "\n  dataset   " << g->spec().name
