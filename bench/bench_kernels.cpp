@@ -475,8 +475,11 @@ citeseerPhase(gcn::PhaseOp op)
         wc.tier = graph::ScaleTier::Unit;
         return gcn::buildWorkload(graph::datasetByName("citeseer"), wc);
     }();
-    static const gcn::PhasePlan plan =
-        gcn::buildPhasePlan(w, gcn::RunOptions{}.withPartitioning());
+    static const gcn::PhasePlan plan = [] {
+        gcn::RunOptions opts;
+        opts.usePartitioning = true;
+        return gcn::buildPhasePlan(w, opts);
+    }();
     const auto it = std::find_if(
         plan.begin(), plan.end(), [op](const gcn::PlannedPhase &step) {
             return step.layer == 0 && step.op == op;

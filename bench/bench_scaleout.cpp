@@ -1,18 +1,11 @@
 /**
  * @file
  * Multi-chip strong scaling: the Table I datasets sharded across 1, 2,
- * 4 and 8 chips joined by inter-chip links (src/scaleout/).
- *
- * Two execution paths share every table so CI can diff them:
- *
- *   path=sharded (default)  scaleout::runInference -- the sharded
- *                           co-simulation, any chips= value. chips=1
- *                           runs the identity shard and must reproduce
- *                           the single-chip path byte-for-byte.
- *   path=single             the classic gcn::runInference (chips= must
- *                           be 1). The CI scale-out gate runs both
- *                           paths at chips=1 and requires bytewise
- *                           identical table and JSON output.
+ * 4 and 8 chips joined by inter-chip links (src/scaleout/), every
+ * chip count through scaleout::runInference. chips=1 runs the identity
+ * shard, which folds exactly like the single-chip gcn::runInference
+ * (Scaleout.OneChipTopologyReproducesSingleChipRunner checks every
+ * engine and model).
  *
  * Extra keys on top of the universal set:
  *   chips=1                chip counts to evaluate, in order (e.g.
@@ -26,7 +19,6 @@
  *                          chips= value > 1
  *   engine=grow            engine configuration key (must consume the
  *                          partitioning for chips > 1)
- *   path=sharded|single    see above
  *   cluster_nodes=256      target nodes per partition cluster. The
  *                          default sizing derives clusters from the
  *                          HDN cache and leaves the small Table I
@@ -40,7 +32,6 @@
  */
 #include "common.hpp"
 
-#include "driver/engine_factory.hpp"
 #include "scaleout/runner.hpp"
 
 using namespace grow;
@@ -49,28 +40,17 @@ using namespace grow::bench;
 GROW_BENCH_MAIN("scaleout")
 {
     BenchContext ctx(argc, argv, "mini", "all",
-                     {"chips", "link_gbps", "link_ns", "engine", "path",
+                     {"chips", "link_gbps", "link_ns", "engine",
                       "cluster_nodes"});
     const auto [chipCounts, link] = scaleout::parseChipKeys(ctx.args());
 
     const std::string engineKey = ctx.args().get("engine", "grow");
-    const std::string path = ctx.args().get("path", "sharded");
-    if (path != "sharded" && path != "single")
-        fatal("path must be sharded or single, got '" + path + "'");
     const int64_t clusterNodes =
         ctx.args().getInt("cluster_nodes", 256);
     if (clusterNodes < 1)
         fatal("cluster_nodes must be >= 1, got " +
               std::to_string(clusterNodes));
-    if (path == "single") {
-        for (uint32_t chips : chipCounts)
-            if (chips != 1)
-                fatal("path=single is the classic single-chip runner; "
-                      "it cannot honour chips=" + std::to_string(chips));
-    }
 
-    // The banner deliberately omits `path`: the CI scale-out gate
-    // diffs both paths' chips=1 output byte-for-byte.
     ctx.banner("Multi-chip strong scaling (" + engineKey + ")");
 
     auto t = ctx.table("scaleout_scaling", "Strong scaling");
@@ -105,34 +85,17 @@ GROW_BENCH_MAIN("scaleout")
 
         Cycle baseCycles = 0;
         for (uint32_t chips : chipCounts) {
-            gcn::InferenceResult merged;
-            Cycle haloCycles = 0;
-            Bytes haloBytes = 0;
-            uint64_t cutArcs = 0;
-            if (path == "single") {
-                auto engSpec = driver::engineByKey(engineKey);
-                gcn::RunOptions opts = ctx.runOptions();
-                opts.usePartitioning = engSpec.usePartitioning;
-                auto engine = engSpec.make();
-                merged = gcn::runInference(*engine, w, opts);
-            } else {
-                const auto topo = scaleout::EngineTopology(engineKey)
-                                      .withChips(chips)
-                                      .withLink(link);
-                auto sr =
-                    scaleout::runInference(topo, w, ctx.runOptions());
-                haloCycles = sr.haloCycles;
-                haloBytes = sr.haloBytes;
-                cutArcs = sr.shard.cutArcs;
-                for (uint32_t link = 0; link < chips; ++link) {
-                    if (chips == 1)
-                        break; // no links on a single-chip topology
-                    linkRows.push_back({spec.name, chips, link,
-                                        sr.links.egressBytes[link],
-                                        sr.links.egressBusyCycles[link]});
-                }
-                merged = std::move(sr.merged);
-            }
+            const auto topo = scaleout::EngineTopology(engineKey)
+                                  .withChips(chips)
+                                  .withLink(link);
+            const auto sr =
+                scaleout::runInference(topo, w, ctx.runOptions());
+            const gcn::InferenceResult &merged = sr.merged;
+            // A single-chip topology has no links.
+            for (uint32_t link = 0; chips > 1 && link < chips; ++link)
+                linkRows.push_back({spec.name, chips, link,
+                                    sr.links.egressBytes[link],
+                                    sr.links.egressBusyCycles[link]});
             if (baseCycles == 0)
                 baseCycles = merged.totalCycles;
             const double speedup =
@@ -149,10 +112,10 @@ GROW_BENCH_MAIN("scaleout")
                 .add(report::count(chips))
                 .add(report::count(merged.totalCycles, "cycles"))
                 .add(report::real(speedup, 3, "x"))
-                .add(report::count(haloCycles, "cycles"))
+                .add(report::count(merged.haloCycles, "cycles"))
                 .add(report::bytesValue(merged.totalTrafficBytes()))
-                .add(report::count(haloBytes, "link-bytes"))
-                .add(report::count(cutArcs, "arcs"));
+                .add(report::count(sr.links.totalBytes, "link-bytes"))
+                .add(report::count(sr.shard.cutArcs, "arcs"));
             ctx.recordInference(spec.name + "@" + label, engineKey,
                                 merged);
         }

@@ -299,26 +299,8 @@ AnalyticalCostModel::estimate(const mapping::EngineMapping &em) const
         e.op = ph.op;
         e.label = ph.problem.label;
 
-        pe.totalCycles += e.cycles;
+        pe.add(e.op, e.cycles, e.macOps, e.cacheHits, e.cacheMisses);
         pe.trafficBytes += e.trafficBytes;
-        pe.macOps += e.macOps;
-        switch (ph.op) {
-          case gcn::PhaseOp::Combination:
-            pe.combinationCycles += e.cycles;
-            break;
-          case gcn::PhaseOp::Aggregation:
-            pe.aggregationCycles += e.cycles;
-            pe.cacheHits += e.cacheHits;
-            pe.cacheMisses += e.cacheMisses;
-            break;
-          case gcn::PhaseOp::AttentionScore:
-            pe.attentionCycles += e.cycles;
-            pe.cacheHits += e.cacheHits;
-            pe.cacheMisses += e.cacheMisses;
-            break;
-          case gcn::PhaseOp::HaloExchange:
-            break; // skipped above
-        }
         pe.phases.push_back(std::move(e));
     }
     return pe;

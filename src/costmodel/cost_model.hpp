@@ -57,17 +57,11 @@ struct PhaseEstimate
     Cycle missBound = 0;
 };
 
-/** Whole-plan aggregate, bucketed like gcn::InferenceResult. */
-struct PlanEstimate
+/** Whole-plan aggregate: its phases folded by the same per-op rule
+ *  as gcn::InferenceResult (gcn::OpTotals::add). */
+struct PlanEstimate : gcn::OpTotals
 {
-    Cycle totalCycles = 0;
-    Cycle combinationCycles = 0;
-    Cycle aggregationCycles = 0;
-    Cycle attentionCycles = 0;
     Bytes trafficBytes = 0;
-    uint64_t macOps = 0;
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
     std::vector<PhaseEstimate> phases;
 };
 
@@ -80,8 +74,14 @@ class AnalyticalCostModel
      */
     explicit AnalyticalCostModel(const gcn::PhasePlan &plan);
 
-    /** Estimate the plan under @p em (any configuration, not just the
-     *  one the plan was lowered against -- that is the DSE fast path). */
+    /**
+     * Estimate the plan under @p em (any configuration, not just the
+     * one the plan was lowered against -- that is the DSE fast path).
+     * Halo-exchange steps are skipped (costmodel::estimateLinkTraffic
+     * prices them); the rest fold by gcn::OpTotals::add, so every
+     * per-op total compares one-to-one with a simulated
+     * gcn::InferenceResult.
+     */
     PlanEstimate estimate(const mapping::EngineMapping &em) const;
 
     /** Reuse profile of @p phase's sparse operand. */

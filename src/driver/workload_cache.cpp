@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -417,12 +418,21 @@ void
 WorkloadCache::enforceCapLocked()
 {
     // Evict LRU-first, but always retain the most recently used entry
-    // so one over-budget bundle still runs.
-    while (byteCap_ != 0 && totalBytes_ > byteCap_ && mem_.size() > 1) {
-        auto it = mem_.find(lru_.back());
+    // so one over-budget bundle still runs. A bundle held outside the
+    // cache stays too: evicting it frees nothing, and the next lookup
+    // would build a second copy. Under mu_ a use_count() of 1 cannot
+    // rise: only the map hands out new references.
+    if (byteCap_ == 0 || lru_.empty())
+        return;
+    for (auto pos = std::prev(lru_.end());
+         totalBytes_ > byteCap_ && pos != lru_.begin();) {
+        auto it = mem_.find(*pos);
+        --pos;
+        if (it->second.bundle.use_count() > 1)
+            continue;
         totalBytes_ -= it->second.bytes;
+        lru_.erase(it->second.pos);
         mem_.erase(it);
-        lru_.pop_back();
         ++stats_.evictionsByBytes;
     }
 }

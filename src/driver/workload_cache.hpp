@@ -175,12 +175,13 @@ class WorkloadCache
      * past the budget, except the most recently inserted/used entry,
      * which is always retained: a single bundle larger than the budget
      * (the out-of-core case) still completes, it just shares with
-     * nothing. Only the memory layer is affected -- the disk layer
-     * keeps every file, so an evicted key reloads from disk instead of
-     * resynthesising. Bundles already handed out stay alive through
-     * their shared_ptr; eviction merely drops the cache's reference.
-     * Shrinking the cap below the current footprint evicts
-     * immediately.
+     * nothing. A bundle still in use (a workload or caller holds its
+     * shared_ptr) is never evicted: dropping the cache's reference
+     * would free nothing and make the next lookup build a second copy.
+     * Only the memory layer is affected -- the disk layer keeps every
+     * file, so an evicted key reloads from disk instead of
+     * resynthesising. Shrinking the cap below the current footprint
+     * evicts immediately.
      */
     void setMemoryByteCap(uint64_t max_bytes);
 

@@ -34,17 +34,15 @@ checkFunctional(const accel::PhaseResult &result,
                     fmtSci(diff) + ")");
 }
 
-/** Fold one executed phase into the inference aggregate. */
-void
-accumulatePhase(InferenceResult &res, const PlannedPhase &step,
-                accel::PhaseResult &&r, const energy::EnergyParams &params,
-                double host_ms)
+/** One executed phase with its energy and host time. */
+PhaseMetrics
+phaseMetrics(const PlannedPhase &step, accel::PhaseResult &&r,
+             const energy::EnergyParams &params, double host_ms)
 {
     PhaseMetrics pm;
     pm.layer = step.layer;
     pm.op = step.op;
     pm.hostMillis = host_ms;
-    res.simRows += step.problem.lhs->rows();
     pm.energy = energy::computeEnergy(params, r.activity);
     // Sec. VIII extra-unit energy: phases that exercise the softmax
     // unit (GAT scores) or the comparator array (SagePool reduction)
@@ -53,44 +51,136 @@ accumulatePhase(InferenceResult &res, const PlannedPhase &step,
                                                        step.op);
     if (auxFraction > 0.0)
         pm.energy.auxPj = energy::auxiliaryUnitPj(pm.energy, auxFraction);
-    res.totalCycles += r.cycles;
-    res.macOps += r.macOps;
-    res.traffic += r.traffic;
-    res.energy += pm.energy;
-    switch (step.op) {
-      case PhaseOp::Combination:
-        res.combinationCycles += r.cycles;
-        break;
-      case PhaseOp::Aggregation:
-        res.aggregationCycles += r.cycles;
-        res.cacheHits += r.cacheHits;
-        res.cacheMisses += r.cacheMisses;
-        break;
-      case PhaseOp::AttentionScore:
-        res.attentionCycles += r.cycles;
-        res.cacheHits += r.cacheHits;
-        res.cacheMisses += r.cacheMisses;
-        break;
-      case PhaseOp::HaloExchange:
-        res.haloCycles += r.cycles;
-        break;
-    }
-    // Drop bulky functional outputs before archiving.
-    r.output = sparse::DenseMatrix();
-    r.hasOutput = false;
     pm.result = std::move(r);
-    res.phases.push_back(std::move(pm));
+    return pm;
+}
+
+/**
+ * Run @p plan phase by phase on @p engine into @p results and
+ * @p millis. In functional mode each combination output feeds the
+ * downstream steps of its layer that consume it, and every phase output
+ * is checked against the reference SpMM, then released.
+ */
+void
+executeSerial(accel::AcceleratorSim &engine, const PhasePlan &plan,
+              const RunOptions &options,
+              std::vector<accel::PhaseResult> &results,
+              std::vector<double> &millis)
+{
+    const bool functional = options.sim.functional;
+    // The most recent combination output, pending consumption by a
+    // downstream step of the same layer (functional mode only): an
+    // attention-score step peeks at it, an aggregation step consumes
+    // it, and a combination whose successor is another combination (or
+    // the end of the plan) produces a terminal output instead.
+    sparse::DenseMatrix pending;
+    bool hasPending = false;
+
+    for (size_t i = 0; i < plan.size(); ++i) {
+        const PlannedPhase &step = plan[i];
+        accel::SpDeGemmProblem problem = step.problem;
+        if (functional && step.op != PhaseOp::Combination) {
+            GROW_ASSERT(hasPending,
+                        std::string(phaseOpName(step.op)) +
+                            " step without a preceding combination "
+                            "output (" +
+                            describePhase(step) + ")");
+            problem.rhs = &pending;
+        }
+
+        accel::PhaseResult &phaseRes = results[i];
+        {
+            util::ScopedTimer timer(millis[i]);
+            phaseRes = engine.run(problem, options.sim);
+        }
+        if (functional) {
+            checkFunctional(phaseRes, *problem.lhs, *problem.rhs,
+                            describePhase(step));
+            switch (step.op) {
+              case PhaseOp::Combination: {
+                const PlannedPhase *next =
+                    i + 1 < plan.size() ? &plan[i + 1] : nullptr;
+                const bool feedsNext =
+                    next != nullptr && next->layer == step.layer &&
+                    next->op != PhaseOp::Combination;
+                if (feedsNext) {
+                    pending = std::move(phaseRes.output);
+                    hasPending = true;
+                }
+                // Otherwise (e.g. GIN's trailing MLP stage) the output
+                // is the layer's terminal result: verified, then
+                // dropped -- the next layer starts from its own
+                // synthetic features (DESIGN.md substitutions).
+                break;
+              }
+              case PhaseOp::AttentionScore:
+                // Scores are consumed on-chip by the softmax unit; the
+                // combination output still feeds the aggregation.
+                break;
+              case PhaseOp::Aggregation:
+                hasPending = false;
+                break;
+              case PhaseOp::HaloExchange:
+                panic("halo-exchange step in single-chip executor");
+            }
+            phaseRes.output = sparse::DenseMatrix();
+            phaseRes.hasOutput = false;
+        }
+    }
+    GROW_ASSERT(!hasPending,
+                "plan left a functional combination output unconsumed "
+                "at end of plan (model " +
+                    std::string(plan.empty()
+                                    ? "?"
+                                    : modelKindName(plan.front().model)) +
+                    ")");
 }
 
 } // namespace
 
+void
+OpTotals::add(PhaseOp op, Cycle cycles, uint64_t macs, uint64_t hits,
+              uint64_t misses)
+{
+    totalCycles += cycles;
+    macOps += macs;
+    switch (op) {
+      case PhaseOp::Combination:
+        combinationCycles += cycles;
+        break;
+      case PhaseOp::Aggregation:
+        aggregationCycles += cycles;
+        break;
+      case PhaseOp::AttentionScore:
+        attentionCycles += cycles;
+        break;
+      case PhaseOp::HaloExchange:
+        haloCycles += cycles;
+        break;
+    }
+    if (op == PhaseOp::Aggregation || op == PhaseOp::AttentionScore) {
+        cacheHits += hits;
+        cacheMisses += misses;
+    }
+}
+
 double
-InferenceResult::cacheHitRate() const
+OpTotals::cacheHitRate() const
 {
     uint64_t total = cacheHits + cacheMisses;
     return total == 0 ? 0.0
                       : static_cast<double>(cacheHits) /
                             static_cast<double>(total);
+}
+
+void
+InferenceResult::addPhase(PhaseMetrics pm)
+{
+    add(pm.op, pm.result.cycles, pm.result.macOps, pm.result.cacheHits,
+        pm.result.cacheMisses);
+    traffic += pm.result.traffic;
+    energy += pm.energy;
+    phases.push_back(std::move(pm));
 }
 
 PhasePlan
@@ -281,15 +371,14 @@ executePlan(accel::AcceleratorSim &engine, const PhasePlan &plan,
     // Phase-parallel execution: outside functional mode no phase reads
     // another phase's output (the plan carries every operand), so the
     // phases of one inference fan out over the shared worker pool --
-    // one cloned engine and one private DRAM model per phase -- and
-    // fold back in plan order. Each phase's simulation is hermetic,
-    // so the aggregate is bit-identical to the serial loop below for
-    // every thread count. Functional mode threads combination outputs
-    // between phases and stays serial.
+    // one cloned engine and one private DRAM model per phase. Each
+    // phase's simulation is hermetic, so both paths hand the one fold
+    // below bit-identical results for every thread count. Functional
+    // mode threads combination outputs between phases and stays serial.
+    std::vector<accel::PhaseResult> phaseResults(plan.size());
+    std::vector<double> phaseMillis(plan.size(), 0.0);
     const uint32_t threads = std::max(1u, options.sim.threads);
     if (!functional && threads > 1 && plan.size() > 1) {
-        std::vector<accel::PhaseResult> phaseResults(plan.size());
-        std::vector<double> phaseMillis(plan.size(), 0.0);
         std::vector<std::function<void()>> tasks;
         tasks.reserve(plan.size());
         for (size_t i = 0; i < plan.size(); ++i) {
@@ -303,83 +392,16 @@ executePlan(accel::AcceleratorSim &engine, const PhasePlan &plan,
         }
         util::rethrowFirstError(
             util::WorkPool::shared().runAll(std::move(tasks), threads));
-        for (size_t i = 0; i < plan.size(); ++i) {
-            accumulatePhase(res, plan[i], std::move(phaseResults[i]),
-                            options.energy, phaseMillis[i]);
-        }
-        res.hostMillis = runClock.elapsedMs();
-        return res;
+    } else {
+        executeSerial(engine, plan, options, phaseResults, phaseMillis);
     }
-
-    // The most recent combination output, pending consumption by a
-    // downstream step of the same layer (functional mode only): an
-    // attention-score step peeks at it, an aggregation step consumes
-    // it, and a combination whose successor is another combination (or
-    // the end of the plan) produces a terminal output instead.
-    sparse::DenseMatrix pending;
-    bool hasPending = false;
 
     for (size_t i = 0; i < plan.size(); ++i) {
-        const PlannedPhase &step = plan[i];
-        accel::SpDeGemmProblem problem = step.problem;
-        if (functional && step.op != PhaseOp::Combination) {
-            GROW_ASSERT(hasPending,
-                        std::string(phaseOpName(step.op)) +
-                            " step without a preceding combination "
-                            "output (" +
-                            describePhase(step) + ")");
-            problem.rhs = &pending;
-        }
-
-        double phaseMs = 0.0;
-        accel::PhaseResult phaseRes;
-        {
-            util::ScopedTimer timer(phaseMs);
-            phaseRes = engine.run(problem, options.sim);
-        }
-        if (functional) {
-            checkFunctional(phaseRes, *problem.lhs, *problem.rhs,
-                            describePhase(step));
-            switch (step.op) {
-              case PhaseOp::Combination: {
-                const PlannedPhase *next =
-                    i + 1 < plan.size() ? &plan[i + 1] : nullptr;
-                const bool feedsNext =
-                    next != nullptr && next->layer == step.layer &&
-                    next->op != PhaseOp::Combination;
-                if (feedsNext) {
-                    pending = std::move(phaseRes.output);
-                    phaseRes.hasOutput = false;
-                    hasPending = true;
-                }
-                // Otherwise (e.g. GIN's trailing MLP stage) the output
-                // is the layer's terminal result: verified, then
-                // dropped -- the next layer starts from its own
-                // synthetic features (DESIGN.md substitutions).
-                break;
-              }
-              case PhaseOp::AttentionScore:
-                // Scores are consumed on-chip by the softmax unit; the
-                // combination output still feeds the aggregation.
-                break;
-              case PhaseOp::Aggregation:
-                hasPending = false;
-                break;
-              case PhaseOp::HaloExchange:
-                panic("halo-exchange step in single-chip executor");
-            }
-        }
-        accumulatePhase(res, step, std::move(phaseRes), options.energy,
-                        phaseMs);
+        res.simRows += plan[i].problem.lhs->rows();
+        res.addPhase(phaseMetrics(plan[i], std::move(phaseResults[i]),
+                                  options.energy, phaseMillis[i]));
     }
     res.hostMillis = runClock.elapsedMs();
-    GROW_ASSERT(!hasPending,
-                "plan left a functional combination output unconsumed "
-                "at end of plan (model " +
-                    std::string(plan.empty()
-                                    ? "?"
-                                    : modelKindName(plan.front().model)) +
-                    ")");
     return res;
 }
 

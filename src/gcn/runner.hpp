@@ -54,28 +54,6 @@ struct RunOptions
      * identical to every published engine mapping's.
      */
     std::shared_ptr<const mapping::EngineMapping> mapping;
-
-    /** Fluent setters (the common knobs, chainable). */
-    RunOptions &withThreads(uint32_t t)
-    {
-        sim.threads = t;
-        return *this;
-    }
-    RunOptions &withPartitioning(bool on = true)
-    {
-        usePartitioning = on;
-        return *this;
-    }
-    RunOptions &withChips(uint32_t n)
-    {
-        chips = n;
-        return *this;
-    }
-    RunOptions &withFunctional(bool on = true)
-    {
-        sim.functional = on;
-        return *this;
-    }
 };
 
 /**
@@ -111,21 +89,47 @@ struct PhaseMetrics
     double hostMillis = 0.0;
 };
 
-/** Whole-inference aggregate. */
-struct InferenceResult
+/**
+ * Per-op totals of one inference, as GROW reports them: cycles by
+ * phase op (Fig. 7, Fig. 20) and the HDN cache counters behind the
+ * Fig. 17 hit rate. add() is the one rule that folds a phase into
+ * them; executePlan, the scale-out merge (scaleout::runInference) and
+ * the analytical cost model (costmodel::PlanEstimate) all fold
+ * through it.
+ */
+struct OpTotals
 {
-    std::string engine;
-    ModelKind model = ModelKind::Gcn;
     Cycle totalCycles = 0;
     Cycle combinationCycles = 0;
     Cycle aggregationCycles = 0;
     Cycle attentionCycles = 0; ///< GAT attention-score phases
     Cycle haloCycles = 0; ///< multi-chip halo-exchange phases (scale-out)
     uint64_t macOps = 0;
-    mem::DramTraffic traffic;
-    energy::EnergyBreakdown energy;
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
+
+    /**
+     * Fold one phase of op @p op: its cycles go to totalCycles and to
+     * the op's counter. Only aggregation and attention-score phases,
+     * which stream RHS rows through the HDN cache, add to cacheHits and
+     * cacheMisses; a combination phase's counters (GAMMA's FiberCache)
+     * stay in its own PhaseResult.
+     */
+    void add(PhaseOp op, Cycle cycles, uint64_t macs, uint64_t hits,
+             uint64_t misses);
+
+    /** Aggregate HDN cache hit rate across the phases that stream RHS
+     *  rows through the cache (aggregation and attention score). */
+    double cacheHitRate() const;
+};
+
+/** Whole-inference aggregate. */
+struct InferenceResult : OpTotals
+{
+    std::string engine;
+    ModelKind model = ModelKind::Gcn;
+    mem::DramTraffic traffic;
+    energy::EnergyBreakdown energy;
     /**
      * Chip-wide area overhead fraction of the extra unit the model
      * needs on GROW (Sec. VIII aggregatorSupportMatrix; 0 for models
@@ -147,9 +151,9 @@ struct InferenceResult
     /** Total DRAM bytes moved. */
     Bytes totalTrafficBytes() const { return traffic.total(); }
 
-    /** Aggregate HDN cache hit rate across the phases that stream RHS
-     *  rows through the cache (aggregation and attention score). */
-    double cacheHitRate() const;
+    /** Fold @p pm into the totals, traffic and energy, then append it
+     *  to phases. */
+    void addPhase(PhaseMetrics pm);
 };
 
 /**

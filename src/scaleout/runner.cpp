@@ -320,11 +320,9 @@ runInference(const EngineTopology &topology,
                             std::to_string(src));
         }
     }
-    out.haloBytes = out.links.totalBytes;
 
-    // ---- Merge ------------------------------------------------------
+    // ---- Merge: one PhaseMetrics per plan step (header step 5) -----
     gcn::InferenceResult &merged = out.merged;
-    merged = gcn::InferenceResult{};
     merged.engine = out.perChip.front().engine;
     merged.model = out.perChip.front().model;
     merged.modelAreaOverhead = out.perChip.front().modelAreaOverhead;
@@ -335,17 +333,18 @@ runInference(const EngineTopology &topology,
         pm.layer = ph.layer;
         pm.op = ph.op;
         if (ph.op == gcn::PhaseOp::HaloExchange) {
-            const Cycle cycles = haloStepCycles.at(haloStep++);
-            pm.result.cycles = cycles;
+            pm.result.cycles = haloStepCycles.at(haloStep++);
             pm.result.label = ph.problem.label;
-            merged.totalCycles += cycles;
-            merged.haloCycles += cycles;
         } else {
-            Cycle maxCycles = 0;
-            for (uint32_t c = 0; c < chips; ++c) {
-                const gcn::PhaseMetrics &cpm =
-                    out.perChip[c].phases.at(chipPhase);
-                maxCycles = std::max(maxCycles, cpm.result.cycles);
+            const accel::PhaseResult &first =
+                out.perChip.front().phases.at(chipPhase).result;
+            pm.result.engine = first.engine;
+            pm.result.phase = first.phase;
+            pm.result.label = first.label;
+            for (const gcn::InferenceResult &chip : out.perChip) {
+                const gcn::PhaseMetrics &cpm = chip.phases.at(chipPhase);
+                pm.result.cycles =
+                    std::max(pm.result.cycles, cpm.result.cycles);
                 pm.result.macOps += cpm.result.macOps;
                 pm.result.cacheHits += cpm.result.cacheHits;
                 pm.result.cacheMisses += cpm.result.cacheMisses;
@@ -353,40 +352,14 @@ runInference(const EngineTopology &topology,
                 pm.energy += cpm.energy;
                 pm.hostMillis += cpm.hostMillis;
             }
-            const gcn::PhaseMetrics &first =
-                out.perChip.front().phases.at(chipPhase);
-            pm.result.engine = first.result.engine;
-            pm.result.phase = first.result.phase;
-            pm.result.label = first.result.label;
-            pm.result.cycles = maxCycles;
-            merged.totalCycles += maxCycles;
-            merged.macOps += pm.result.macOps;
-            merged.cacheHits += pm.result.cacheHits;
-            merged.cacheMisses += pm.result.cacheMisses;
-            merged.traffic += pm.result.traffic;
-            merged.energy += pm.energy;
-            switch (ph.op) {
-              case gcn::PhaseOp::Combination:
-                merged.combinationCycles += maxCycles;
-                break;
-              case gcn::PhaseOp::Aggregation:
-                merged.aggregationCycles += maxCycles;
-                break;
-              case gcn::PhaseOp::AttentionScore:
-                merged.attentionCycles += maxCycles;
-                break;
-              case gcn::PhaseOp::HaloExchange:
-                break; // handled above
-            }
             ++chipPhase;
         }
-        merged.phases.push_back(std::move(pm));
+        merged.addPhase(std::move(pm));
     }
     for (const auto &chipRes : out.perChip) {
         merged.simRows += chipRes.simRows;
         merged.hostMillis += chipRes.hostMillis;
     }
-    out.haloCycles = merged.haloCycles;
     merged.hostMillis = std::max(merged.hostMillis,
                                  runClock.elapsedMs());
     return out;

@@ -16,16 +16,20 @@
  *     lists and the engines' cluster round-robin apply unchanged.
  *  3. Each chip's slice runs through the unchanged single-chip
  *     executor (gcn::executePlan) -- chips are hermetic between halo
- *     points, so the per-chip results fold with per-phase max cycles
- *     (chips run concurrently in real hardware) and summed traffic /
- *     MACs / energy.
+ *     points.
  *  4. The HaloExchange steps are co-simulated against one
  *     InterchipLink per chip through the LinkArbiter (receiving chips
  *     are its lanes), so link contention resolves at deterministic
  *     epoch boundaries: results are bit-identical for every `threads=`
- *     value, and a chips=1 topology reproduces the single-chip path
- *     byte-for-byte (the identity slice is the whole workload and no
- *     halo steps exist).
+ *     value.
+ *  5. Every plan step becomes one merged gcn::PhaseMetrics -- the max
+ *     cycles over chips (chips run concurrently in real hardware) and
+ *     the sum of MACs, traffic, energy, cache counters and host time;
+ *     a halo step carries its link cycles -- folded by the single-chip
+ *     rule (gcn::InferenceResult::addPhase). So a chips=1 topology,
+ *     whose identity slice is the whole workload and which has no halo
+ *     steps, reproduces gcn::runInference's totals and each phase's
+ *     cycles, MACs, traffic, energy and cache counters.
  *
  * See DESIGN.md "Multi-chip scale-out".
  */
@@ -68,21 +72,16 @@ struct LinkMetrics
 struct ScaleoutResult
 {
     /**
-     * Whole-topology aggregate: per-phase max cycles across chips
-     * (summed over phases, halo steps included), summed traffic /
-     * MACs / energy / cache statistics. For chips == 1 this is
-     * bit-identical to the single-chip gcn::runInference result.
+     * Whole-topology aggregate, one merged phase per plan step (see
+     * step 5 above); haloCycles holds the halo steps' link cycles.
      */
     gcn::InferenceResult merged;
     /** Per-chip single-chip results, chip order. */
     std::vector<gcn::InferenceResult> perChip;
     ChipShardPlan shard;
     HaloPlan halo;
+    /** Per-link accounting; totalBytes is every halo step's payload. */
     LinkMetrics links;
-    /** Total feature bytes moved by all halo steps. */
-    Bytes haloBytes = 0;
-    /** Cycles spent in halo steps (also merged.haloCycles). */
-    Cycle haloCycles = 0;
 };
 
 /**

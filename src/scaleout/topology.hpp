@@ -75,11 +75,6 @@ struct EngineTopology
      */
     std::optional<core::GrowConfig> growConfig;
 
-    EngineTopology &withEngine(std::string key)
-    {
-        engine = std::move(key);
-        return *this;
-    }
     EngineTopology &withChips(uint32_t n)
     {
         chips = n;
@@ -93,11 +88,6 @@ struct EngineTopology
     EngineTopology &withLinkGbps(double gbps)
     {
         link.bandwidthGBps = gbps;
-        return *this;
-    }
-    EngineTopology &withLinkNs(double ns)
-    {
-        link.latencyNs = ns;
         return *this;
     }
     EngineTopology &withGrowConfig(const core::GrowConfig &config)

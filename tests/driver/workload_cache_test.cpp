@@ -408,8 +408,11 @@ TEST(WorkloadCache, ByteCapEvictsLeastRecentlyUsed)
     const uint64_t third = artifactFootprintBytes(*gcn::buildGraphArtifacts(
         cora, graph::ScaleTier::Unit, smaller));
     WorkloadCache cache;
-    auto a = cache.artifacts(cora, graph::ScaleTier::Unit, {});
-    auto b = cache.artifacts(cite, graph::ScaleTier::Unit, {});
+    // Every handle is dropped at once: a bundle still in use is never
+    // evicted (ByteCapKeepsBundlesStillInUse).
+    const gcn::GraphArtifacts *a =
+        cache.artifacts(cora, graph::ScaleTier::Unit, {}).get();
+    cache.artifacts(cite, graph::ScaleTier::Unit, {});
     cache.setMemoryByteCap(cache.snapshot().bytes + third - 1);
     EXPECT_EQ(cache.snapshot().entries, 2u);
 
@@ -420,29 +423,48 @@ TEST(WorkloadCache, ByteCapEvictsLeastRecentlyUsed)
     EXPECT_EQ(cache.snapshot().entries, 2u);
     EXPECT_EQ(cache.stats().evictionsByBytes, 1u);
 
-    // cora stayed resident (memory hit); citeseer rebuilds from
-    // scratch -- there is no disk layer -- into a fresh instance, while
-    // the evicted bundle stays alive through the caller's shared_ptr.
+    // cora stayed resident (memory hit, same instance); citeseer
+    // rebuilds from scratch -- there is no disk layer -- bit-identical
+    // to a direct build.
     const uint64_t hitsBefore = cache.stats().memoryHits;
-    EXPECT_EQ(cache.artifacts(cora, graph::ScaleTier::Unit, {}).get(),
-              a.get());
+    EXPECT_EQ(cache.artifacts(cora, graph::ScaleTier::Unit, {}).get(), a);
     EXPECT_EQ(cache.stats().memoryHits, hitsBefore + 1);
     const uint64_t buildsBefore = cache.stats().builds;
     auto b2 = cache.artifacts(cite, graph::ScaleTier::Unit, {});
     EXPECT_EQ(cache.stats().builds, buildsBefore + 1);
-    EXPECT_NE(b.get(), b2.get());
-    expectArtifactsIdentical(*b, *b2);
+    expectArtifactsIdentical(
+        *gcn::buildGraphArtifacts(cite, graph::ScaleTier::Unit, {}), *b2);
+}
+
+TEST(WorkloadCache, ByteCapKeepsBundlesStillInUse)
+{
+    // A held workload keeps its bundle alive, so evicting it would
+    // free nothing and the next lookup would build a second copy.
+    WorkloadCache cache;
+    const auto &cora = graph::datasetByName("cora");
+    const auto &cite = graph::datasetByName("citeseer");
+    const gcn::GcnWorkload held = cache.workload(cora, unitConfig());
+    cache.setMemoryByteCap(1);
+    cache.workload(cite, unitConfig());
+    EXPECT_EQ(cache.stats().evictionsByBytes, 0u);
+    EXPECT_EQ(cache.snapshot().entries, 2u);
+
+    const uint64_t hitsBefore = cache.stats().memoryHits;
+    EXPECT_EQ(cache.artifacts(cora, graph::ScaleTier::Unit, {}).get(),
+              held.artifacts.get());
+    EXPECT_EQ(cache.stats().memoryHits, hitsBefore + 1);
+    EXPECT_EQ(cache.stats().builds, 2u); // cora once, citeseer once
 }
 
 TEST(WorkloadCache, ByteEvictedKeyReloadsFromDiskInsteadOfRebuilding)
 {
     const std::string dir = scratchDir("evict_disk");
     WorkloadCache cache(dir);
-    cache.setMemoryByteCap(1); // keeps only the newest bundle
+    cache.setMemoryByteCap(1); // keeps only the newest unheld bundle
     const auto &cora = graph::datasetByName("cora");
     const auto &cite = graph::datasetByName("citeseer");
 
-    auto a = cache.artifacts(cora, graph::ScaleTier::Unit, {});
+    cache.artifacts(cora, graph::ScaleTier::Unit, {});
     cache.artifacts(cite, graph::ScaleTier::Unit, {}); // evicts cora
     EXPECT_EQ(cache.stats().evictionsByBytes, 1u);
     EXPECT_EQ(cache.snapshot().entries, 1u);
@@ -452,7 +474,8 @@ TEST(WorkloadCache, ByteEvictedKeyReloadsFromDiskInsteadOfRebuilding)
     auto a2 = cache.artifacts(cora, graph::ScaleTier::Unit, {});
     EXPECT_EQ(cache.stats().builds, 2u);
     EXPECT_EQ(cache.stats().diskLoads, 1u);
-    expectArtifactsIdentical(*a, *a2);
+    expectArtifactsIdentical(
+        *gcn::buildGraphArtifacts(cora, graph::ScaleTier::Unit, {}), *a2);
     fs::remove_all(dir);
 }
 
@@ -465,18 +488,20 @@ TEST(WorkloadCache, ShrinkingByteCapEvictsImmediately)
     p1.targetClusterSize = 128;
     p2.targetClusterSize = 256;
     cache.artifacts(spec, graph::ScaleTier::Unit, p1);
-    auto newest = cache.artifacts(spec, graph::ScaleTier::Unit, p2);
+    const gcn::GraphArtifacts *newest =
+        cache.artifacts(spec, graph::ScaleTier::Unit, p2).get();
+    const uint64_t newestBytes = artifactFootprintBytes(*newest);
     EXPECT_EQ(cache.snapshot().entries, 3u);
 
     cache.setMemoryByteCap(1);
     EXPECT_EQ(cache.snapshot().entries, 1u);
     EXPECT_EQ(cache.stats().evictionsByBytes, 2u);
-    EXPECT_EQ(cache.snapshot().bytes, artifactFootprintBytes(*newest));
+    EXPECT_EQ(cache.snapshot().bytes, newestBytes);
     // The survivor is the most recently used key.
     const uint64_t hitsBefore = cache.stats().memoryHits;
     auto again = cache.artifacts(spec, graph::ScaleTier::Unit, p2);
     EXPECT_EQ(cache.stats().memoryHits, hitsBefore + 1);
-    EXPECT_EQ(newest.get(), again.get());
+    EXPECT_EQ(newest, again.get());
 }
 
 TEST(WorkloadCache, ByteCapEvictsByFootprintButKeepsNewest)
@@ -486,9 +511,10 @@ TEST(WorkloadCache, ByteCapEvictsByFootprintButKeepsNewest)
     const auto &cora = graph::datasetByName("cora");
     const auto &cite = graph::datasetByName("citeseer");
 
-    auto a = cache.artifacts(cora, graph::ScaleTier::Unit, {});
+    const uint64_t coraBytes = artifactFootprintBytes(
+        *cache.artifacts(cora, graph::ScaleTier::Unit, {}));
     const uint64_t oneBundle = cache.snapshot().bytes;
-    EXPECT_EQ(oneBundle, artifactFootprintBytes(*a));
+    EXPECT_EQ(oneBundle, coraBytes);
     EXPECT_GT(oneBundle, 0u);
 
     // Budget below a single bundle: the newest entry is still kept --
@@ -498,17 +524,17 @@ TEST(WorkloadCache, ByteCapEvictsByFootprintButKeepsNewest)
     EXPECT_EQ(cache.stats().evictionsByBytes, 0u);
 
     // A second key pushes the older one out by bytes.
-    auto b = cache.artifacts(cite, graph::ScaleTier::Unit, {});
+    const uint64_t citeBytes = artifactFootprintBytes(
+        *cache.artifacts(cite, graph::ScaleTier::Unit, {}));
     EXPECT_EQ(cache.snapshot().entries, 1u);
     EXPECT_EQ(cache.stats().evictionsByBytes, 1u);
-    EXPECT_EQ(cache.snapshot().bytes, artifactFootprintBytes(*b));
+    EXPECT_EQ(cache.snapshot().bytes, citeBytes);
 
     // A budget that holds both keeps both.
     cache.setMemoryByteCap(4 * oneBundle);
     cache.artifacts(cora, graph::ScaleTier::Unit, {});
     EXPECT_EQ(cache.snapshot().entries, 2u);
-    EXPECT_EQ(cache.snapshot().bytes,
-              artifactFootprintBytes(*a) + artifactFootprintBytes(*b));
+    EXPECT_EQ(cache.snapshot().bytes, coraBytes + citeBytes);
 }
 
 TEST(WorkloadCache, FootprintTracksSerializedPayload)

@@ -23,16 +23,20 @@ namespace {
 
 /** Unit-tier workloads with clusters small enough to shard 8 ways. */
 const gcn::GcnWorkload &
-workloadOf(const std::string &name)
+workloadOf(const std::string &name,
+           gcn::ModelKind model = gcn::ModelKind::Gcn)
 {
-    static std::map<std::string, gcn::GcnWorkload> cache;
-    auto it = cache.find(name);
+    static std::map<std::pair<std::string, gcn::ModelKind>,
+                    gcn::GcnWorkload>
+        cache;
+    auto it = cache.find({name, model});
     if (it == cache.end()) {
         gcn::WorkloadConfig c;
         c.tier = graph::ScaleTier::Unit;
+        c.model = model;
         c.plan.targetClusterSize = 64;
         it = cache
-                 .emplace(name,
+                 .emplace(std::pair{name, model},
                           gcn::buildWorkload(graph::datasetByName(name),
                                              c))
                  .first;
@@ -63,28 +67,45 @@ expectSameResult(const gcn::InferenceResult &a,
         EXPECT_EQ(a.phases[i].result.traffic.total(),
                   b.phases[i].result.traffic.total())
             << "phase " << i;
+        EXPECT_EQ(a.phases[i].result.macOps, b.phases[i].result.macOps)
+            << "phase " << i;
+        EXPECT_EQ(a.phases[i].result.cacheHits,
+                  b.phases[i].result.cacheHits)
+            << "phase " << i;
+        EXPECT_EQ(a.phases[i].result.cacheMisses,
+                  b.phases[i].result.cacheMisses)
+            << "phase " << i;
+        EXPECT_DOUBLE_EQ(a.phases[i].energy.total(),
+                         b.phases[i].energy.total())
+            << "phase " << i;
     }
 }
 
 TEST(Scaleout, OneChipTopologyReproducesSingleChipRunner)
 {
-    const auto &w = workloadOf("cora");
-    const auto topo = EngineTopology("grow").withChips(1);
-
+    // Every engine and model: the identity shard folds through the
+    // same per-op rule as the single-chip runner.
     gcn::RunOptions opts;
     opts.sim.threads = 2;
-    const auto sharded = runInference(topo, w, opts);
+    for (const std::string &key : driver::knownEngineKeys()) {
+        for (gcn::ModelKind model : gcn::allModelKinds()) {
+            SCOPED_TRACE(key + " " + gcn::modelKindName(model));
+            const auto &w = workloadOf("cora", model);
+            const auto sharded =
+                runInference(EngineTopology(key).withChips(1), w, opts);
 
-    auto spec = driver::engineByKey("grow");
-    gcn::RunOptions single = opts;
-    single.usePartitioning = spec.usePartitioning;
-    auto engine = spec.make();
-    const auto direct = gcn::runInference(*engine, w, single);
+            auto spec = driver::engineByKey(key);
+            gcn::RunOptions single = opts;
+            single.usePartitioning = spec.usePartitioning;
+            auto engine = spec.make();
+            const auto direct = gcn::runInference(*engine, w, single);
 
-    expectSameResult(sharded.merged, direct);
-    EXPECT_EQ(sharded.haloBytes, 0u);
-    EXPECT_EQ(sharded.haloCycles, 0u);
-    EXPECT_EQ(sharded.shard.cutArcs, 0u);
+            expectSameResult(sharded.merged, direct);
+            EXPECT_EQ(sharded.links.totalBytes, 0u);
+            EXPECT_EQ(sharded.merged.haloCycles, 0u);
+            EXPECT_EQ(sharded.shard.cutArcs, 0u);
+        }
+    }
 }
 
 TEST(Scaleout, ShardedRunIsThreadCountInvariant)
@@ -101,7 +122,7 @@ TEST(Scaleout, ShardedRunIsThreadCountInvariant)
     const auto b = runInference(topo, w, parallel);
 
     expectSameResult(a.merged, b.merged);
-    EXPECT_EQ(a.haloBytes, b.haloBytes);
+    EXPECT_EQ(a.links.totalBytes, b.links.totalBytes);
     ASSERT_EQ(a.links.egressBytes.size(), b.links.egressBytes.size());
     for (size_t i = 0; i < a.links.egressBytes.size(); ++i)
         EXPECT_EQ(a.links.egressBytes[i], b.links.egressBytes[i]);
@@ -126,7 +147,7 @@ TEST(Scaleout, StructureOnlyOperandsShardLikeValuedOnes)
     const auto a = runInference(topo, bare, gcn::RunOptions{});
     const auto b = runInference(topo, valued, gcn::RunOptions{});
     expectSameResult(a.merged, b.merged);
-    EXPECT_EQ(a.haloBytes, b.haloBytes);
+    EXPECT_EQ(a.links.totalBytes, b.links.totalBytes);
 }
 
 TEST(Scaleout, HaloScheduleIsPinned)
@@ -159,7 +180,7 @@ TEST(Scaleout, HaloScheduleIsPinned)
             gcn::RunOptions opts;
             opts.sim.threads = threads;
             const auto r = runInference(topo, workloadOf(pin.dataset), opts);
-            EXPECT_EQ(r.haloCycles, pin.haloCycles);
+            EXPECT_EQ(r.merged.haloCycles, pin.haloCycles);
             EXPECT_EQ(r.links.egressBytes, pin.egressBytes);
             EXPECT_EQ(r.links.egressBusyCycles, pin.egressBusyCycles);
         }
@@ -186,7 +207,7 @@ TEST(Scaleout, LinkByteConservation)
         for (uint32_t c = 0; c < chips; ++c)
             EXPECT_EQ(r.links.egressBytes[c], sent[c])
                 << "chips=" << chips << " link " << c;
-        EXPECT_EQ(pairTotal, r.haloBytes) << "chips=" << chips;
+        EXPECT_EQ(pairTotal, r.links.totalBytes) << "chips=" << chips;
 
         // Independently recompute the expected halo payload from the
         // halo plan: boundary vertices x per-layer feature bytes.
@@ -203,8 +224,8 @@ TEST(Scaleout, LinkByteConservation)
                     expected += r.halo.pairPhaseBytes(
                         dst, src, ph.problem.rhsCols);
         }
-        EXPECT_EQ(expected, r.haloBytes) << "chips=" << chips;
-        EXPECT_GT(r.haloBytes, 0u) << "chips=" << chips;
+        EXPECT_EQ(expected, r.links.totalBytes) << "chips=" << chips;
+        EXPECT_GT(r.links.totalBytes, 0u) << "chips=" << chips;
     }
 }
 
@@ -226,7 +247,7 @@ TEST(Scaleout, LinkEstimateMatchesSimulatedBytesExactly)
 
     // Bytes are exact by construction: estimator and runner read the
     // same halo plan.
-    EXPECT_EQ(est.totalBytes, r.haloBytes);
+    EXPECT_EQ(est.totalBytes, r.links.totalBytes);
     for (uint32_t c = 0; c < chips; ++c)
         EXPECT_EQ(est.egressBytes[c], r.links.egressBytes[c])
             << "link " << c;
@@ -236,8 +257,8 @@ TEST(Scaleout, LinkEstimateMatchesSimulatedBytesExactly)
     // of latency + serialization, and overlap can shave the latency
     // leg. Documented envelope: within [0.5x, 2x].
     EXPECT_GT(est.haloCycles, 0u);
-    EXPECT_GE(r.haloCycles * 2, est.haloCycles);
-    EXPECT_LE(r.haloCycles, est.haloCycles * 2);
+    EXPECT_GE(r.merged.haloCycles * 2, est.haloCycles);
+    EXPECT_LE(r.merged.haloCycles, est.haloCycles * 2);
 }
 
 TEST(Scaleout, NonPartitioningEngineRejectsSharding)
