@@ -21,15 +21,21 @@ GROW_BENCH_MAIN("ablation_dram_model")
         .col("simple_cycles", "simple", "cycles")
         .col("banked_cycles", "banked", "cycles")
         .col("banked_over_simple", "banked/simple");
+    std::vector<driver::SweepJob> jobs;
     for (const auto &spec : ctx.specs()) {
         const auto &w = ctx.workload(spec.name);
         gcn::RunOptions opt = ctx.runOptions();
-        opt.usePartitioning = true;
-        core::GrowSim simA(driver::growDefaultConfig());
-        auto simple = gcn::runInference(simA, w, opt);
+        jobs.push_back(driver::growJob(
+            "grow@simple", driver::growDefaultConfig(), w, opt));
         opt.sim.dramKind = "banked";
-        core::GrowSim simB(driver::growDefaultConfig());
-        auto banked = gcn::runInference(simB, w, opt);
+        jobs.push_back(driver::growJob(
+            "grow@banked", driver::growDefaultConfig(), w, opt));
+    }
+    const auto results = ctx.sweep(jobs);
+    for (size_t d = 0; d < ctx.specs().size(); ++d) {
+        const auto &spec = ctx.specs()[d];
+        const auto &simple = results[2 * d];
+        const auto &banked = results[2 * d + 1];
         t.row({.dataset = spec.name, .engine = "grow"})
             .add(report::textCell(spec.name))
             .add(report::count(simple.totalCycles, "cycles"))

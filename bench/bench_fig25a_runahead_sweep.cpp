@@ -15,28 +15,32 @@ GROW_BENCH_MAIN("fig25a_runahead_sweep")
     ctx.banner("Figure 25(a): runahead degree sweep "
                "(throughput normalized to 1-way)");
 
+    const std::vector<uint32_t> degrees = {1, 2, 4, 8, 16, 32};
     auto t = ctx.table("fig25a", "Figure 25(a)");
     t.col("dataset", "dataset");
-    for (uint32_t degree : {1u, 2u, 4u, 8u, 16u, 32u})
+    for (uint32_t degree : degrees)
         t.col("speedup_ra" + std::to_string(degree),
               std::to_string(degree) + "-way");
+    std::vector<driver::SweepJob> jobs;
     for (const auto &spec : ctx.specs()) {
         const auto &w = ctx.workload(spec.name);
-        gcn::RunOptions opt = ctx.runOptions();
-        opt.usePartitioning = true;
-        auto row = t.row({.dataset = spec.name, .engine = "grow"});
-        row.add(report::textCell(spec.name));
-        double base = 0;
-        for (uint32_t degree : {1u, 2u, 4u, 8u, 16u, 32u}) {
+        for (uint32_t degree : degrees) {
             core::GrowConfig cfg = driver::growDefaultConfig();
             cfg.runaheadDegree = degree;
-            core::GrowSim sim(cfg);
-            auto r = gcn::runInference(sim, w, opt);
-            double cycles = static_cast<double>(r.totalCycles);
-            if (degree == 1)
-                base = cycles;
-            row.add(report::real(base / cycles, 2));
+            jobs.push_back(driver::growJob("grow@ra" + std::to_string(degree),
+                                           cfg, w, ctx.runOptions()));
         }
+    }
+    const auto results = ctx.sweep(jobs);
+    for (size_t d = 0; d < ctx.specs().size(); ++d) {
+        const auto &spec = ctx.specs()[d];
+        const auto *r = &results[d * degrees.size()];
+        auto row = t.row({.dataset = spec.name, .engine = "grow"});
+        row.add(report::textCell(spec.name));
+        const double base = static_cast<double>(r[0].totalCycles);
+        for (size_t i = 0; i < degrees.size(); ++i)
+            row.add(report::real(
+                base / static_cast<double>(r[i].totalCycles), 2));
     }
     return 0;
 }

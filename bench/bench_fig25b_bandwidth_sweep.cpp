@@ -23,44 +23,42 @@ GROW_BENCH_MAIN("fig25b_bandwidth_sweep")
         t.col("speedup_bw" + std::to_string(static_cast<int>(bw)),
               fmtDouble(bw, 0) + " GB/s");
 
-    auto addEngineRow = [&](const graph::DatasetSpec &spec,
-                            const char *engine,
-                            const std::vector<double> &cycles) {
-        auto row = t.row({.dataset = spec.name, .engine = engine});
-        row.add(report::textCell(spec.name))
-            .add(report::textCell(engine));
-        for (double c : cycles)
-            row.add(report::real(cycles[2] / c, 2));
-    };
-
+    // Per dataset: GROW at every bandwidth, then GCNAX.
+    std::vector<driver::SweepJob> jobs;
     for (const auto &spec : ctx.specs()) {
         const auto &w = ctx.workload(spec.name);
-        // GROW.
-        {
-            std::vector<double> cycles;
-            for (double bw : bws) {
-                core::GrowConfig cfg = driver::growDefaultConfig();
-                cfg.dram.bandwidthGBps = bw;
-                core::GrowSim sim(cfg);
-                gcn::RunOptions opt = ctx.runOptions();
-                opt.usePartitioning = true;
-                cycles.push_back(static_cast<double>(
-                    gcn::runInference(sim, w, opt).totalCycles));
-            }
-            addEngineRow(spec, "GROW", cycles);
+        for (double bw : bws) {
+            core::GrowConfig cfg = driver::growDefaultConfig();
+            cfg.dram.bandwidthGBps = bw;
+            jobs.push_back(driver::growJob(
+                "grow@bw" + fmtDouble(bw, 0), cfg, w, ctx.runOptions()));
         }
-        // GCNAX.
-        {
-            std::vector<double> cycles;
-            for (double bw : bws) {
-                accel::GcnaxConfig cfg = driver::gcnaxDefaultConfig();
-                cfg.dram.bandwidthGBps = bw;
-                accel::GcnaxSim sim(cfg);
-                gcn::RunOptions opt = ctx.runOptions();
-                cycles.push_back(static_cast<double>(
-                    gcn::runInference(sim, w, opt).totalCycles));
-            }
-            addEngineRow(spec, "GCNAX", cycles);
+        for (double bw : bws) {
+            accel::GcnaxConfig cfg = driver::gcnaxDefaultConfig();
+            cfg.dram.bandwidthGBps = bw;
+            auto job = driver::makeEngineJob("gcnax", w, ctx.runOptions());
+            job.label = "gcnax@bw" + fmtDouble(bw, 0);
+            job.makeEngine = [cfg] {
+                return std::make_unique<accel::GcnaxSim>(cfg);
+            };
+            jobs.push_back(std::move(job));
+        }
+    }
+    const auto results = ctx.sweep(jobs);
+
+    size_t next = 0;
+    for (const auto &spec : ctx.specs()) {
+        for (const char *engine : {"GROW", "GCNAX"}) {
+            const auto *r = &results[next];
+            next += bws.size();
+            auto row = t.row({.dataset = spec.name, .engine = engine});
+            row.add(report::textCell(spec.name))
+                .add(report::textCell(engine));
+            for (size_t i = 0; i < bws.size(); ++i)
+                row.add(report::real(
+                    static_cast<double>(r[2].totalCycles) /
+                        static_cast<double>(r[i].totalCycles),
+                    2));
         }
     }
     return 0;

@@ -16,6 +16,7 @@
  *   models=gcn,sage-mean,...    ModelKind subset (default: all)
  *   fanout=10                   SAGEConv neighbour-sampling fanout
  */
+#include <deque>
 #include <map>
 
 #include "common.hpp"
@@ -49,10 +50,10 @@ GROW_BENCH_MAIN("model_zoo")
     const int64_t fanout = ctx.args().getInt("fanout", 10, 1, 1024);
 
     // Build every (model, dataset) workload up front through the shared
-    // cache (map, not vector: jobs borrow stable addresses). Every
-    // model shares one graph-artefact bundle per dataset; the SAGEConv
-    // models draw their sampled adjacency with the layer data.
-    std::map<std::string, gcn::GcnWorkload> workloads;
+    // cache (a deque: jobs borrow stable addresses). Every model shares
+    // one graph-artefact bundle per dataset; the SAGEConv models draw
+    // their sampled adjacency with the layer data.
+    std::deque<gcn::GcnWorkload> workloads;
     std::vector<driver::SweepJob> jobs;
     for (gcn::ModelKind model : models) {
         for (const auto &spec : ctx.specs()) {
@@ -60,30 +61,18 @@ GROW_BENCH_MAIN("model_zoo")
             wc.tier = ctx.tier();
             wc.model = model;
             wc.sageFanout = static_cast<uint32_t>(fanout);
-            std::string key =
-                std::string(gcn::modelKindName(model)) + "/" + spec.name;
-            const auto &w =
-                workloads.emplace(key, ctx.workload(spec, wc))
-                    .first->second;
-            for (const auto &engine : engineKeys)
-                jobs.push_back(driver::makeEngineJob(
-                    engine, w, ctx.runOptions()));
+            const auto &w = workloads.emplace_back(ctx.workload(spec, wc));
+            for (const auto &engine : engineKeys) {
+                jobs.push_back(
+                    driver::makeEngineJob(engine, w, ctx.runOptions()));
+                jobs.back().label =
+                    engine + "@" + gcn::modelKindName(model);
+            }
         }
     }
-    driver::SweepDriver pool(ctx.threads());
-    auto outcomes = pool.runAll(jobs);
-
-    // Consume outcomes positionally, verifying the dataset so a
-    // reorder of the assembly loop cannot shift results silently.
-    size_t cursor = 0;
-    auto take = [&](const std::string &dataset)
-        -> const gcn::InferenceResult & {
-        GROW_ASSERT(cursor < outcomes.size() &&
-                        outcomes[cursor].label.rfind(dataset + "/", 0) ==
-                            0,
-                    "sweep outcome order mismatch at " + dataset);
-        return outcomes[cursor++].inference;
-    };
+    // Model-major, then dataset, then engine key.
+    const auto results = ctx.sweep(jobs);
+    size_t next = 0;
 
     std::map<std::string, std::vector<double>> speedups;
     for (gcn::ModelKind model : models) {
@@ -106,17 +95,12 @@ GROW_BENCH_MAIN("model_zoo")
             .col("aux_energy_uj", "aux energy (uJ)", "uJ");
 
         for (const auto &spec : ctx.specs()) {
-            std::vector<const gcn::InferenceResult *> results;
-            for (size_t e = 0; e < engineKeys.size(); ++e)
-                results.push_back(&take(spec.name));
-            for (size_t e = 0; e < engineKeys.size(); ++e)
-                ctx.recordInference(spec.name,
-                                    engineKeys[e] + "@" + modelName,
-                                    *results[e]);
-            const auto &lead = *results.front();
+            const auto *r = &results[next];
+            next += engineKeys.size();
+            const auto &lead = r[0];
             // Speedup of the lead engine over the second key (the
             // headline baseline).
-            double speedup = static_cast<double>(results[1]->totalCycles) /
+            double speedup = static_cast<double>(r[1].totalCycles) /
                              static_cast<double>(lead.totalCycles);
             speedups[modelName].push_back(speedup);
 
@@ -124,8 +108,8 @@ GROW_BENCH_MAIN("model_zoo")
                               .engine = engineKeys.front(),
                               .model = modelName});
             row.add(report::textCell(spec.name));
-            for (const auto *r : results)
-                row.add(report::count(r->totalCycles, "cycles"));
+            for (size_t e = 0; e < engineKeys.size(); ++e)
+                row.add(report::count(r[e].totalCycles, "cycles"));
             row.add(report::ratio(speedup))
                 .add(report::fraction(lead.cacheHitRate()))
                 .add(report::bytesValue(lead.totalTrafficBytes()))

@@ -3,9 +3,12 @@
  * Multi-chip strong scaling: the Table I datasets sharded across 1, 2,
  * 4 and 8 chips joined by inter-chip links (src/scaleout/), every
  * chip count through scaleout::runInference. chips=1 runs the identity
- * shard, which folds exactly like the single-chip gcn::runInference
+ * shard, which folds exactly like the single-chip runner
  * (Scaleout.OneChipTopologyReproducesSingleChipRunner checks every
- * engine and model).
+ * engine and model). Its results carry link and shard data that a
+ * SweepJob cannot, so the chip counts run serially here and reach the
+ * profile=1 tables through recordInference() as (dataset,
+ * "<engine>@chips/<n>").
  *
  * Extra keys on top of the universal set:
  *   chips=1                chip counts to evaluate, in order (e.g.
@@ -116,7 +119,7 @@ GROW_BENCH_MAIN("scaleout")
                 .add(report::bytesValue(merged.totalTrafficBytes()))
                 .add(report::count(sr.links.totalBytes, "link-bytes"))
                 .add(report::count(sr.shard.cutArcs, "arcs"));
-            ctx.recordInference(spec.name + "@" + label, engineKey,
+            ctx.recordInference(spec.name, engineKey + "@" + label,
                                 merged);
         }
     }

@@ -28,7 +28,7 @@ mutableCurrentBench()
 
 /**
  * The process-scope memo every BenchContext borrows. Only the bench
- * thread touches it (prefetch jobs read borrowed workloads and hand
+ * thread touches it (sweep jobs read borrowed workloads and hand
  * their results back before it inserts them), and std::map nodes keep
  * every returned reference valid for the life of the process.
  */
@@ -50,12 +50,6 @@ memo()
 {
     static Memo *const m = new Memo;
     return *m;
-}
-
-std::string
-resultLabel(const std::string &dataset, const std::string &engine_key)
-{
-    return dataset + "/" + engine_key;
 }
 
 } // namespace
@@ -124,29 +118,24 @@ BenchContext::BenchContext(int argc, char **argv,
 {
     std::vector<std::string> known = {
         "scale", "datasets", "model",   "cachedir", "format",
-        "out",   "threads",  "profile", "memcap"};
+        "out",   "threads",  "profile"};
     known.insert(known.end(), extra_keys.begin(), extra_keys.end());
     args_.requireKnown(known);
 
     tier_ = graph::tierFromString(args_.get("scale", default_scale));
     model_ = gcn::modelKindFromString(args_.get("model", "gcn"));
     // Default: one worker per core, like the sweeps always ran. An
-    // explicit threads= bounds *every* level (sweep prefetch, phase
+    // explicit threads= bounds *every* level (sweep jobs, phase
     // fan-out, halo step); results are bit-identical either way.
     threads_ = args_.has("threads")
                    ? util::checkedThreadCount(args_.getInt("threads", 1))
                    : std::max(1u, std::thread::hardware_concurrency());
     profile_ = args_.getBool("profile", false);
-    const uint64_t memcap =
-        args_.has("memcap")
-            ? parseByteSize("memcap", args_.get("memcap", ""))
-            : 0;
     const std::string cachedir = args_.get("cachedir", "");
     cache_ = &memo().caches.try_emplace(cachedir, cachedir).first->second;
-    // This context's cap and pool apply while it runs. Cache misses
-    // build with the bench's worker pool; artefacts are bit-identical
-    // for every thread count (see DESIGN.md).
-    cache_->setMemoryByteCap(memcap);
+    // Cache misses build with this context's worker pool while it
+    // runs; artefacts are bit-identical for every thread count (see
+    // DESIGN.md).
     cache_->setBuildThreads(threads_);
     buildLogStart_ = cache_->buildLog().size();
     artifactHitsStart_ = cache_->stats().memoryHits;
@@ -186,13 +175,6 @@ BenchContext::emitSimSpeed()
     // values are nondeterministic, which is fine: sim-speed units
     // ("ms", "rows/s") are outside report_diff's default gate set and
     // only compare under an explicit loose tolerance override.
-    auto splitKey = [](const std::string &key) {
-        const auto slash = key.find('/');
-        return std::pair<std::string, std::string>(
-            key.substr(0, slash), slash == std::string::npos
-                                      ? std::string()
-                                      : key.substr(slash + 1));
-    };
     const double wallMs = benchClock_.elapsedMs();
     if (!simulated_.empty()) {
         auto t = report_.table("sim_speed",
@@ -206,7 +188,7 @@ BenchContext::emitSimSpeed()
             .col("sim_rows", "sim rows", "rows")
             .col("rows_per_sec", "sim rows/s", "rows/s");
         for (const auto &[key, r] : simulated_) {
-            const auto [dataset, engine] = splitKey(key);
+            const auto &[dataset, engine] = key;
             double comb = 0.0, agg = 0.0, attn = 0.0;
             for (const auto &pm : r.phases) {
                 switch (pm.op) {
@@ -220,9 +202,6 @@ BenchContext::emitSimSpeed()
                     attn += pm.hostMillis;
                     break;
                   case gcn::PhaseOp::HaloExchange:
-                    // Halo phases never reach the single-chip results
-                    // cached here (bench_scaleout reports link time in
-                    // its own tables).
                     break;
                 }
             }
@@ -253,7 +232,7 @@ BenchContext::emitSimSpeed()
             .col("host_ms", "host ms", "ms")
             .col("cycles", "sim cycles", "cycles");
         for (const auto &[key, r] : simulated_) {
-            const auto [dataset, engine] = splitKey(key);
+            const auto &[dataset, engine] = key;
             std::map<std::pair<uint32_t, gcn::PhaseOp>,
                      std::pair<double, Cycle>>
                 split;
@@ -284,14 +263,13 @@ BenchContext::emitSimSpeed()
                         r.aggregationCycles &&
                     rowCycles[gcn::PhaseOp::AttentionScore] ==
                         r.attentionCycles,
-                "sim_speed_layer rows of " + key +
+                "sim_speed_layer rows of " + dataset + " " + engine +
                     " do not sum to the inference's per-op cycles");
         }
     }
     // build_phase family: per-stage wall-clock of every bundle built
     // during this bench -- its slice of the shared cache's build log
-    // (cache/disk hits record nothing). The log survives eviction, so
-    // a memcap= run still reports its builds. One row per dataset: a
+    // (cache/disk hits record nothing). One row per dataset: a
     // sweep may build several bundle variants of one graph (one per
     // partition plan), but duplicate row keys would collide in the
     // record stream, so the first build represents the dataset.
@@ -443,6 +421,32 @@ BenchContext::runOptions() const
     return base;
 }
 
+std::vector<gcn::InferenceResult>
+BenchContext::sweep(const std::vector<driver::SweepJob> &jobs)
+{
+    if (jobs.empty())
+        return {};
+    std::vector<driver::SweepOutcome> outcomes;
+    {
+        util::ScopedTimer timer(ledger_.inferenceMs);
+        outcomes = driver::SweepDriver(threads_).runAll(jobs);
+    }
+    std::vector<gcn::InferenceResult> results;
+    results.reserve(outcomes.size());
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+        if (profile_) {
+            const auto *spec = jobs[i].workload->spec();
+            GROW_ASSERT(spec != nullptr, "sweep job " + jobs[i].label +
+                                             " on a workload without a "
+                                             "dataset");
+            simulated_.emplace(std::make_pair(spec->name, jobs[i].label),
+                               outcomes[i].inference);
+        }
+        results.push_back(std::move(outcomes[i].inference));
+    }
+    return results;
+}
+
 const gcn::InferenceResult &
 BenchContext::inference(const std::string &dataset,
                         const std::string &engine_key)
@@ -456,34 +460,28 @@ BenchContext::inference(const std::string &dataset,
         ++ledger_.inferenceHits;
         return it->second;
     }
-    const gcn::GcnWorkload &w = workload(dataset);
-    auto job = driver::makeEngineJob(engine_key, w, runOptions());
-    gcn::InferenceResult r;
-    {
-        util::ScopedTimer timer(ledger_.inferenceMs);
-        auto engine = job.makeEngine();
-        r = gcn::runInference(*engine, w, job.options);
-    }
-    it = results.emplace(std::move(key), std::move(r)).first;
-    if (profile_)
-        simulated_.emplace(resultLabel(dataset, engine_key), it->second);
-    return it->second;
+    auto job = driver::makeEngineJob(engine_key, workload(dataset),
+                                     runOptions());
+    job.label = engine_key;
+    return results.emplace(std::move(key), std::move(sweep({job}).front()))
+        .first->second;
 }
 
 void
 BenchContext::recordInference(const std::string &dataset,
-                              const std::string &engine_key,
+                              const std::string &engine,
                               const gcn::InferenceResult &result)
 {
+    ledger_.inferenceMs += result.hostMillis;
     if (profile_)
-        simulated_.emplace(resultLabel(dataset, engine_key), result);
+        simulated_.emplace(std::make_pair(dataset, engine), result);
 }
 
 void
 BenchContext::prefetch(const std::vector<std::string> &engine_keys)
 {
     // Workload construction mutates the memo; do it serially up front
-    // so the parallel phase only reads borrowed workloads.
+    // so the sweep only reads borrowed workloads.
     auto &results = memo().results;
     std::vector<driver::SweepJob> jobs;
     std::vector<std::pair<WorkloadKey, std::string>> keys;
@@ -496,28 +494,14 @@ BenchContext::prefetch(const std::vector<std::string> &engine_keys)
                 ++ledger_.inferenceHits;
                 continue;
             }
-            auto job = driver::makeEngineJob(engineKey, w, runOptions());
-            job.label = resultLabel(spec.name, engineKey);
-            jobs.push_back(std::move(job));
+            jobs.push_back(driver::makeEngineJob(engineKey, w, runOptions()));
+            jobs.back().label = engineKey;
             keys.push_back(std::move(key));
         }
     }
-    if (jobs.empty())
-        return;
-    std::vector<driver::SweepOutcome> outcomes;
-    {
-        util::ScopedTimer timer(ledger_.inferenceMs);
-        outcomes = driver::SweepDriver(threads_).runAll(jobs);
-    }
-    // runAll returns the outcomes in job order.
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        const auto &r = results
-                            .emplace(std::move(keys[i]),
-                                     std::move(outcomes[i].inference))
-                            .first->second;
-        if (profile_)
-            simulated_.emplace(outcomes[i].label, r);
-    }
+    auto swept = sweep(jobs);
+    for (size_t i = 0; i < swept.size(); ++i)
+        results.emplace(std::move(keys[i]), std::move(swept[i]));
 }
 
 } // namespace grow::bench

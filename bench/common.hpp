@@ -21,33 +21,27 @@
  *   out=<path>                  write the report to a file instead of
  *                               stdout
  *   threads=<n>                 worker parallelism (default: one per
- *                               core): bounds sweep prefetch, phase
- *                               fan-out inside each inference and the
- *                               scale-out halo step, all on one
- *                               shared pool; results are bit-identical
- *                               for every value. Rejects 0 and > 4x
- *                               hardware concurrency.
+ *                               core): bounds the inferences a sweep
+ *                               runs at once, phase fan-out inside
+ *                               each inference and the scale-out halo
+ *                               step, all on one shared pool; results
+ *                               are bit-identical for every value.
+ *                               Rejects 0 and > 4x hardware
+ *                               concurrency.
  *   profile=0|1                 also report the host-time tables
  *                               below (off by default: wall-clock
  *                               is nondeterministic and must never
  *                               enter golden-locked output, see
  *                               DESIGN.md "Simulator performance")
- *   memcap=<bytes>[K|M|G]       byte budget for the in-memory artefact
- *                               cache (default 0 = unbounded), set on
- *                               the shared cache by each context:
- *                               least-recently-used bundles are
- *                               evicted past the budget, except the
- *                               most recent one, so a single
- *                               over-budget graph still runs
- *                               (out-of-core via dataset=file:); a
- *                               memoised workload keeps its bundle
  *
  * Under `profile=1` each bench reports the host work it did itself;
  * work served by the process-scope memo (below) appears only as a hit
  * in its `host_ledger` row:
- *   sim_speed        per inference the bench simulated (memo misses,
- *                    prefetch jobs, recordInference()): host ms split
- *                    by phase op, simulated rows per host second
+ *   sim_speed        per inference the bench simulated (sweep() jobs,
+ *                    memo misses included, and recordInference()),
+ *                    under the (dataset, engine) pair it was run
+ *                    under: host ms split by phase op, simulated rows
+ *                    per host second
  *   sim_speed_layer  the same host ms per (layer, op), beside the
  *                    simulated cycles it bought
  *   build_phase      per-stage wall-clock (synthesis, normalize,
@@ -61,19 +55,25 @@
  *   host_ledger      one row: the bench wall split into the leaf steps
  *                    of the context's entry points -- artifacts_ms
  *                    (artefact lookups and builds), layer_data_ms,
- *                    inference_ms (engine runs and the prefetch pool)
- *                    -- plus other_ms (everything else, the bench's
- *                    own simulations included), and the memo hits per
- *                    kind. The parts sum to bench_wall_ms and
- *                    other_ms >= 0, both asserted at emission.
+ *                    inference_ms (sweep() and recordInference())
+ *                    -- plus other_ms (everything else: work that is
+ *                    no inference, such as fig14's partitioner runs,
+ *                    fig05's tile census and fig06's single-phase
+ *                    runs), and the memo hits per kind. The parts sum
+ *                    to bench_wall_ms and other_ms >= 0, both
+ *                    asserted at emission.
  *
  * Process-scope memo: every BenchContext of a process borrows one
  * memo, created by the first context. It holds the artefact cache of
  * each `cachedir=`, the default workloads of workload(name) and the
  * results of inference()/prefetch(), so a suite run builds each
  * graph, its layer data and each (dataset, engine) inference once
- * (DESIGN.md "Process-scope bench memo"). Results handed to
- * recordInference() are for reporting only and never enter it.
+ * (DESIGN.md "Process-scope bench memo"). Every inference a bench runs
+ * goes through sweep() -- inference() and prefetch() call it on a memo
+ * miss -- except bench_scaleout's, which it reports through
+ * recordInference(). Only inference() and prefetch() insert results
+ * into the memo: those of a bench's own sweep() calls and of
+ * recordInference() never enter it.
  *
  * Bench-specific knobs (bench_scaleout's chips=, link_gbps= and
  * link_ns=, model_zoo's engines=, ...) are declared by the bench and
@@ -167,17 +167,12 @@ class BenchContext
     gcn::ModelKind model() const { return model_; }
     const std::vector<graph::DatasetSpec> &specs() const { return specs_; }
 
-    /** Validated `threads=` worker parallelism (default: one per
-     *  core). Bounds every level: sweep prefetch, phase fan-out and
-     *  the halo step. */
-    uint32_t threads() const { return threads_; }
-
     /** Whether `profile=1` requested the sim-speed metric family. */
     bool profile() const { return profile_; }
 
     /** Base run options every inference of this bench runs under
-     *  (threads= applied; engine-specific layout still comes from
-     *  makeEngineJob). */
+     *  (threads= applied; the layout still comes from makeEngineJob
+     *  or growJob). */
     gcn::RunOptions runOptions() const;
 
     /** The report this bench declares its results into. */
@@ -208,28 +203,40 @@ class BenchContext
     gcn::GcnWorkload workload(const graph::DatasetSpec &spec,
                               const gcn::WorkloadConfig &config);
 
+    /**
+     * Run @p jobs on driver::SweepDriver(threads=) and return their
+     * results in job order: the one way a bench simulates. Its wall is
+     * charged to host_ledger's inference_ms. Under profile=1 each
+     * result adds sim_speed and sim_speed_layer rows under the pair
+     * (its workload's dataset, its job label), so a label names the
+     * engine and must be unique within the bench ("grow@pe4",
+     * "gcnax@bw64"). sweep() itself never touches the memo.
+     */
+    std::vector<gcn::InferenceResult>
+    sweep(const std::vector<driver::SweepJob> &jobs);
+
     /** The inference of @p engine_key on workload(@p dataset), run
-     *  once per process (process-scope memo). */
+     *  once per process (process-scope memo; a miss runs through
+     *  sweep()). */
     const gcn::InferenceResult &
     inference(const std::string &dataset, const std::string &engine_key);
 
     /**
-     * Feed an externally-run inference into the sim-speed emitter.
-     * Benches that drive their own SweepDriver (model_zoo) bypass the
-     * memo; under profile=1 they hand each outcome here so their host
-     * timing still reaches the sim_speed table. The result is kept for
-     * reporting only and never served by inference(). No-op unless
-     * profiling (avoids result copies on golden runs).
+     * Report an inference this bench ran itself: its hostMillis is
+     * charged to host_ledger's inference_ms and, under profile=1, its
+     * rows carry (@p dataset, @p engine) verbatim. For runs a SweepJob
+     * cannot express (bench_scaleout's scaleout::runInference returns
+     * link and shard data); the caller must have run it serially, so
+     * its hostMillis lies inside the bench wall. Never enters the
+     * memo.
      */
     void recordInference(const std::string &dataset,
-                         const std::string &engine_key,
+                         const std::string &engine,
                          const gcn::InferenceResult &result);
 
     /**
-     * Fan the dataset x engine-key cross product that the memo lacks
-     * out over the sweep driver, so subsequent inference() calls only
-     * read. Cuts sweep wall-clock by roughly the core count; results
-     * are identical to serial runs.
+     * Run the dataset x engine-key cross product that the memo lacks
+     * as one sweep(), so subsequent inference() calls only read.
      */
     void prefetch(const std::vector<std::string> &engine_keys);
 
@@ -269,10 +276,10 @@ class BenchContext
     /** Host ms of every layer-data build, by (dataset, model, depth). */
     std::map<std::tuple<std::string, std::string, uint32_t>, double>
         layerDataMs_;
-    /** Inferences this bench simulated or was handed, by
-     *  "dataset/engine": its sim_speed rows (kept under profile=1
-     *  only). */
-    std::map<std::string, gcn::InferenceResult> simulated_;
+    /** Inferences this bench simulated or was handed, by (dataset,
+     *  engine): its sim_speed rows (kept under profile=1 only). */
+    std::map<std::pair<std::string, std::string>, gcn::InferenceResult>
+        simulated_;
     report::Report report_;
     std::string format_;
     std::string out_;

@@ -68,18 +68,6 @@ using namespace grow;
 
 namespace {
 
-driver::SweepJob
-growJob(const std::string &label, const core::GrowConfig &cfg,
-        const gcn::GcnWorkload &w)
-{
-    driver::SweepJob job;
-    job.label = label;
-    job.makeEngine = [cfg] { return std::make_unique<core::GrowSim>(cfg); };
-    job.workload = &w;
-    job.options.usePartitioning = true;
-    return job;
-}
-
 /** Fixed-point rendering for wall-clock notes. */
 std::string
 fmtFixed(double value, int decimals)
@@ -172,7 +160,7 @@ run(int argc, char **argv)
     auto addJob = [&](const std::string &label,
                       const core::GrowConfig &cfg,
                       const gcn::GcnWorkload &wl) {
-        jobs.push_back(growJob(label, cfg, wl));
+        jobs.push_back(driver::growJob(label, cfg, wl));
         estPoints.push_back({cfg, &wl});
     };
 

@@ -164,16 +164,7 @@ DseDriver::simulateFrontier(const DseAnalysis &analysis,
     jobs.reserve(n);
     for (size_t i = 0; i < n; ++i) {
         const auto &p = analysis.points[analysis.frontier[i]];
-        SweepJob job;
-        job.label = p.label;
-        core::GrowConfig cfg = p.config;
-        job.makeEngine = [cfg] {
-            return std::make_unique<core::GrowSim>(cfg);
-        };
-        job.workload = workload_;
-        job.options = options_;
-        job.options.mapping.reset(); // runInference refills per engine
-        jobs.push_back(std::move(job));
+        jobs.push_back(growJob(p.label, p.config, *workload_, options_));
     }
     auto outcomes = pool.runAll(jobs);
 

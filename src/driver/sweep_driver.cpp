@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/grow.hpp"
 #include "util/logging.hpp"
 #include "util/work_pool.hpp"
 
@@ -31,6 +32,21 @@ makeEngineJob(const std::string &key, const gcn::GcnWorkload &workload,
     job.workload = &workload;
     job.options = base;
     job.options.usePartitioning = spec.usePartitioning;
+    return job;
+}
+
+SweepJob
+growJob(const std::string &label, const core::GrowConfig &config,
+        const gcn::GcnWorkload &workload, const gcn::RunOptions &base)
+{
+    SweepJob job;
+    job.label = label;
+    job.makeEngine = [config] {
+        return std::make_unique<core::GrowSim>(config);
+    };
+    job.workload = &workload;
+    job.options = base;
+    job.options.usePartitioning = true;
     return job;
 }
 

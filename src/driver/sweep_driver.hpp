@@ -56,6 +56,15 @@ SweepJob makeEngineJob(const std::string &key,
                        const gcn::GcnWorkload &workload,
                        const gcn::RunOptions &base = {});
 
+/**
+ * Build the job labelled @p label that runs GROW under @p config on
+ * @p workload in GROW's layout (options.usePartitioning on); other
+ * options come from @p base.
+ */
+SweepJob growJob(const std::string &label, const core::GrowConfig &config,
+                 const gcn::GcnWorkload &workload,
+                 const gcn::RunOptions &base = {});
+
 /** Fixed-size thread pool running sweep jobs. */
 class SweepDriver
 {

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -252,39 +251,6 @@ loadArtifacts(const std::string &path, const ArtifactKey &expected)
     }
 }
 
-uint64_t
-artifactFootprintBytes(const gcn::GraphArtifacts &a)
-{
-    auto vecBytes = [](size_t n, size_t elem) -> uint64_t {
-        return sizeof(uint64_t) + static_cast<uint64_t>(n) * elem;
-    };
-    auto csrBytes = [&](const sparse::CsrMatrix &m) -> uint64_t {
-        return 2 * sizeof(uint32_t) +
-               vecBytes(m.rowPtr().size(), sizeof(uint64_t)) +
-               vecBytes(m.colIdx().size(), sizeof(NodeId)) +
-               vecBytes(m.values().size(), sizeof(double));
-    };
-    uint64_t bytes = 0;
-    // A mapped graph contributes nothing: its pages are reclaimable
-    // page cache, not process heap. That is the whole point of the
-    // out-of-core path -- a graph over the byte budget still runs.
-    if (!a.fileBacked()) {
-        bytes += vecBytes(a.graph.offsets().size(), sizeof(uint64_t));
-        bytes += vecBytes(a.graph.adjacency().size(), sizeof(NodeId));
-    }
-    bytes += csrBytes(a.adjacency);
-    if (a.hasPartitioning) {
-        bytes += csrBytes(a.adjacencyPartitioned);
-        bytes += vecBytes(a.relabel.newToOld.size(), sizeof(NodeId));
-        bytes += vecBytes(a.relabel.clustering.clusterStart.size(),
-                          sizeof(uint32_t));
-        bytes += sizeof(uint64_t);
-        for (const auto &list : a.hdnLists)
-            bytes += vecBytes(list.size(), sizeof(NodeId));
-    }
-    return bytes;
-}
-
 WorkloadCache::WorkloadCache(std::string disk_dir) : dir_(std::move(disk_dir))
 {
 }
@@ -306,8 +272,7 @@ WorkloadCache::artifacts(const graph::DatasetSpec &spec,
         auto it = mem_.find(key);
         if (it != mem_.end()) {
             ++stats_.memoryHits;
-            lru_.splice(lru_.begin(), lru_, it->second.pos);
-            return it->second.bundle;
+            return it->second;
         }
     }
 
@@ -338,22 +303,15 @@ WorkloadCache::artifacts(const graph::DatasetSpec &spec,
         stored = saveArtifacts(pathFor(key), *built);
 
     std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = mem_.try_emplace(key);
+    auto [it, inserted] = mem_.try_emplace(key, built);
     if (!inserted) {
         // Another thread built the same key first; adopt its bundle so
         // every consumer shares one instance.
         ++stats_.memoryHits;
-        lru_.splice(lru_.begin(), lru_, it->second.pos);
-        return it->second.bundle;
+        return it->second;
     }
-    it->second.bundle = built;
-    lru_.push_front(key);
-    it->second.pos = lru_.begin();
-    it->second.bytes = artifactFootprintBytes(*built);
-    totalBytes_ += it->second.bytes;
     if (!fromDisk && built->buildProfile.valid)
         buildLog_.emplace_back(spec.name, built->buildProfile);
-    enforceCapLocked();
     if (fromDisk)
         ++stats_.diskLoads;
     else
@@ -387,8 +345,6 @@ WorkloadCache::snapshot() const
     Snapshot s;
     s.counters = stats_;
     s.entries = mem_.size();
-    s.bytes = totalBytes_;
-    s.byteCap = byteCap_;
     return s;
 }
 
@@ -400,41 +356,10 @@ WorkloadCache::buildLog() const
 }
 
 void
-WorkloadCache::setMemoryByteCap(uint64_t max_bytes)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    byteCap_ = max_bytes;
-    enforceCapLocked();
-}
-
-void
 WorkloadCache::setBuildThreads(uint32_t threads)
 {
     std::lock_guard<std::mutex> lock(mu_);
     buildThreads_ = threads == 0 ? 1 : threads;
-}
-
-void
-WorkloadCache::enforceCapLocked()
-{
-    // Evict LRU-first, but always retain the most recently used entry
-    // so one over-budget bundle still runs. A bundle held outside the
-    // cache stays too: evicting it frees nothing, and the next lookup
-    // would build a second copy. Under mu_ a use_count() of 1 cannot
-    // rise: only the map hands out new references.
-    if (byteCap_ == 0 || lru_.empty())
-        return;
-    for (auto pos = std::prev(lru_.end());
-         totalBytes_ > byteCap_ && pos != lru_.begin();) {
-        auto it = mem_.find(*pos);
-        --pos;
-        if (it->second.bundle.use_count() > 1)
-            continue;
-        totalBytes_ -= it->second.bytes;
-        lru_.erase(it->second.pos);
-        mem_.erase(it);
-        ++stats_.evictionsByBytes;
-    }
 }
 
 } // namespace grow::driver

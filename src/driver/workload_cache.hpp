@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -92,15 +91,6 @@ std::shared_ptr<const gcn::GraphArtifacts>
 loadArtifacts(const std::string &path, const ArtifactKey &expected);
 
 /**
- * Heap footprint of @p artifacts, mirroring the serialized payload
- * layout (the dominant vectors and CSR arrays; per-bundle bookkeeping
- * is ignored). A mmap-backed graph counts as zero -- its pages live in
- * the page cache and are reclaimable, not held by this process. Used
- * to size the byte-budget memory cap.
- */
-uint64_t artifactFootprintBytes(const gcn::GraphArtifacts &artifacts);
-
-/**
  * Memoising construction front-end for workloads and their shared
  * graph artefacts.
  */
@@ -115,8 +105,6 @@ class WorkloadCache
         uint64_t diskLoads = 0;    ///< served from a valid disk file
         uint64_t diskStores = 0;   ///< files written after a build
         uint64_t diskFailures = 0; ///< unreadable/corrupt files skipped
-        /** Entries dropped by the byte-budget cap (memcap=). */
-        uint64_t evictionsByBytes = 0;
     };
 
     /** In-memory-only cache. */
@@ -147,17 +135,15 @@ class WorkloadCache
     Stats stats() const;
 
     /**
-     * One coherent picture of the cache: counters plus the current
-     * footprint and cap, all read under a single lock acquisition
-     * (between separate calls a concurrent lookup can evict, so
-     * stitched numbers would describe no state the cache ever held).
+     * One coherent picture of the cache: counters plus the entry
+     * count, read under a single lock acquisition (between separate
+     * calls a concurrent lookup can insert, so stitched numbers would
+     * describe no state the cache ever held).
      */
     struct Snapshot
     {
         Stats counters;
-        uint64_t entries = 0;  ///< bundles currently in memory
-        uint64_t bytes = 0;   ///< artefact payload bytes in memory
-        uint64_t byteCap = 0; ///< 0 = unbounded
+        uint64_t entries = 0; ///< bundles currently in memory
 
         /** Artefact lookups served without a from-scratch build. */
         uint64_t reuses() const
@@ -169,23 +155,6 @@ class WorkloadCache
     Snapshot snapshot() const;
 
     /**
-     * Cap the in-memory map at @p max_bytes of artefact payload
-     * (0 = unbounded, the default), measured by
-     * artifactFootprintBytes(). Least-recently-used keys are evicted
-     * past the budget, except the most recently inserted/used entry,
-     * which is always retained: a single bundle larger than the budget
-     * (the out-of-core case) still completes, it just shares with
-     * nothing. A bundle still in use (a workload or caller holds its
-     * shared_ptr) is never evicted: dropping the cache's reference
-     * would free nothing and make the next lookup build a second copy.
-     * Only the memory layer is affected -- the disk layer keeps every
-     * file, so an evicted key reloads from disk instead of
-     * resynthesising. Shrinking the cap below the current footprint
-     * evicts immediately.
-     */
-    void setMemoryByteCap(uint64_t max_bytes);
-
-    /**
      * Worker threads handed to buildGraphArtifacts() on a cache miss
      * (>= 1). Never part of any cache key: builds are bit-identical
      * across thread counts.
@@ -195,33 +164,17 @@ class WorkloadCache
     /**
      * Per-dataset build profile of every bundle this process built
      * from scratch (disk loads and memory hits record nothing), in
-     * build order. Survives eviction: the log feeds the profile=1
-     * build_phase metric family, which must not lose rows just
-     * because the byte cap reclaimed the bundle itself.
+     * build order: the profile=1 build_phase metric family.
      */
     std::vector<std::pair<std::string, gcn::GraphArtifacts::BuildProfile>>
     buildLog() const;
 
   private:
-    struct MemEntry
-    {
-        std::shared_ptr<const gcn::GraphArtifacts> bundle;
-        /** Position in lru_ (front = most recently used). */
-        std::list<ArtifactKey>::iterator pos;
-        /** artifactFootprintBytes() of bundle, counted once at insert. */
-        uint64_t bytes = 0;
-    };
-
     std::string pathFor(const ArtifactKey &key) const;
-    /** Evict past the byte cap. Caller holds mu_. */
-    void enforceCapLocked();
 
     mutable std::mutex mu_;
     std::string dir_;
-    std::map<ArtifactKey, MemEntry> mem_;
-    std::list<ArtifactKey> lru_;
-    uint64_t byteCap_ = 0;
-    uint64_t totalBytes_ = 0;
+    std::map<ArtifactKey, std::shared_ptr<const gcn::GraphArtifacts>> mem_;
     uint32_t buildThreads_ = 1;
     Stats stats_;
     std::vector<std::pair<std::string, gcn::GraphArtifacts::BuildProfile>> buildLog_;

@@ -322,6 +322,8 @@ runInference(const EngineTopology &topology,
     }
 
     // ---- Merge: one PhaseMetrics per plan step (header step 5) -----
+    // `activity` stays unmerged: it only feeds the energy model, and
+    // the merged energy already sums the chips' energies.
     gcn::InferenceResult &merged = out.merged;
     merged.engine = out.perChip.front().engine;
     merged.model = out.perChip.front().model;
@@ -348,6 +350,10 @@ runInference(const EngineTopology &topology,
                 pm.result.macOps += cpm.result.macOps;
                 pm.result.cacheHits += cpm.result.cacheHits;
                 pm.result.cacheMisses += cpm.result.cacheMisses;
+                pm.result.effectualSparseBytes +=
+                    cpm.result.effectualSparseBytes;
+                pm.result.fetchedSparseBytes +=
+                    cpm.result.fetchedSparseBytes;
                 pm.result.traffic += cpm.result.traffic;
                 pm.energy += cpm.energy;
                 pm.hostMillis += cpm.hostMillis;

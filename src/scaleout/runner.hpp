@@ -24,12 +24,14 @@
  *     value.
  *  5. Every plan step becomes one merged gcn::PhaseMetrics -- the max
  *     cycles over chips (chips run concurrently in real hardware) and
- *     the sum of MACs, traffic, energy, cache counters and host time;
+ *     the sum of MACs, traffic, the Fig. 6 sparse-byte counters,
+ *     energy, cache counters and host time;
  *     a halo step carries its link cycles -- folded by the single-chip
  *     rule (gcn::InferenceResult::addPhase). So a chips=1 topology,
  *     whose identity slice is the whole workload and which has no halo
  *     steps, reproduces gcn::runInference's totals and each phase's
- *     cycles, MACs, traffic, energy and cache counters.
+ *     cycles, MACs, traffic, sparse-byte counters, energy and cache
+ *     counters.
  *
  * See DESIGN.md "Multi-chip scale-out".
  */

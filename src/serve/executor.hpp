@@ -7,7 +7,7 @@
  * configured universe -- returning an error instead of fatal()ing,
  * because one malformed request in a stream must not end the caller's
  * run -- resolves the workload through the shared
- * driver::WorkloadCache (artefact reuse + LRU eviction), and runs
+ * driver::WorkloadCache (artefact reuse), and runs
  * gcn::runInference on a fresh engine instance.
  *
  * Everything in the returned digest is a deterministic function of

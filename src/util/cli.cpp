@@ -141,33 +141,6 @@ CliArgs::requireKnown(const std::vector<std::string> &known,
           accepted + ")");
 }
 
-uint64_t
-parseByteSize(const std::string &key, const std::string &value)
-{
-    if (value.empty())
-        fatal(key + "= needs a byte size (e.g. " + key + "=512M)");
-    unsigned shift = 0;
-    std::string digits = value;
-    switch (value.back()) {
-      case 'k': case 'K': shift = 10; break;
-      case 'm': case 'M': shift = 20; break;
-      case 'g': case 'G': shift = 30; break;
-      default: break;
-    }
-    if (shift != 0)
-        digits.pop_back();
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        fatal(key + "= must be <digits>[K|M|G], got '" + value + "'");
-    errno = 0;
-    const unsigned long long n = std::strtoull(digits.c_str(), nullptr, 10);
-    constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
-    if (errno == ERANGE || n > (kMax >> shift))
-        fatal(key + "=" + value + " is out of range (at most " +
-              std::to_string(kMax) + " bytes)");
-    return static_cast<uint64_t>(n) << shift;
-}
-
 std::vector<std::string>
 CliArgs::getList(const std::string &key,
                  const std::vector<std::string> &def) const

@@ -77,14 +77,6 @@ class CliArgs
 };
 
 /**
- * Parse a byte-size option value: digits with an optional K/M/G suffix
- * (binary multiples). fatal(), naming @p key, on an empty or malformed
- * value and on one past 2^64 - 1 bytes, before or after the suffix
- * scales it. The grammar of `memcap=`.
- */
-uint64_t parseByteSize(const std::string &key, const std::string &value);
-
-/**
  * The main() of every tool and example: return @p body(argc, argv),
  * but turn an escaping exception -- fatal() on a user error, panic()
  * on a simulator bug -- into one `<binary>: <message>` line on stderr

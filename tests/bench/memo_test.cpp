@@ -9,9 +9,12 @@
  * in `layer_data`, a simulation in `sim_speed`, and a memo hit only in
  * `host_ledger`. The memo lives as long as the test binary, so each
  * test works on a (dataset, scale, model) that no other test touches.
+ * The last tests cover the sweep entry point every simulation runs
+ * through, and the (dataset, engine) pair its rows carry.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -31,13 +34,13 @@ class BenchMemo : public ::testing::Test
     void SetUp() override { report::setActiveCollector(&collector_); }
     void TearDown() override { report::setActiveCollector(nullptr); }
 
-    /** A context over @p args plus profile=1 threads=1. */
+    /** A context over @p args plus profile=1 threads=@p threads. */
     static std::unique_ptr<BenchContext>
-    context(std::vector<std::string> args)
+    context(std::vector<std::string> args, uint32_t threads = 1)
     {
         args.insert(args.begin(), "bench_memo_test");
         args.push_back("profile=1");
-        args.push_back("threads=1");
+        args.push_back("threads=" + std::to_string(threads));
         std::vector<char *> argv;
         for (auto &a : args)
             argv.push_back(a.data());
@@ -82,6 +85,27 @@ ledger(const report::Report &rep, const std::string &metric)
         if (t->columns[c].key == metric)
             return t->rows[0].cells.at(c).value;
     throw std::runtime_error("no host_ledger column " + metric);
+}
+
+/** The (dataset, engine) dims of every row of @p table, in order. */
+std::vector<std::pair<std::string, std::string>>
+rowPairs(const report::Report &rep, const std::string &table)
+{
+    std::vector<std::pair<std::string, std::string>> pairs;
+    if (const auto *t = findTable(rep, table))
+        for (const auto &row : t->rows)
+            pairs.emplace_back(row.dims.dataset, row.dims.engine);
+    return pairs;
+}
+
+/** The ledger's parts sum to its bench wall, with other_ms >= 0. */
+void
+expectLedgerSumsToWall(const report::Report &rep)
+{
+    EXPECT_GE(ledger(rep, "other_ms"), 0.0);
+    EXPECT_NEAR(ledger(rep, "artifacts_ms") + ledger(rep, "layer_data_ms") +
+                    ledger(rep, "inference_ms") + ledger(rep, "other_ms"),
+                ledger(rep, "bench_wall_ms"), 1e-9);
 }
 
 void
@@ -164,10 +188,7 @@ TEST_F(BenchMemo, ContextsThatDifferInScaleOrModelDoNotShare)
     EXPECT_GT(ledger(unit, "artifacts_ms"), 0.0);
     EXPECT_GT(ledger(unit, "layer_data_ms"), 0.0);
     EXPECT_GT(ledger(unit, "inference_ms"), 0.0);
-    EXPECT_GE(ledger(unit, "other_ms"), 0.0);
-    EXPECT_NEAR(ledger(unit, "artifacts_ms") + ledger(unit, "layer_data_ms") +
-                    ledger(unit, "inference_ms") + ledger(unit, "other_ms"),
-                ledger(unit, "bench_wall_ms"), 1e-9);
+    expectLedgerSumsToWall(unit);
 
     {
         auto ctx = context({"datasets=citeseer", "scale=tiny"});
@@ -259,6 +280,93 @@ TEST_F(BenchMemo, RecordedResultsNeverEnterTheMemo)
         EXPECT_EQ(ctx->inference("pubmed", "grow").totalCycles, memoised);
     }
     EXPECT_EQ(ledger(lastReport(), "inference_hits"), 1.0);
+}
+
+TEST_F(BenchMemo, SweepReturnsResultsInJobOrderAtAnyThreadCount)
+{
+    gcn::WorkloadConfig wc;
+    wc.tier = graph::ScaleTier::Unit;
+    driver::WorkloadCache cache;
+    const gcn::GcnWorkload fresh =
+        cache.workload(graph::datasetByName("flickr"), wc);
+    const std::vector<std::string> keys = {"gcnax", "grow-nogp", "grow",
+                                           "grow-norunahead", "matraptor"};
+    std::vector<gcn::InferenceResult> direct;
+    for (const auto &key : keys) {
+        auto job = driver::makeEngineJob(key, fresh);
+        auto engine = job.makeEngine();
+        direct.push_back(gcn::runInference(*engine, fresh, job.options));
+    }
+
+    for (uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        std::vector<std::pair<std::string, std::string>> expected;
+        {
+            auto ctx = context({"datasets=flickr"}, threads);
+            const auto &w = ctx->workload("flickr");
+            std::vector<driver::SweepJob> jobs;
+            for (const auto &key : keys) {
+                jobs.push_back(
+                    driver::makeEngineJob(key, w, ctx->runOptions()));
+                jobs.back().label = key + "@t" + std::to_string(threads);
+                expected.emplace_back("flickr", jobs.back().label);
+            }
+            const auto results = ctx->sweep(jobs);
+            ASSERT_EQ(results.size(), keys.size());
+            for (size_t i = 0; i < keys.size(); ++i) {
+                SCOPED_TRACE(keys[i]);
+                expectSameResult(results[i], direct[i]);
+            }
+        }
+        // One sim_speed row per job, under (dataset, label), listed
+        // in pair order. The sweep's wall is inference time.
+        const auto &rep = lastReport();
+        std::sort(expected.begin(), expected.end());
+        EXPECT_EQ(rowPairs(rep, "sim_speed"), expected);
+        EXPECT_EQ(ledger(rep, "inference_hits"), 0.0);
+        EXPECT_GT(ledger(rep, "inference_ms"), 0.0);
+        expectLedgerSumsToWall(rep);
+    }
+
+    // Neither sweep entered the memo: every key still simulates.
+    {
+        auto ctx = context({"datasets=flickr"});
+        for (size_t i = 0; i < keys.size(); ++i)
+            expectSameResult(ctx->inference("flickr", keys[i]), direct[i]);
+    }
+    EXPECT_EQ(rows(lastReport(), "sim_speed"), keys.size());
+    EXPECT_EQ(ledger(lastReport(), "inference_hits"), 0.0);
+}
+
+TEST_F(BenchMemo, RecordedRowsKeepTheirPairVerbatim)
+{
+    // Neither half of the pair is split: a '/' in either stays put.
+    double hostMs = 0.0;
+    {
+        auto ctx = context({"datasets=yelp"});
+        gcn::WorkloadConfig wc;
+        wc.tier = graph::ScaleTier::Unit;
+        driver::WorkloadCache cache;
+        const gcn::GcnWorkload w =
+            cache.workload(graph::datasetByName("yelp"), wc);
+        auto job = driver::makeEngineJob("grow", w);
+        auto engine = job.makeEngine();
+        // Run serially inside the bench, as recordInference() asks.
+        const auto r = gcn::runInference(*engine, w, job.options);
+        hostMs = r.hostMillis;
+        ctx->recordInference("yelp/part", "grow@chips/2", r);
+    }
+    const auto &rep = lastReport();
+    const std::vector<std::pair<std::string, std::string>> pair = {
+        {"yelp/part", "grow@chips/2"}};
+    EXPECT_EQ(rowPairs(rep, "sim_speed"), pair);
+    for (const auto &p : rowPairs(rep, "sim_speed_layer"))
+        EXPECT_EQ(p, pair.front());
+    EXPECT_GT(rows(rep, "sim_speed_layer"), 0u);
+    // A recorded result's host time is inference time.
+    EXPECT_GT(hostMs, 0.0);
+    EXPECT_DOUBLE_EQ(ledger(rep, "inference_ms"), hostMs);
+    expectLedgerSumsToWall(rep);
 }
 
 } // namespace

@@ -397,165 +397,6 @@ TEST(WorkloadCache, FingerprintDistinguishesKeys)
     EXPECT_TRUE(base < tiny || tiny < base);
 }
 
-TEST(WorkloadCache, ByteCapEvictsLeastRecentlyUsed)
-{
-    const auto &cora = graph::datasetByName("cora");
-    const auto &cite = graph::datasetByName("citeseer");
-    gcn::PartitionPlan smaller;
-    smaller.targetClusterSize = 128;
-    // A budget one byte short of all three bundles: the third insert
-    // must evict exactly one key, the least recently used.
-    const uint64_t third = artifactFootprintBytes(*gcn::buildGraphArtifacts(
-        cora, graph::ScaleTier::Unit, smaller));
-    WorkloadCache cache;
-    // Every handle is dropped at once: a bundle still in use is never
-    // evicted (ByteCapKeepsBundlesStillInUse).
-    const gcn::GraphArtifacts *a =
-        cache.artifacts(cora, graph::ScaleTier::Unit, {}).get();
-    cache.artifacts(cite, graph::ScaleTier::Unit, {});
-    cache.setMemoryByteCap(cache.snapshot().bytes + third - 1);
-    EXPECT_EQ(cache.snapshot().entries, 2u);
-
-    // Touch cora so citeseer becomes least recently used, then insert
-    // a third key: citeseer must be the one evicted.
-    cache.artifacts(cora, graph::ScaleTier::Unit, {});
-    cache.artifacts(cora, graph::ScaleTier::Unit, smaller);
-    EXPECT_EQ(cache.snapshot().entries, 2u);
-    EXPECT_EQ(cache.stats().evictionsByBytes, 1u);
-
-    // cora stayed resident (memory hit, same instance); citeseer
-    // rebuilds from scratch -- there is no disk layer -- bit-identical
-    // to a direct build.
-    const uint64_t hitsBefore = cache.stats().memoryHits;
-    EXPECT_EQ(cache.artifacts(cora, graph::ScaleTier::Unit, {}).get(), a);
-    EXPECT_EQ(cache.stats().memoryHits, hitsBefore + 1);
-    const uint64_t buildsBefore = cache.stats().builds;
-    auto b2 = cache.artifacts(cite, graph::ScaleTier::Unit, {});
-    EXPECT_EQ(cache.stats().builds, buildsBefore + 1);
-    expectArtifactsIdentical(
-        *gcn::buildGraphArtifacts(cite, graph::ScaleTier::Unit, {}), *b2);
-}
-
-TEST(WorkloadCache, ByteCapKeepsBundlesStillInUse)
-{
-    // A held workload keeps its bundle alive, so evicting it would
-    // free nothing and the next lookup would build a second copy.
-    WorkloadCache cache;
-    const auto &cora = graph::datasetByName("cora");
-    const auto &cite = graph::datasetByName("citeseer");
-    const gcn::GcnWorkload held = cache.workload(cora, unitConfig());
-    cache.setMemoryByteCap(1);
-    cache.workload(cite, unitConfig());
-    EXPECT_EQ(cache.stats().evictionsByBytes, 0u);
-    EXPECT_EQ(cache.snapshot().entries, 2u);
-
-    const uint64_t hitsBefore = cache.stats().memoryHits;
-    EXPECT_EQ(cache.artifacts(cora, graph::ScaleTier::Unit, {}).get(),
-              held.artifacts.get());
-    EXPECT_EQ(cache.stats().memoryHits, hitsBefore + 1);
-    EXPECT_EQ(cache.stats().builds, 2u); // cora once, citeseer once
-}
-
-TEST(WorkloadCache, ByteEvictedKeyReloadsFromDiskInsteadOfRebuilding)
-{
-    const std::string dir = scratchDir("evict_disk");
-    WorkloadCache cache(dir);
-    cache.setMemoryByteCap(1); // keeps only the newest unheld bundle
-    const auto &cora = graph::datasetByName("cora");
-    const auto &cite = graph::datasetByName("citeseer");
-
-    cache.artifacts(cora, graph::ScaleTier::Unit, {});
-    cache.artifacts(cite, graph::ScaleTier::Unit, {}); // evicts cora
-    EXPECT_EQ(cache.stats().evictionsByBytes, 1u);
-    EXPECT_EQ(cache.snapshot().entries, 1u);
-
-    // The disk layer is untouched by eviction: cora comes back as a
-    // disk load, not a rebuild, and round-trips bit-identically.
-    auto a2 = cache.artifacts(cora, graph::ScaleTier::Unit, {});
-    EXPECT_EQ(cache.stats().builds, 2u);
-    EXPECT_EQ(cache.stats().diskLoads, 1u);
-    expectArtifactsIdentical(
-        *gcn::buildGraphArtifacts(cora, graph::ScaleTier::Unit, {}), *a2);
-    fs::remove_all(dir);
-}
-
-TEST(WorkloadCache, ShrinkingByteCapEvictsImmediately)
-{
-    WorkloadCache cache;
-    const auto &spec = graph::datasetByName("cora");
-    cache.artifacts(spec, graph::ScaleTier::Unit, {});
-    gcn::PartitionPlan p1, p2;
-    p1.targetClusterSize = 128;
-    p2.targetClusterSize = 256;
-    cache.artifacts(spec, graph::ScaleTier::Unit, p1);
-    const gcn::GraphArtifacts *newest =
-        cache.artifacts(spec, graph::ScaleTier::Unit, p2).get();
-    const uint64_t newestBytes = artifactFootprintBytes(*newest);
-    EXPECT_EQ(cache.snapshot().entries, 3u);
-
-    cache.setMemoryByteCap(1);
-    EXPECT_EQ(cache.snapshot().entries, 1u);
-    EXPECT_EQ(cache.stats().evictionsByBytes, 2u);
-    EXPECT_EQ(cache.snapshot().bytes, newestBytes);
-    // The survivor is the most recently used key.
-    const uint64_t hitsBefore = cache.stats().memoryHits;
-    auto again = cache.artifacts(spec, graph::ScaleTier::Unit, p2);
-    EXPECT_EQ(cache.stats().memoryHits, hitsBefore + 1);
-    EXPECT_EQ(newest, again.get());
-}
-
-TEST(WorkloadCache, ByteCapEvictsByFootprintButKeepsNewest)
-{
-    WorkloadCache cache;
-    EXPECT_EQ(cache.snapshot().byteCap, 0u); // unbounded by default
-    const auto &cora = graph::datasetByName("cora");
-    const auto &cite = graph::datasetByName("citeseer");
-
-    const uint64_t coraBytes = artifactFootprintBytes(
-        *cache.artifacts(cora, graph::ScaleTier::Unit, {}));
-    const uint64_t oneBundle = cache.snapshot().bytes;
-    EXPECT_EQ(oneBundle, coraBytes);
-    EXPECT_GT(oneBundle, 0u);
-
-    // Budget below a single bundle: the newest entry is still kept --
-    // an over-budget graph must run, it just shares with nothing.
-    cache.setMemoryByteCap(oneBundle / 2);
-    EXPECT_EQ(cache.snapshot().entries, 1u);
-    EXPECT_EQ(cache.stats().evictionsByBytes, 0u);
-
-    // A second key pushes the older one out by bytes.
-    const uint64_t citeBytes = artifactFootprintBytes(
-        *cache.artifacts(cite, graph::ScaleTier::Unit, {}));
-    EXPECT_EQ(cache.snapshot().entries, 1u);
-    EXPECT_EQ(cache.stats().evictionsByBytes, 1u);
-    EXPECT_EQ(cache.snapshot().bytes, citeBytes);
-
-    // A budget that holds both keeps both.
-    cache.setMemoryByteCap(4 * oneBundle);
-    cache.artifacts(cora, graph::ScaleTier::Unit, {});
-    EXPECT_EQ(cache.snapshot().entries, 2u);
-    EXPECT_EQ(cache.snapshot().bytes, coraBytes + citeBytes);
-}
-
-TEST(WorkloadCache, FootprintTracksSerializedPayload)
-{
-    // The footprint mirrors the serialized layout, so it must land
-    // close to the artefact file size (same vectors, same prefixes;
-    // the file adds only the small key/fingerprint header).
-    const std::string dir = scratchDir("footprint");
-    const auto &spec = graph::datasetByName("cora");
-    WorkloadCache cache(dir);
-    auto a = cache.artifacts(spec, graph::ScaleTier::Unit, {});
-    const auto key = ArtifactKey::of(spec, graph::ScaleTier::Unit, {});
-    const auto fileBytes = fs::file_size(
-        fs::path(dir) / (key.fingerprint() + ".growart"));
-    const auto footprint = artifactFootprintBytes(*a);
-    EXPECT_GT(footprint, 0u);
-    EXPECT_LT(footprint, fileBytes);
-    EXPECT_GT(footprint, fileBytes - 256);
-    fs::remove_all(dir);
-}
-
 /** Write spec's unit-tier graph as a .growcsr and register it. */
 const graph::DatasetSpec &
 registerUnitFile(const std::string &dir, const std::string &source,
@@ -619,13 +460,6 @@ TEST(WorkloadCache, FileBackedBundleRoundTripsWithoutGraphPayload)
     EXPECT_EQ(loaded->adjacency.rowPtr(), built->adjacency.rowPtr());
     EXPECT_EQ(loaded->adjacency.values(), built->adjacency.values());
     EXPECT_EQ(loaded->relabel.newToOld, built->relabel.newToOld);
-
-    // Mapped graphs cost no heap: the footprint must be far below an
-    // equivalent heap bundle's (which carries the graph arrays).
-    auto heap = gcn::buildGraphArtifacts(graph::datasetByName("cora"),
-                                         graph::ScaleTier::Unit);
-    EXPECT_LT(artifactFootprintBytes(*built),
-              artifactFootprintBytes(*heap));
     fs::remove_all(dir);
 }
 
@@ -669,8 +503,6 @@ TEST(WorkloadCache, SnapshotIsCoherentAndCountsReuses)
     EXPECT_EQ(snap.counters.memoryHits, 1u);
     EXPECT_EQ(snap.reuses(), 1u);
     EXPECT_EQ(snap.entries, 2u);
-    EXPECT_GT(snap.bytes, 0u);
-    EXPECT_EQ(snap.byteCap, 0u);
 }
 
 TEST(WorkloadCache, SnapshotSafeUnderConcurrentLookups)
@@ -698,13 +530,10 @@ TEST(WorkloadCache, SnapshotSafeUnderConcurrentLookups)
         while (!done.load()) {
             const WorkloadCache::Snapshot snap = cache.snapshot();
             // Builds + hits + disk loads can never exceed observed
-            // lookups (torn reads would break this invariant), and
-            // the footprint only exists alongside entries.
+            // lookups (torn reads would break this invariant).
             EXPECT_LE(snap.counters.builds + snap.reuses(),
                       lookups.load() + 3); // in-flight lookups slack
-            if (snap.entries == 0) {
-                EXPECT_EQ(snap.bytes, 0u);
-            }
+            EXPECT_EQ(snap.entries, snap.counters.builds);
             EXPECT_LE(snap.entries, 2u);
         }
     });

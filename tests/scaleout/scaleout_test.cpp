@@ -75,6 +75,12 @@ expectSameResult(const gcn::InferenceResult &a,
         EXPECT_EQ(a.phases[i].result.cacheMisses,
                   b.phases[i].result.cacheMisses)
             << "phase " << i;
+        EXPECT_EQ(a.phases[i].result.effectualSparseBytes,
+                  b.phases[i].result.effectualSparseBytes)
+            << "phase " << i;
+        EXPECT_EQ(a.phases[i].result.fetchedSparseBytes,
+                  b.phases[i].result.fetchedSparseBytes)
+            << "phase " << i;
         EXPECT_DOUBLE_EQ(a.phases[i].energy.total(),
                          b.phases[i].energy.total())
             << "phase " << i;

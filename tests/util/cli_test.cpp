@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <string>
 
 #include "util/cli.hpp"
@@ -135,39 +134,6 @@ TEST(CliArgs, GetDoubleRejectsNonNumericAndNonFiniteValues)
     EXPECT_DOUBLE_EQ(ok.getDouble("c", 0), 1e-3);
 }
 
-TEST(ParseByteSize, ScalesBinarySuffixesAndRejectsBadValuesNamingTheKey)
-{
-    EXPECT_EQ(parseByteSize("memcap", "0"), 0u);
-    EXPECT_EQ(parseByteSize("memcap", "512"), 512u);
-    EXPECT_EQ(parseByteSize("memcap", "3k"), 3u << 10);
-    EXPECT_EQ(parseByteSize("memcap", "3K"), 3u << 10);
-    EXPECT_EQ(parseByteSize("memcap", "64M"), 64ull << 20);
-    EXPECT_EQ(parseByteSize("memcap", "2g"), 2ull << 30);
-    EXPECT_EQ(parseByteSize("memcap", "17179869183G"),
-              17179869183ull << 30); // the largest G value that fits
-    EXPECT_EQ(parseByteSize("memcap", "18446744073709551615"),
-              std::numeric_limits<uint64_t>::max());
-
-    for (const char *bad : {"", "G", "abc", "12X", "-1", "+1", "1.5G",
-                            " 12", "1 G", "0x10"}) {
-        const std::string msg =
-            errorOf([&] { parseByteSize("memcap", bad); });
-        EXPECT_NE(msg.find("memcap="), std::string::npos)
-            << "'" << bad << "': " << msg;
-    }
-    // Both overflow routes: the digits alone (strtoull saturates) and
-    // the suffix shift (17179869185G would wrap to a 1 GiB cap).
-    for (const char *big : {"18446744073709551616", "99999999999999999999",
-                            "17179869184G", "17179869185G",
-                            "18014398509481984K", "17592186044416M"}) {
-        const std::string msg =
-            errorOf([&] { parseByteSize("memcap", big); });
-        EXPECT_NE(msg.find(std::string("memcap=") + big + " is out of range"),
-                  std::string::npos)
-            << big << ": " << msg;
-    }
-}
-
 int
 failingBody(int, char **)
 {
@@ -273,20 +239,8 @@ TEST(CliArgs, RequireKnownAcceptsPrefixedKeys)
 
 TEST(CliArgs, RequireKnownCoversTheIngestionKeys)
 {
-    // The out-of-core ingestion PR grew memcap= on every bench and
-    // in=/out=/name=/nodes=/dataset=/verify= on graph_convert; the key
-    // sets must accept them and keep rejecting near-miss typos (a
-    // dropped memcap= would silently run uncapped).
-    const std::vector<std::string> benchKeys = {
-        "scale", "datasets", "model",   "cachedir", "format",
-        "out",   "threads",  "profile", "memcap"};
-    auto ok = makeArgs({"memcap=512M", "datasets=file:/tmp/g.growcsr"});
-    EXPECT_NO_THROW(ok.requireKnown(benchKeys));
-    for (const char *typo : {"memcp=512M", "memcap2=1G", "Memcap=1"}) {
-        auto bad = makeArgs({typo});
-        EXPECT_ANY_THROW(bad.requireKnown(benchKeys)) << typo;
-    }
-
+    // graph_convert's in=/out=/name=/nodes=/dataset=/verify= must be
+    // accepted, and a near-miss typo rejected.
     const std::vector<std::string> convertKeys = {
         "in", "out", "name", "nodes", "dataset", "scale", "verify"};
     auto conv = makeArgs(
